@@ -112,7 +112,7 @@ def _fmt(v) -> str:
 
 def _cmd_simulate(args):
     started = time.monotonic()
-    grid = GridSpec(args.T, args.n, args.t if args.t else args.T)
+    grid = GridSpec(args.T, args.n, args.T if args.t is None else args.t)
     sampler = sample_fft if args.method == "fft" else sample_exact
     path = sampler(args.H, grid, args.seed, args.components)
     buf = io.StringIO()
@@ -127,7 +127,11 @@ def _cmd_localtime(args):
     started = time.monotonic()
     levels = [float(x) for x in args.levels.split(",")]
     grid = GridSpec(args.t, args.n, args.t)
-    eps = args.eps if args.eps else default_bin_width(args.H, args.n)
+    eps = default_bin_width(args.H, args.n) if args.eps is None else args.eps
+    if eps <= 0:
+        raise CliError("eps must be positive")
+    if args.replicates < 1:
+        raise CliError("replicates must be >= 1")
     batch = sample_fft_batch(args.H, grid, args.seed, args.replicates, 1)
     h = as_hurst(args.H)
     rows = []
@@ -318,6 +322,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def parse_and_dispatch(argv=None) -> int:
     ap = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a level list that starts with '-' ("-1,0") as an option
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--levels":
+            argv[i : i + 2] = [f"--levels={argv[i + 1]}"]
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -219,12 +219,12 @@ def sample_exact_batch(
         )
     ts = grid.nodes()[1:]
     chol = _grid_cholesky(h.value, tuple(ts.tolist()))
-    m = len(ts)
-    out = np.zeros((count, components, grid.num_nodes))
+    z = np.empty((count, components, len(ts)))
     for r in range(count):
         for c in range(components):
-            z = substream(master_seed, first_replicate + r, c).standard_normal(m)
-            out[r, c, 1:] = chol @ z
+            substream(master_seed, first_replicate + r, c).standard_normal(out=z[r, c])
+    out = np.zeros((count, components, grid.num_nodes))
+    out[:, :, 1:] = z @ chol.T
     return out
 
 
@@ -252,8 +252,10 @@ clamp_warning_count = 0
 
 
 @lru_cache(maxsize=32)
-def _embedding_spectrum(h_value: float, n_increments: int) -> np.ndarray:
-    """Eigenvalues of the circulant embedding of the unit-lag fGn covariance."""
+def _embedding_amplitude(h_value: float, n_increments: int) -> np.ndarray:
+    """Half-spectrum amplitude sqrt(m * eigs[:m/2 + 1]) of the circulant
+    embedding of the unit-lag fGn covariance, with the 1/sqrt(2) of the
+    interior modes folded in; m = 2 * (len - 1). Read-only (shared)."""
     global clamp_warning_count
     m = 1
     while m < 2 * n_increments:
@@ -272,22 +274,22 @@ def _embedding_spectrum(h_value: float, n_increments: int) -> np.ndarray:
                 f"N={n_increments}"
             )
         eigs = np.clip(eigs, 0.0, None)
-    return eigs
+    amp = np.sqrt(eigs[: m // 2 + 1] * m)
+    amp[1:-1] /= np.sqrt(2.0)
+    amp.flags.writeable = False
+    return amp
 
 
-def _fgn_from_normals(eigs: np.ndarray, zeta: np.ndarray, n_incr: int) -> np.ndarray:
-    """Map iid standard normals (batch, m) to unit-lag fGn (batch, n_incr)."""
-    m = eigs.shape[0]
-    half = m // 2
-    z = np.empty(zeta.shape[:-1] + (m,), dtype=complex)
-    z[..., 0] = zeta[..., 0]
-    z[..., half] = zeta[..., half]
-    re = zeta[..., 1:half]
-    im = zeta[..., half + 1:]
-    z[..., 1:half] = (re + 1j * im) / np.sqrt(2.0)
-    z[..., half + 1:] = np.conj(z[..., 1:half])[..., ::-1]
-    x = np.fft.ifft(np.sqrt(eigs) * z, axis=-1).real * np.sqrt(m)
-    return x[..., :n_incr]
+def _fgn_from_normals(amp: np.ndarray, zeta: np.ndarray, n_incr: int) -> np.ndarray:
+    """Map iid standard normals (batch, m) to fGn (batch, n_incr): modes 0 and
+    m/2 are real, mode j in (0, m/2) is zeta[j] + i zeta[m/2 + j], and the
+    real inverse transform implies the conjugate modes m - j."""
+    half = amp.shape[0] - 1
+    z = np.zeros(zeta.shape[:-1] + (half + 1,), dtype=complex)
+    z.real = zeta[..., : half + 1]
+    z.imag[..., 1:half] = zeta[..., half + 1 :]
+    z *= amp
+    return np.fft.irfft(z, n=2 * half, axis=-1)[..., :n_incr]
 
 
 def _partial_step_weights(h: HurstIndex, grid: GridSpec):
@@ -331,31 +333,29 @@ def sample_fft_batch(
     k = grid.full_steps
     partial = grid.has_partial_step
     out = np.zeros((count, components, grid.num_nodes))
-
-    if k > 0:
-        eigs = _embedding_spectrum(h.value, k)
-        m = eigs.shape[0]
-    if partial:
-        w, cond_std = _partial_step_weights(h, grid)
-
-    for c in range(components):
-        if k > 0:
-            zeta = np.empty((count, m))
-            extra = np.empty(count)
-            for r in range(count):
-                rng = substream(master_seed, first_replicate + r, c)
-                zeta[r] = rng.standard_normal(m)
-                if partial:
-                    extra[r] = rng.standard_normal()
-            incr = _fgn_from_normals(eigs, zeta, k) * n ** (-h.value)
-            out[:, c, 1 : k + 1] = np.cumsum(incr, axis=-1)
-            if partial:
-                y = incr @ w + cond_std * extra
-                out[:, c, k + 1] = out[:, c, k] + y
-        else:
-            for r in range(count):
+    if k == 0:
+        for r in range(count):
+            for c in range(components):
                 rng = substream(master_seed, first_replicate + r, c)
                 out[r, c, 1] = grid.t_end ** h.value * rng.standard_normal()
+        return out
+
+    amp = _embedding_amplitude(h.value, k) * n ** (-h.value)
+    if partial:
+        w, cond_std = _partial_step_weights(h, grid)
+    zeta = np.empty((count, 2 * (amp.shape[0] - 1)))
+    extra = np.empty(count)
+    for c in range(components):
+        for r in range(count):
+            rng = substream(master_seed, first_replicate + r, c)
+            rng.standard_normal(out=zeta[r])
+            if partial:
+                extra[r] = rng.standard_normal()
+        incr = _fgn_from_normals(amp, zeta, k)
+        np.cumsum(incr, axis=-1, out=out[:, c, 1 : k + 1])
+        if partial:
+            out[:, c, k + 1] = out[:, c, k] + (incr @ w + cond_std * extra)
+        del incr  # release the (count, m) transform before the next is made
     return out
 
 

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,43 @@ def test_localtime_csv(capsys):
     assert len(lines) == 3
     est = float(lines[1].split(",")[1])
     assert est >= 0
+
+
+def test_localtime_negative_levels_space_form(tmp_path):
+    outs = []
+    for name, levels in (("eq", ["--levels=-1,-0.5,0"]),
+                         ("space", ["--levels", "-1,-0.5,0"])):
+        d = tmp_path / name
+        rc = run(["--output-dir", str(d), "--quiet", "localtime", "--H", "0.75",
+                  "--n", "64", *levels, "--replicates", "10", "--seed", "3"])
+        assert rc == 0
+        outs.append((d / "localtime.csv").read_bytes())
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\n") == 4  # header + three levels
+
+
+def test_localtime_rejects_zero_eps(capsys):
+    rc = run(["localtime", "--H", "0.75", "--n", "64", "--levels", "0",
+              "--estimator", "bin", "--eps", "0"])
+    assert rc == 1
+    assert "eps must be positive" in capsys.readouterr().err
+
+
+def test_localtime_rejects_zero_replicates(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["localtime", "--H", "0.75", "--n", "64", "--levels", "0",
+                  "--replicates", "0"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "replicates" in captured.err
+    assert captured.out == ""
+
+
+def test_simulate_rejects_zero_t(capsys):
+    rc = run(["simulate", "--H", "0.75", "--n", "8", "--t", "0"])
+    assert rc == 1
+    assert "t_end" in capsys.readouterr().err
 
 
 def test_rate_subcommand(tmp_path, capsys):

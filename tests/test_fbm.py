@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from fbmlab.fbm import (
     EXACT_NODE_CAP,
+    _embedding_amplitude,
+    _fgn_from_normals,
+    _partial_step_weights,
     FbmPath,
     GridSpec,
     GridSizeError,
@@ -160,6 +163,73 @@ def test_exact_batch_offset_contract():
     batch = sample_exact_batch(0.6, grid, 1, 4)
     tail = sample_exact_batch(0.6, grid, 1, 2, first_replicate=2)
     np.testing.assert_array_equal(batch[2:], tail)
+
+
+def test_exact_batch_equals_concatenated_singles_two_components():
+    h, grid = 0.6, GridSpec(1.0, 8, 0.9)
+    batch = sample_exact_batch(h, grid, 3, 4, components=2)
+    for r in range(4):
+        single = sample_exact_batch(h, grid, 3, 1, components=2, first_replicate=r)
+        np.testing.assert_array_equal(batch[r], single[0])
+    # each path is chol @ z on its own substream, up to summation order
+    ts = grid.nodes()[1:]
+    chol = np.linalg.cholesky(fbm_covariance(h, ts[:, None], ts[None, :]))
+    for r in range(4):
+        for c in range(2):
+            z = substream(3, r, c).standard_normal(len(ts))
+            np.testing.assert_allclose(batch[r, c, 1:], chol @ z, rtol=0, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# half-spectrum synthesis against the full complex-ifft mapping
+# ---------------------------------------------------------------------------
+
+def _reference_fgn(h, zeta, n_incr):
+    """Hermitian-completed spectrum and a full complex ifft: the mapping from
+    normals (batch, m) to unit-lag fGn that the real transform must keep."""
+    m = zeta.shape[-1]
+    half = m // 2
+    gamma = fgn_autocovariance(h, np.arange(half + 1))
+    row = np.concatenate([gamma, gamma[-2:0:-1]])
+    eigs = np.clip(np.fft.fft(row).real, 0.0, None)
+    z = np.empty(zeta.shape[:-1] + (m,), dtype=complex)
+    z[..., 0] = zeta[..., 0]
+    z[..., half] = zeta[..., half]
+    z[..., 1:half] = (zeta[..., 1:half] + 1j * zeta[..., half + 1:]) / np.sqrt(2.0)
+    z[..., half + 1:] = np.conj(z[..., 1:half])[..., ::-1]
+    x = np.fft.ifft(np.sqrt(eigs) * z, axis=-1).real * np.sqrt(m)
+    return x[..., :n_incr]
+
+
+def _assert_close_rel(got, want, rel=1e-13):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_incr, m", [(1, 2), (5, 16), (1024, 2048)])
+@pytest.mark.parametrize("h", [0.3, 0.75])
+def test_half_spectrum_synthesis_matches_complex_ifft(h, n_incr, m):
+    amp = _embedding_amplitude(h, n_incr)
+    assert amp.shape == (m // 2 + 1,)
+    zeta = substream(11, m).standard_normal((4, m))
+    _assert_close_rel(_fgn_from_normals(amp, zeta, n_incr),
+                      _reference_fgn(h, zeta, n_incr))
+
+
+def test_fft_batch_matches_complex_ifft_on_partial_grid():
+    h, n, seed = 0.7, 16, 8
+    grid = GridSpec(1.0, n, 0.83)
+    k = grid.full_steps
+    m = 32  # smallest power of two >= 2k for k = 13
+    w, cond_std = _partial_step_weights(as_hurst(h), grid)
+    want = np.zeros((3, 2, grid.num_nodes))
+    for r in range(3):
+        for c in range(2):
+            rng = substream(seed, 2 + r, c)
+            incr = _reference_fgn(h, rng.standard_normal(m), k) * n ** (-h)
+            want[r, c, 1 : k + 1] = np.cumsum(incr)
+            want[r, c, k + 1] = want[r, c, k] + incr @ w + cond_std * rng.standard_normal()
+    got = sample_fft_batch(h, grid, seed, 3, components=2, first_replicate=2)
+    _assert_close_rel(got, want)
 
 
 # ---------------------------------------------------------------------------
