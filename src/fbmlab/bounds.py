@@ -31,6 +31,7 @@ from .covariance import (
     merged_large_windows,
 )
 from .fbm import as_hurst, sample_at_times, substream
+from .quadrature import _graded_rule, _iterated_integral
 
 __all__ = [
     "DecouplingExperiment",
@@ -360,56 +361,35 @@ def _phi_pair(hv: float, u, v, a: float):
     return np.exp(-0.5 * qf) / (2 * np.pi * np.sqrt(det))
 
 
-def _graded_nodes(lo: float, hi: float, singular_end: float, n_sub: int = 24,
-                  n_gl: int = 6):
-    """Composite Gauss-Legendre nodes/weights on [lo, hi], geometrically
-    graded toward ``singular_end`` (one of the interval ends)."""
-    if hi <= lo:
-        return np.empty(0), np.empty(0)
-    x, w = np.polynomial.legendre.leggauss(n_gl)
-    frac = np.geomspace(1e-4, 1.0, n_sub)
-    breaks = np.concatenate([[0.0], frac]) * (hi - lo)
-    if singular_end <= lo:
-        edges = lo + breaks
-    else:
-        edges = hi - breaks[::-1]
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def density_shift_integral(h, n: int, a: float = 0.0, horizon: float = 1.0) -> float:
     """I(n) = integral of |phi_{u,v}(a,a) - phi_{u_n,v}(a,a)| over the
     region where u, v and |u - v| all exceed 2/n, with u_n = floor(nu)/n.
 
-    Quadrature is per u-strip (u_n constant on each) with v-panels graded
-    toward the excluded diagonal; decays like n^{-(1-H)}.
+    The u-axis is cut into strips [k/n, (k+1)/n] (u_n constant on each)
+    with 6 Gauss-Legendre nodes per strip; for each u the v-integral runs
+    over [2/n, u - 2/n] and [u + 2/n, horizon] on panels graded toward the
+    excluded diagonal.  Decays like n^{-(1-H)}.
     """
     hv = as_hurst(h).value
+    k = np.arange(2, int(n * horizon))
+    lo, hi = k / n, np.minimum((k + 1) / n, horizon)
+    x, w = np.polynomial.legendre.leggauss(6)
+    u = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * x).ravel()
+    wu = (0.5 * (hi - lo)[:, None] * w).ravel()
+    un = np.repeat(lo, len(x))
+    rule = _graded_rule(24, 6, 1e-4)
+
+    def shift(u, un, v):
+        return np.abs(_phi_pair(hv, u, v, a) - _phi_pair(hv, un, v, a))
+
     total = 0.0
-    ux, uw = np.polynomial.legendre.leggauss(6)
-    for k in range(2, int(n * horizon)):
-        lo, hi = k / n, min((k + 1) / n, horizon)
-        if hi <= lo:
-            break
-        u_nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * ux
-        u_weights = 0.5 * (hi - lo) * uw
-        un = k / n
-        for u, wu in zip(u_nodes, u_weights):
-            strip = 0.0
-            for vlo, vhi, sing in (
-                (2.0 / n, u - 2.0 / n, u - 2.0 / n),
-                (u + 2.0 / n, horizon, u + 2.0 / n),
-            ):
-                v, wv = _graded_nodes(vlo, vhi, sing)
-                if len(v) == 0:
-                    continue
-                diff = np.abs(_phi_pair(hv, u, v, a) - _phi_pair(hv, un, v, a))
-                strip += float(diff @ wv)
-            total += wu * strip
+    gap = 2.0 / n
+    # v below the diagonal, graded toward u - 2/n, then above, toward u + 2/n
+    for start, end, sign in ((u - gap, np.full_like(u, gap), -1.0),
+                             (u + gap, np.full_like(u, horizon), 1.0)):
+        m = sign * (end - start) > 0
+        total += _iterated_integral(shift, (u[m], un[m]), wu[m], start[m],
+                                    end[m], rule)
     return total
 
 

@@ -247,7 +247,11 @@ def _cmd_oracle(args):
     if args.lemma == "a1":
         print(_fmt(bounds.lemma_a1_oracle(args.theta)))
     elif args.lemma == "moments":
-        print(_fmt(moment_oracle(args.H, args.t, args.a, args.p)))
+        try:
+            val = moment_oracle(args.H, args.t, args.a, args.p)
+        except RuntimeError as exc:  # quadrature did not converge
+            raise CliError(str(exc)) from exc
+        print(_fmt(val))
     else:
         raise CliError(f"unknown oracle {args.lemma!r}")
     return 0

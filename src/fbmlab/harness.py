@@ -19,7 +19,6 @@ import numpy as np
 
 from .fbm import FbmPath, GridSpec, as_hurst, sample_fft_batch
 from .integrals import SignedMeasure, riemann_sum, sign_change_error
-from .localtime import LocalTimeProfile, limit_functional
 
 __all__ = [
     "ExperimentPlan",
@@ -317,8 +316,6 @@ def level_decay_comparison(h, n: int, levels, replicates: int = 1000,
     The same replicate substreams serve every level, isolating the
     exp(-P a^2/2) level-decay effect from Monte Carlo noise.
     """
-    from .integrals import indicator_measure
-
     out = {}
     for a in levels:
         plan = ExperimentPlan(

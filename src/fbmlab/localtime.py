@@ -9,9 +9,10 @@ Two estimators of the local time L_t(a):
   first steps leave at a = 0, where the path starts, so the estimate is
   exact in the mean at a = 0 for every n; see ``sign_change_estimator``.
 
-Exact first and second moments of L_t(a) are computed by adaptive
-quadrature with an endpoint substitution that removes the u^{-H}
-singularity; they serve as independent oracles for the estimators.
+Exact first and second moments of L_t(a) are computed by quadrature
+after an endpoint substitution that removes the u^{-H} singularity:
+adaptive for the first, a graded Gauss-Legendre tensor rule for the
+second.  They serve as independent oracles for the estimators.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import dblquad, quad
+from scipy.integrate import quad
 
 from .fbm import FbmPath, GridSpec, HurstIndex, as_hurst
 from .integrals import SignedMeasure, _crossing_terms
+from .quadrature import _graded_rule, _iterated_integral
 
 __all__ = [
     "LocalTimeProfile",
@@ -151,10 +153,13 @@ def sign_change_estimator(path: FbmPath, a: float, grid: GridSpec,
 
 
 def moment_oracle(h, t: float, a: float, p: int = 1) -> float:
-    """E[(L_t(a))^p] for p in {1, 2} by adaptive quadrature.
+    """E[(L_t(a))^p] for p in {1, 2}.
 
-    The substitution u = w^{1/(1-H)} (per time variable) removes the
-    u^{-H} endpoint singularity, leaving a bounded integrand.
+    The substitution u = r^{1/(1-H)} (per time variable) removes the
+    u^{-H} endpoint singularity, leaving a bounded integrand.  p = 1 uses
+    adaptive quadrature; p = 2 the graded Gauss-Legendre rule of
+    ``_second_moment``.  Raises RuntimeError when the achieved relative
+    tolerance exceeds 1e-6 or the result is not finite.
     """
     h = as_hurst(h)
     hv = h.value
@@ -177,55 +182,73 @@ def moment_oracle(h, t: float, a: float, p: int = 1) -> float:
                             limit=200)
         val /= one_mh * np.sqrt(2 * np.pi)
     else:
-        # E[L^2] = 2 * int over the ordered simplex 0 < u < v < t of
-        # phi_{u,v}(a,a).  Substituting u = r^{1/(1-H)} and
-        # v - u = s^{1/(1-H)} cancels the u^{-H}(v-u)^{-H} singularity
-        # against the Jacobian, leaving the bounded ratio rho below.
-        # Evaluated once per orientation of the simplex (relabeling the
-        # two time variables); the discrepancy is the achieved tolerance.
-        v1 = _second_moment_half(hv, t, a, swap=False)
-        v2 = _second_moment_half(hv, t, a, swap=True)
-        val = v1 + v2
-        err = abs(v1 - v2)
-    if val != 0 and err / abs(val) > 1e-6:
+        val, err = _second_moment(hv, t, a)
+    rel = err / abs(val) if val != 0 else err
+    if not (np.isfinite(val) and rel <= 1e-6):
         raise RuntimeError(
-            f"quadrature achieved relative tolerance {err / abs(val):.2e} > 1e-6"
+            f"quadrature achieved relative tolerance {rel:.2e} > 1e-6"
         )
     return float(val)
 
 
-def _second_moment_half(hv: float, t: float, a: float, swap: bool) -> float:
-    """One orientation of the simplex integral of phi_{u,v}(a,a), mapped
-    to a square via the inner fraction sigma = s / s_max(r)."""
+def _pair_integrand(hv: float, a: float, r, s):
+    """phi_{u,u+w}(a, a) (u w)^H / (1-H)^2 at u = r^{1/(1-H)} and
+    w = s^{1/(1-H)}: the density of (B_u, B_{u+w}) at (a, a) times the
+    Jacobian of the substitution, which cancels its (u w)^{-H} singularity.
+
+    With kappa the correlation of B_u and B_{u+w} - B_u, the density is
+    exp(-a^2 / (2 u^{2H} rho)) / (2 pi (u w)^H sqrt(rho)), rho = 1 - kappa^2.
+    kappa is symmetric in (u, w), so it is evaluated at x = min(w/u, u/w)
+    <= 1 as ((1+x)^{2H} - 1 - x^{2H}) / (2 x^H), with (1+x)^{2H} - 1 taken
+    through expm1, and rho as (1 - kappa)(1 + kappa): neither forms a
+    difference of nearly equal numbers when w << u, where the
+    covariance-determinant form rho = (s11 s22 - s12^2) / (s11 w^{2H})
+    cancels catastrophically.
+    """
     one_mh = 1.0 - hv
-    two_h = 2 * hv
-    cut = 1e-12
+    u = r ** (1.0 / one_mh)
+    w = s ** (1.0 / one_mh)
+    x = np.minimum(w / u, u / w)
+    kappa = (np.expm1(2 * hv * np.log1p(x)) - x ** (2 * hv)) / (2 * x**hv)
+    rho = (1.0 - kappa) * (1.0 + kappa)
+    return np.exp(-0.5 * a * a / (u ** (2 * hv) * rho)) / (
+        2 * np.pi * np.sqrt(rho) * one_mh**2)
 
-    def f2(s, r):
-        if swap:
-            s, r = r, s
-        u = r ** (1.0 / one_mh)
-        w = s ** (1.0 / one_mh)
-        s11 = u**two_h
-        w2h = w**two_h
-        s22 = (u + w) ** two_h
-        s12 = 0.5 * (s11 + s22 - w2h)
-        rho = (s11 * s22 - s12**2) / (s11 * w2h)
-        if not rho > 0:
-            return 0.0
-        return np.exp(-0.5 * a * a / (s11 * rho)) / (
-            2 * np.pi * np.sqrt(rho) * one_mh**2)
 
-    def g(sig, r):
-        hi = (t - r ** (1.0 / one_mh)) ** one_mh
-        if hi <= cut:
-            return 0.0
-        return f2(cut + sig * (hi - cut), r) * (hi - cut)
+def _second_moment(hv: float, t: float, a: float) -> tuple[float, float]:
+    """E[L_t(a)^2] and its error estimate.
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=Warning)
-        val, _ = dblquad(g, cut, t**one_mh, 0.0, 1.0, epsabs=0, epsrel=1e-9)
-    return val
+    E[L^2] = 2 * integral over 0 < u, 0 < w, u + w < t of
+    phi_{u,u+w}(a, a); in r = u^{1-H}, s = w^{1-H} the integrand is
+    ``_pair_integrand`` over 0 < r < t^{1-H}, 0 < s < (t - u)^{1-H}.  The
+    tensor rule graded toward both ends of r and of s is applied once per
+    orientation (u on the outer axis, then w), which gives the factor 2,
+    and at two resolutions.  The error estimate is the larger of the
+    orientation gap and the resolution gap; at a = 0 the integrand is
+    symmetric in (r, s) and the orientations agree exactly.
+    """
+    one_mh = 1.0 - hv
+    r_end = t**one_mh
+
+    def along(r, s):
+        return _pair_integrand(hv, a, r, s)
+
+    def across(r, s):
+        return _pair_integrand(hv, a, s, r)
+
+    results = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for panels, order in ((24, 8), (40, 10)):
+            rule = _graded_rule(panels, order, 1e-5, both_ends=True)
+            r = r_end * rule[0]
+            s_end = (t - r ** (1.0 / one_mh)) ** one_mh
+            zero = np.zeros_like(r)
+            results.append([
+                _iterated_integral(f, (r,), r_end * rule[1], zero, s_end, rule)
+                for f in (along, across)])
+    (c1, c2), (f1, f2) = results
+    val = f1 + f2
+    return val, max(abs(f1 - f2), abs(val - c1 - c2))
 
 
 def limit_functional(profile: LocalTimeProfile, mu: SignedMeasure) -> float:

@@ -118,6 +118,42 @@ def test_density_shift_integral_positive_and_level_damped():
     assert v2 < v0  # exp(-a^2/...) damping
 
 
+def _density_shift_loop(hv, n, a):
+    # the per-strip loop density_shift_integral replaced, kept as reference
+    from fbmlab.bounds import _phi_pair
+
+    def graded_nodes(lo, hi, singular_end):
+        if hi <= lo:
+            return np.empty(0), np.empty(0)
+        x, w = np.polynomial.legendre.leggauss(6)
+        breaks = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 24)]) * (hi - lo)
+        edges = lo + breaks if singular_end <= lo else hi - breaks[::-1]
+        nodes, weights = [], []
+        for a0, b0 in zip(edges[:-1], edges[1:]):
+            nodes.append(0.5 * (a0 + b0) + 0.5 * (b0 - a0) * x)
+            weights.append(0.5 * (b0 - a0) * w)
+        return np.concatenate(nodes), np.concatenate(weights)
+
+    total = 0.0
+    ux, uw = np.polynomial.legendre.leggauss(6)
+    for k in range(2, n):
+        lo, hi = k / n, (k + 1) / n
+        for u, wu in zip(0.5 * (lo + hi) + 0.5 * (hi - lo) * ux, 0.5 * (hi - lo) * uw):
+            for vlo, vhi, sing in ((2 / n, u - 2 / n, u - 2 / n),
+                                   (u + 2 / n, 1.0, u + 2 / n)):
+                v, wv = graded_nodes(vlo, vhi, sing)
+                if len(v):
+                    diff = np.abs(_phi_pair(hv, u, v, a) - _phi_pair(hv, k / n, v, a))
+                    total += wu * float(diff @ wv)
+    return total
+
+
+@pytest.mark.parametrize("a", [0.0, 2.0])
+def test_density_shift_integral_matches_strip_loop(a):
+    assert density_shift_integral(0.7, 64, a=a) == pytest.approx(
+        _density_shift_loop(0.7, 64, a), rel=1e-12)
+
+
 @pytest.mark.slow
 def test_density_shift_decay_rate():
     res = density_shift_slope(0.6, n_values=(256, 512, 1024))

@@ -180,6 +180,22 @@ def test_oracle_values(capsys):
     assert float(capsys.readouterr().out) == pytest.approx(want)
 
 
+def test_oracle_second_moment_converges_at_high_hurst(capsys):
+    rc = run(["oracle", "--lemma", "moments", "--H", "0.75", "--a", "0.5",
+              "--p", "2"])
+    assert rc == 0
+    assert float(capsys.readouterr().out) == pytest.approx(0.8834113144, rel=1e-8)
+
+
+def test_oracle_unconverged_exits_1(capsys):
+    rc = run(["oracle", "--lemma", "moments", "--H", "0.99", "--a", "0",
+              "--p", "2"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: quadrature achieved relative tolerance")
+
+
 def test_invalid_arguments_exit_code():
     assert run(["simulate", "--H", "1.5", "--n", "8"]) == 1
     assert run(["nonsense"]) == 1

@@ -5,6 +5,8 @@ time coordinates (no endpoint substitution), converged to the printed
 digits.
 """
 
+import time
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -70,9 +72,40 @@ def test_second_moment_exceeds_first_squared():
 
 
 def test_second_moment_raises_when_unconverged():
-    # the two simplex orientations disagree beyond tolerance at high H
-    with pytest.raises(RuntimeError):
-        moment_oracle(0.75, 1.0, 0.5, p=2)
+    # at H = 0.99 the substitution u = r^{1/(1-H)} = r^100 underflows near
+    # r = 0 and the integrand turns NaN: the oracle raises, never returns NaN
+    with pytest.raises(RuntimeError, match="quadrature achieved relative tolerance"):
+        moment_oracle(0.99, 1.0, 0.0, p=2)
+
+
+def _brownian_second_moment(a):
+    # H = 1/2: E[L_1(a)^2] = 2 int_0^1 p_u(a) sqrt(2 (1 - u) / pi) du
+    def f(u):
+        return norm.pdf(a, scale=np.sqrt(u)) * np.sqrt(2 * (1 - u) / np.pi)
+
+    return 2 * quad(f, 0.0, 1.0, epsabs=0, epsrel=1e-13, limit=200)[0]
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0])
+def test_second_moment_brownian_nonzero_level(a):
+    assert moment_oracle(0.5, 1.0, a, p=2) == pytest.approx(
+        _brownian_second_moment(a), rel=1e-8)
+
+
+def test_second_moment_time_scaling():
+    # self-similarity: E[L_t(a)^2] = t^{2-2H} E[L_1(a t^{-H})^2]
+    h, t, a = 0.7, 2.0, 0.4
+    assert moment_oracle(h, t, a, p=2) == pytest.approx(
+        t ** (2 - 2 * h) * moment_oracle(h, 1.0, a * t ** -h, p=2), rel=1e-8)
+
+
+@pytest.mark.parametrize("h", [0.5, 0.51, 0.55, 0.6, 0.75, 0.9])
+def test_second_moment_converges_quickly(h):
+    for a in (0.0, 0.5, -0.5, 1.0, 2.0):
+        started = time.perf_counter()
+        m2 = moment_oracle(h, 1.0, a, p=2)
+        assert time.perf_counter() - started < 0.5, (h, a)
+        assert m2 >= moment_oracle(h, 1.0, a, p=1) ** 2, (h, a)
 
 
 def test_moment_oracle_validation():
