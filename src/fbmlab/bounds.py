@@ -26,7 +26,6 @@ from scipy.stats import norm
 from .covariance import (
     IncrementPartition,
     build_increment_cov,
-    consecutive_windows,
     decomp_factorisation_check,
     merged_large_windows,
 )

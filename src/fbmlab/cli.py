@@ -20,14 +20,14 @@ import time
 import numpy as np
 
 from . import __version__
-from .fbm import GridSpec, path_to_csv, sample_exact, sample_fft, sample_fft_batch, FbmPath, as_hurst
+from .fbm import GridSpec, path_to_csv, sample_exact, sample_fft, sample_fft_batch
 from .integrals import SignedMeasure
 from .harness import ExperimentPlan, run_rate_experiment, resolve_threads
 from .localtime import (
-    binning_estimator,
+    _binning_estimates,
+    _sign_change_estimates,
     default_bin_width,
     moment_oracle,
-    sign_change_estimator,
 )
 
 __all__ = ["main", "parse_and_dispatch", "parse_config"]
@@ -132,17 +132,13 @@ def _cmd_localtime(args):
         raise CliError("eps must be positive")
     if args.replicates < 1:
         raise CliError("replicates must be >= 1")
-    batch = sample_fft_batch(args.H, grid, args.seed, args.replicates, 1)
-    h = as_hurst(args.H)
+    paths = sample_fft_batch(args.H, grid, args.seed, args.replicates, 1)[:, 0]
     rows = []
     for a in levels:
-        vals = np.empty(args.replicates)
-        for r in range(args.replicates):
-            path = FbmPath(h, grid, batch[r])
-            if args.estimator == "sign":
-                vals[r] = sign_change_estimator(path, a, grid)
-            else:
-                vals[r] = binning_estimator(path, a, eps)
+        if args.estimator == "sign":
+            vals = _sign_change_estimates(args.H, paths, grid, a, grid)
+        else:
+            vals = _binning_estimates(args.H, paths, grid, a, eps)
         se = vals.std(ddof=1) / np.sqrt(args.replicates) if args.replicates > 1 else 0.0
         rows.append((a, float(vals.mean()), float(se), args.estimator,
                      args.n, args.H, args.t))

@@ -247,16 +247,11 @@ def sample_at_times(h, times, rng: np.random.Generator, size: int) -> np.ndarray
 # circulant-embedding (Davies-Harte) sampling
 # ---------------------------------------------------------------------------
 
-#: diagnostics: number of clamped eigenvalues beyond the -1e-9*max tolerance
-clamp_warning_count = 0
-
-
 @lru_cache(maxsize=32)
 def _embedding_amplitude(h_value: float, n_increments: int) -> np.ndarray:
     """Half-spectrum amplitude sqrt(m * eigs[:m/2 + 1]) of the circulant
     embedding of the unit-lag fGn covariance, with the 1/sqrt(2) of the
     interior modes folded in; m = 2 * (len - 1). Read-only (shared)."""
-    global clamp_warning_count
     m = 1
     while m < 2 * n_increments:
         m *= 2
@@ -266,8 +261,6 @@ def _embedding_amplitude(h_value: float, n_increments: int) -> np.ndarray:
     neg = eigs < 0
     if np.any(neg):
         clamped_mass = -eigs[neg].sum()
-        if np.any(eigs < -1e-9 * eigs.max()):
-            clamp_warning_count += 1
         if clamped_mass > 1e-6 * np.abs(eigs).sum():
             raise EmbeddingError(
                 f"negative embedding mass {clamped_mass:.3e} for H={h_value}, "

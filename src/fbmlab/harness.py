@@ -1,11 +1,13 @@
 """Monte Carlo orchestration: discretisation-error experiments and rate fits.
 
-Each replicate simulates one fine-grid path (per component) and evaluates
-the normalised discretisation error S_n on every coarse resolution n from
-that same path (common random numbers), together with the local-time limit
-functional from the fine grid.  L2 errors per (H, n) cell are reduced in a
-fixed order and substreams are keyed by absolute replicate id, so results
-are bit-identical for any worker count.
+Replicates are simulated in chunks: one fine-grid batch of shape
+(replicates, components, nodes) per chunk.  The crossing and Riemann
+kernels of ``integrals`` evaluate the normalised discretisation error S_n
+on every coarse resolution n from that same batch (common random
+numbers), for all of the chunk's replicates at once, together with the
+local-time limit functional from the fine grid.  L2 errors per (H, n)
+cell are reduced in a fixed order and substreams are keyed by absolute
+replicate id, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import FbmPath, GridSpec, as_hurst, sample_fft_batch
-from .integrals import SignedMeasure, riemann_sum, sign_change_error
+from .fbm import GridSpec, as_hurst, sample_fft_batch
+from .integrals import SignedMeasure, _crossing_sums, _riemann_sums
 
 __all__ = [
     "ExperimentPlan",
@@ -26,7 +28,6 @@ __all__ = [
     "PlanError",
     "fit_rate",
     "run_rate_experiment",
-    "run_localtime_experiment",
     "level_decay_comparison",
     "default_fine_factor",
     "resolve_threads",
@@ -173,49 +174,51 @@ def _replicate_errors(plan: ExperimentPlan, first: int, count: int) -> np.ndarra
     """Errors S_n - delta_ij * limit for replicates [first, first+count),
     shape (len(n_values), count)."""
     h = as_hurst(plan.hurst)
-    fine_grid = GridSpec(plan.t, plan.fine_n, plan.t)
+    fine = GridSpec(plan.t, plan.fine_n, plan.t)
     grids = [GridSpec(plan.t, n, plan.t) for n in plan.n_values]
     i, j = plan.component_pair
-    batch = sample_fft_batch(h, fine_grid, plan.master_seed, count,
+    batch = sample_fft_batch(h, fine, plan.master_seed, count,
                              plan.components, first_replicate=first)
-    two_h = 2 * h.value
+    bi, bj = batch[:, i - 1], batch[:, j - 1]
+    atoms = plan.integrand.atoms
+
+    def sign_change(a, grid):  # sign_change_error of each replicate
+        n = grid.points_per_unit
+        return n ** (2 * h.value - 1) * _crossing_sums(bi, fine, a, grid)
+
     errs = np.empty((len(grids), count))
-    for r in range(count):
-        path = FbmPath(h, fine_grid, batch[r])
-        if plan.reference_kind == "fine_sign_change":
-            # closed-form route: S_n per atom, limit from the fine grid
-            fine_sc = {a: sign_change_error(path, a, fine_grid, i)
-                       for a, _ in plan.integrand.atoms}
-            for gi, grid in enumerate(grids):
-                e = 0.0
-                for a, c in plan.integrand.atoms:
-                    e += 2 * c * (sign_change_error(path, a, grid, i) - fine_sc[a])
-                errs[gi, r] = e
+    if plan.reference_kind == "fine_sign_change":
+        # closed-form route: S_n per atom, limit from the fine grid
+        fine_sc = {a: sign_change(a, fine) for a, _ in atoms}
+        for gi, grid in enumerate(grids):
+            e = np.zeros(count)
+            for a, c in atoms:
+                e += 2 * c * (sign_change(a, grid) - fine_sc[a])
+            errs[gi] = e
+    else:
+        ref = _riemann_sums(bi, bj, fine, plan.integrand, fine)
+        if i == j:
+            limit = sum(2 * c * sign_change(a, fine) for a, c in atoms)
         else:
-            ref = riemann_sum(path, plan.integrand, (i, j), fine_grid)
-            if i == j:
-                limit = sum(
-                    2 * c * sign_change_error(path, a, fine_grid, i)
-                    for a, c in plan.integrand.atoms
-                )
-            else:
-                limit = 0.0
-            for gi, grid in enumerate(grids):
-                n = grid.points_per_unit
-                s_n = n ** (two_h - 1) * (
-                    ref - riemann_sum(path, plan.integrand, (i, j), grid))
-                errs[gi, r] = s_n - limit
+            limit = 0.0
+        for gi, grid in enumerate(grids):
+            n = grid.points_per_unit
+            s_n = n ** (2 * h.value - 1) * (
+                ref - _riemann_sums(bi, bj, fine, plan.integrand, grid))
+            errs[gi] = s_n - limit
     return errs
 
 
-def _collect(plan: ExperimentPlan, total: int, threads: int) -> np.ndarray:
-    out = np.empty((len(plan.n_values), total))
+def _collect(plan: ExperimentPlan, first: int, total: int, threads: int) -> np.ndarray:
+    """Errors of replicates [first, total), shape (len(n_values), total - first)."""
+    out = np.empty((len(plan.n_values), total - first))
     step = _chunk_size(plan)
-    chunks = [(r, min(step, total - r)) for r in range(0, total, step)]
+    chunks = [(r, min(step, total - r)) for r in range(first, total, step)]
 
     def work(chunk):
-        first, count = chunk
-        out[:, first:first + count] = _replicate_errors(plan, first, count)
+        start, count = chunk
+        col = start - first
+        out[:, col:col + count] = _replicate_errors(plan, start, count)
 
     if threads <= 1 or len(chunks) == 1:
         for c in chunks:
@@ -248,10 +251,10 @@ def run_rate_experiment(plan: ExperimentPlan, threads=None) -> RateReport:
     if plan.replicates > 0:
         total = plan.replicates
         plan.check_budget(total)
-        errs = _collect(plan, total, threads)
+        errs = _collect(plan, 0, total, threads)
     else:
         plan.check_budget(PILOT_REPLICATES)
-        errs = _collect(plan, PILOT_REPLICATES, threads)
+        errs = _collect(plan, 0, PILOT_REPLICATES, threads)
         l2, se = _l2_and_stderr(errs)
         needed = PILOT_REPLICATES
         for l2_c, se_c in zip(l2, se):
@@ -262,22 +265,7 @@ def run_rate_experiment(plan: ExperimentPlan, threads=None) -> RateReport:
         plan.check_budget(total)
         # extend deterministically from the pilot's last replicate id
         if total > PILOT_REPLICATES:
-            more = np.empty((len(plan.n_values), total - PILOT_REPLICATES))
-            step = _chunk_size(plan)
-            chunks = [(r, min(step, total - r))
-                      for r in range(PILOT_REPLICATES, total, step)]
-
-            def work(chunk):
-                first, count = chunk
-                more[:, first - PILOT_REPLICATES:first - PILOT_REPLICATES + count] = \
-                    _replicate_errors(plan, first, count)
-
-            if threads <= 1 or len(chunks) == 1:
-                for c in chunks:
-                    work(c)
-            else:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    list(pool.map(work, chunks))
+            more = _collect(plan, PILOT_REPLICATES, total, threads)
             errs = np.concatenate([errs, more], axis=1)
 
     l2, se = _l2_and_stderr(errs)
@@ -299,15 +287,6 @@ def run_rate_experiment(plan: ExperimentPlan, threads=None) -> RateReport:
     )
 
 
-def run_localtime_experiment(plan: ExperimentPlan, threads=None) -> RateReport:
-    """Rate experiment for the level-crossing local-time estimator: the
-    plan must carry a single-atom measure and equal components."""
-    if len(plan.integrand.atoms) != 1 or plan.component_pair[0] != plan.component_pair[1]:
-        raise PlanError("local-time experiment needs one level and i = j")
-    plan = replace(plan, reference_kind="fine_sign_change")
-    return run_rate_experiment(plan, threads)
-
-
 def level_decay_comparison(h, n: int, levels, replicates: int = 1000,
                            master_seed: int = 0, t: float = 1.0,
                            fine_factor: int = 16, threads=None):
@@ -324,7 +303,7 @@ def level_decay_comparison(h, n: int, levels, replicates: int = 1000,
             component_pair=(1, 1), t=t, replicates=replicates,
             master_seed=master_seed, fine_factor=fine_factor,
         )
-        errs = _collect(plan, replicates, resolve_threads(threads))
+        errs = _collect(plan, 0, replicates, resolve_threads(threads))
         l2, se = _l2_and_stderr(errs)
         out[float(a)] = {"l2_error": float(l2[-1]), "stderr": float(se[-1])}
     return out

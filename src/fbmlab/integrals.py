@@ -8,6 +8,8 @@ nonnegative).  An absolutely continuous part can be quantised into atoms.
 The normalised discretisation error S_n = n^{2H-1} (integral - Riemann sum)
 is the central object; for indicator integrands and a single component it
 has a closed form as a sum of |B - a| over grid steps that cross the level.
+The private kernels take arrays of shape (..., nodes), so one call covers
+a whole batch of replicates; the public functions apply them to one path.
 """
 
 from __future__ import annotations
@@ -20,21 +22,13 @@ from .fbm import FbmPath, GridSpec
 
 __all__ = [
     "SignedMeasure",
-    "ErrorSample",
     "indicator_measure",
     "eval_integrand",
     "riemann_sum",
-    "reference_integral",
     "sign_change_error",
-    "normalised_error",
 ]
 
 MAX_DENSITY_ATOMS = 10_000
-
-
-def _sgn(x):
-    """Sign with sgn(0) = -1 (left-continuous convention)."""
-    return np.where(np.asarray(x) > 0, 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -102,18 +96,47 @@ def eval_integrand(f: SignedMeasure, x):
     x = np.asarray(x, dtype=float)
     out = np.full(x.shape, f.base_constant)
     for a, c in f.atoms:
-        out = out + c * _sgn(x - a)
+        out += np.where(x > a, c, -c)  # c sgn(x - a), sgn(0) = -1
     return float(out) if out.ndim == 0 else out
 
 
-def _coarse_values(path: FbmPath, grid: GridSpec) -> np.ndarray:
-    """Path values restricted to the nodes of ``grid`` (which the path's
-    own grid must refine); shape (components, grid.num_nodes)."""
-    r = path.grid.refinement_of(grid)
-    idx = np.arange(grid.full_steps + 1) * r
+def _coarse_view(values: np.ndarray, fine: GridSpec, grid: GridSpec) -> np.ndarray:
+    """``values[..., nodes]`` (on ``fine``) restricted to the nodes of
+    ``grid``, which ``fine`` must refine: a strided view of the full
+    steps, with the terminal node appended only when ``grid`` has a
+    partial step (a plain ``::r`` would already pick it whenever its fine
+    index is a multiple of r)."""
+    r = fine.refinement_of(grid)
+    view = values[..., : r * grid.full_steps + 1 : r]
     if grid.has_partial_step:
-        idx = np.append(idx, path.grid.num_nodes - 1)
-    return path.values[:, idx]
+        view = np.concatenate([view, values[..., -1:]], axis=-1)
+    return view
+
+
+def _riemann_sums(bi: np.ndarray, bj: np.ndarray, fine: GridSpec,
+                  f: SignedMeasure, grid: GridSpec) -> np.ndarray:
+    """Left-point sums of f(B^i) dB^j on ``grid`` along the last axis of
+    ``bi`` and ``bj`` (shape (..., nodes) on ``fine``); shape (...)."""
+    bi = _coarse_view(bi, fine, grid)
+    bj = _coarse_view(bj, fine, grid)
+    return np.vecdot(eval_integrand(f, bi[..., :-1]), np.diff(bj, axis=-1))
+
+
+def _crossing_sums(values: np.ndarray, fine: GridSpec, a: float, grid: GridSpec,
+                   weights: np.ndarray | None = None) -> np.ndarray:
+    """sum_k w_k |B_{(k+1)/n ^ t} - a| over the steps of ``grid`` whose
+    endpoints lie on opposite sides of level a (sgn(0) = -1), per row of
+    ``values`` (shape (..., nodes) on ``fine``); w = 1 without ``weights``.
+    Shape (...)."""
+    b = _coarse_view(values, fine, grid)
+    rows_shape = b.shape[:-1]
+    b = b.reshape(-1, b.shape[-1])
+    above = b > a
+    rows, steps = np.nonzero(above[:, 1:] != above[:, :-1])
+    terms = np.abs(b[rows, steps + 1] - a)
+    if weights is not None:
+        terms *= weights[steps]
+    return np.bincount(rows, weights=terms, minlength=b.shape[0]).reshape(rows_shape)
 
 
 def riemann_sum(path: FbmPath, f: SignedMeasure, pair: tuple, grid: GridSpec) -> float:
@@ -121,34 +144,9 @@ def riemann_sum(path: FbmPath, f: SignedMeasure, pair: tuple, grid: GridSpec) ->
 
     The final increment is clamped at t_end via the grid's terminal node.
     """
-    vals = _coarse_values(path, grid)
     i, j = pair
-    bi = vals[i - 1]
-    bj = vals[j - 1]
-    fv = eval_integrand(f, bi[:-1])
-    return float(fv @ np.diff(bj))
-
-
-def reference_integral(path: FbmPath, f: SignedMeasure, pair: tuple,
-                       fine_factor: int) -> float:
-    """Fine-grid Riemann sum standing in for the exact integral.
-
-    The path must itself live on the fine grid; ``fine_factor`` records the
-    refinement relative to the coarse evaluation grid and must be >= 16 so
-    the reference bias stays well below the measured error.
-    """
-    if fine_factor < 16:
-        raise ValueError("fine_factor must be >= 16")
-    return riemann_sum(path, f, pair, path.grid)
-
-
-def _crossing_terms(path: FbmPath, a: float, grid: GridSpec,
-                    component: int = 1) -> tuple:
-    """Per-step |B_{(k+1)/n ^ t} - a| on ``grid`` and the mask of steps
-    whose endpoints lie on opposite sides of level a (sgn(0) = -1)."""
-    b = _coarse_values(path, grid)[component - 1] - a
-    crossed = _sgn(b[1:]) * _sgn(b[:-1]) < 0
-    return np.abs(b[1:]), crossed
+    return float(_riemann_sums(path.values[i - 1], path.values[j - 1],
+                               path.grid, f, grid))
 
 
 def sign_change_error(path: FbmPath, a: float, grid: GridSpec,
@@ -158,29 +156,6 @@ def sign_change_error(path: FbmPath, a: float, grid: GridSpec,
     n^{2H-1} sum_k |B_{(k+1)/n ^ t} - a| over steps where the path crosses
     level a (signs taken with sgn(0) = -1).
     """
-    size, crossed = _crossing_terms(path, a, grid, component)
     n = grid.points_per_unit
-    h = path.hurst.value
-    return float(n ** (2 * h - 1) * size[crossed].sum())
-
-
-def normalised_error(path: FbmPath, f: SignedMeasure, pair: tuple,
-                     grid: GridSpec, fine_factor: int) -> "ErrorSample":
-    """S_n via the generic fine-reference route; returns the full sample."""
-    coarse = riemann_sum(path, f, pair, grid)
-    ref = reference_integral(path, f, pair, fine_factor)
-    n = grid.points_per_unit
-    h = path.hurst.value
-    s_n = n ** (2 * h - 1) * (ref - coarse)
-    return ErrorSample(path.hurst.value, grid, f, tuple(pair), coarse, ref, s_n)
-
-
-@dataclass(frozen=True)
-class ErrorSample:
-    hurst: float
-    grid: GridSpec
-    integrand: SignedMeasure
-    component_pair: tuple
-    riemann_sum: float
-    reference_integral: float
-    s_n: float
+    return float(n ** (2 * path.hurst.value - 1)
+                 * _crossing_sums(path.values[component - 1], path.grid, a, grid))

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .fbm import FbmPath, GridSpec, HurstIndex, as_hurst
-from .integrals import SignedMeasure, _crossing_terms
+from .integrals import SignedMeasure, _crossing_sums
 from .quadrature import _graded_rule, _iterated_integral
 
 __all__ = [
@@ -69,23 +69,28 @@ def binning_estimator(path: FbmPath, a: float, eps: float, t: float | None = Non
     The time integral uses the left-point piecewise-constant rule on the
     path grid, with the terminal partial step weighted by its length.
     """
+    return float(_binning_estimates(path.hurst, path.values[component - 1],
+                                    path.grid, a, eps, t))
+
+
+def _binning_estimates(h, values: np.ndarray, grid: GridSpec, a: float,
+                       eps: float, t: float | None = None) -> np.ndarray:
+    """``binning_estimator`` for each row of ``values`` (shape (..., nodes)
+    on ``grid``); shape (...)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    grid = path.grid
     if t is None:
         t = grid.t_end
-    dt_typ = grid.points_per_unit ** (-path.hurst.value)
+    dt_typ = grid.points_per_unit ** (-as_hurst(h).value)
     if eps < 4 * dt_typ:
         warnings.warn(
             f"bin width {eps:.3g} below 4*dt^H = {4 * dt_typ:.3g}; "
             "estimate may be grid-resolution limited",
             ResolutionWarning,
         )
-    nodes = np.minimum(grid.nodes(), t)
-    w = np.diff(nodes)
-    b = path.values[component - 1][:-1]
-    inside = np.abs(b - a) <= eps
-    return float(w[inside].sum() / (2 * eps))
+    w = np.diff(np.minimum(grid.nodes(), t))
+    inside = np.abs(values[..., :-1] - a) <= eps
+    return (inside @ w) / (2 * eps)
 
 
 @functools.lru_cache(maxsize=16)
@@ -143,13 +148,20 @@ def sign_change_estimator(path: FbmPath, a: float, grid: GridSpec,
     level a), and the estimate is not claimed unbiased in the mean at
     a != 0.
     """
-    path.hurst.require_rough_regime()
-    hv = path.hurst.value
-    size, crossed = _crossing_terms(path, a, grid, component)
+    return float(_sign_change_estimates(path.hurst, path.values[component - 1],
+                                        path.grid, a, grid))
+
+
+def _sign_change_estimates(h, values: np.ndarray, fine: GridSpec, a: float,
+                           grid: GridSpec) -> np.ndarray:
+    """``sign_change_estimator`` on ``grid`` for each row of ``values``
+    (shape (..., nodes) on ``fine``, which must refine ``grid``); shape (...)."""
+    h = as_hurst(h)
+    h.require_rough_regime()
     n = grid.points_per_unit
     last_end = n * grid.t_end if grid.has_partial_step else None
-    w = _crossing_weights(hv, grid.full_steps, last_end)
-    return float(2.0 * n ** (2 * hv - 1) * (size[crossed] @ w[crossed]))
+    w = _crossing_weights(h.value, grid.full_steps, last_end)
+    return 2.0 * n ** (2 * h.value - 1) * _crossing_sums(values, fine, a, grid, w)
 
 
 def moment_oracle(h, t: float, a: float, p: int = 1) -> float:

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from fbmlab.cli import CliError, parse_and_dispatch, parse_config
+from fbmlab.fbm import FbmPath, GridSpec, HurstIndex, sample_fft_batch
+from fbmlab.localtime import binning_estimator, default_bin_width, sign_change_estimator
 
 
 def run(args, capsys=None):
@@ -95,6 +97,30 @@ def test_localtime_negative_levels_space_form(tmp_path):
         outs.append((d / "localtime.csv").read_bytes())
     assert outs[0] == outs[1]
     assert outs[0].count(b"\n") == 4  # header + three levels
+
+
+@pytest.mark.parametrize("estimator", ["sign", "bin"])
+def test_localtime_matches_per_path_loop(tmp_path, estimator):
+    h, n, t, reps, seed, levels = 0.75, 128, 0.83, 40, 6, (-0.5, 0.0, 0.3)
+    rc = run(["--output-dir", str(tmp_path), "--quiet", "localtime", "--H", str(h),
+              "--n", str(n), "--t", str(t), "--levels", ",".join(map(str, levels)),
+              "--estimator", estimator, "--replicates", str(reps),
+              "--seed", str(seed)])
+    assert rc == 0
+    rows = (tmp_path / "localtime.csv").read_text().strip().split("\n")[1:]
+    got = np.array([[float(x) for x in row.split(",")[:3]] for row in rows])
+    grid = GridSpec(t, n, t)
+    batch = sample_fft_batch(h, grid, seed, reps)
+    eps = default_bin_width(h, n)
+    want = []
+    for a in levels:
+        vals = np.empty(reps)
+        for r in range(reps):
+            path = FbmPath(HurstIndex(h), grid, batch[r])
+            vals[r] = (sign_change_estimator(path, a, grid) if estimator == "sign"
+                       else binning_estimator(path, a, eps))
+        want.append((a, vals.mean(), vals.std(ddof=1) / np.sqrt(reps)))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_localtime_rejects_zero_eps(capsys):

@@ -1,19 +1,28 @@
 """Rate-experiment orchestration: plans, fits, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fbmlab.fbm import FbmPath, GridSpec, HurstIndex, sample_fft_batch
 from fbmlab.harness import (
     ExperimentPlan,
+    PILOT_REPLICATES,
     PlanError,
+    _replicate_errors,
     default_fine_factor,
     fit_rate,
     level_decay_comparison,
     resolve_threads,
-    run_localtime_experiment,
     run_rate_experiment,
 )
-from fbmlab.integrals import SignedMeasure, indicator_measure
+from fbmlab.integrals import (
+    SignedMeasure,
+    indicator_measure,
+    riemann_sum,
+    sign_change_error,
+)
 
 
 def make_plan(**kw):
@@ -77,15 +86,71 @@ def test_rate_experiment_chunking_invariance():
     # results must not depend on how replicates are grouped into batches
     import fbmlab.harness as hmod
 
-    plan = make_plan(replicates=50)
-    ref = run_rate_experiment(plan, threads=2)
-    old = hmod.CHUNK
-    try:
-        hmod.CHUNK = 7
-        alt = run_rate_experiment(plan, threads=2)
-    finally:
-        hmod.CHUNK = old
-    assert ref.l2_error == alt.l2_error
+    for plan in (make_plan(replicates=50),
+                 make_plan(replicates=50, reference_kind="fine_riemann",
+                           component_pair=(1, 2), t=0.83)):
+        ref = run_rate_experiment(plan, threads=2)
+        old = hmod.CHUNK
+        try:
+            hmod.CHUNK = 7
+            alt = run_rate_experiment(plan, threads=2)
+        finally:
+            hmod.CHUNK = old
+        assert ref.l2_error == alt.l2_error
+
+
+def test_auto_scaled_run_extends_the_pilot():
+    # the extension continues from replicate id PILOT_REPLICATES, so an
+    # auto-scaled run equals a fixed run of the replicates it settled on
+    plan = make_plan(n_values=(16, 32, 64), integrand=indicator_measure(1.5),
+                     replicates=0, master_seed=3)
+    auto = run_rate_experiment(plan, threads=2)
+    assert auto.replicates > PILOT_REPLICATES
+    fixed = run_rate_experiment(replace(plan, replicates=auto.replicates), threads=1)
+    assert auto.l2_error == fixed.l2_error
+    assert auto.stderr == fixed.stderr
+
+
+def _per_path_errors(plan, first, count):
+    """The harness's errors through the public per-path functions."""
+    h = HurstIndex(plan.hurst)
+    fine = GridSpec(plan.t, plan.fine_n, plan.t)
+    batch = sample_fft_batch(h, fine, plan.master_seed, count,
+                             plan.components, first_replicate=first)
+    i, j = plan.component_pair
+    atoms = plan.integrand.atoms
+    errs = np.empty((len(plan.n_values), count))
+    for r in range(count):
+        path = FbmPath(h, fine, batch[r])
+        for gi, n in enumerate(plan.n_values):
+            grid = GridSpec(plan.t, n, plan.t)
+            if plan.reference_kind == "fine_sign_change":
+                errs[gi, r] = sum(
+                    2 * c * (sign_change_error(path, a, grid, i)
+                             - sign_change_error(path, a, fine, i))
+                    for a, c in atoms)
+            else:
+                limit = sum(2 * c * sign_change_error(path, a, fine, i)
+                            for a, c in atoms) if i == j else 0.0
+                s_n = n ** (2 * plan.hurst - 1) * (
+                    riemann_sum(path, plan.integrand, (i, j), fine)
+                    - riemann_sum(path, plan.integrand, (i, j), grid))
+                errs[gi, r] = s_n - limit
+    return errs
+
+
+@pytest.mark.parametrize("kind, pair, t", [
+    ("fine_sign_change", (1, 1), 0.83),
+    ("fine_riemann", (1, 1), 1.0),
+    ("fine_riemann", (1, 2), 0.83),
+])
+def test_batch_errors_match_per_path_route(kind, pair, t):
+    mu = SignedMeasure(((-0.3, 0.5), (0.4, 1.0)), base_constant=0.2)
+    plan = make_plan(n_values=(8, 16, 32), integrand=mu, t=t, replicates=12,
+                     reference_kind=kind, component_pair=pair, fine_factor=16)
+    got = _replicate_errors(plan, 5, 12)
+    want = _per_path_errors(plan, 5, 12)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_rate_report_rows():
@@ -101,17 +166,6 @@ def test_degenerate_empty_measure():
     report = run_rate_experiment(plan, threads=1)
     assert report.passed
     assert all(l2 == 0 for l2 in report.l2_error)
-
-
-def test_localtime_experiment_guards():
-    with pytest.raises(PlanError):
-        run_localtime_experiment(
-            make_plan(integrand=SignedMeasure(((0.0, 0.5), (1.0, 0.5)))))
-
-
-def test_localtime_experiment_runs():
-    report = run_localtime_experiment(make_plan(replicates=80), threads=2)
-    assert all(l2 > 0 for l2 in report.l2_error)
 
 
 def test_budget_guard():

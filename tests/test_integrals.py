@@ -6,10 +6,9 @@ import pytest
 from fbmlab.fbm import FbmPath, GridSpec, HurstIndex, sample_fft
 from fbmlab.integrals import (
     SignedMeasure,
+    _coarse_view,
     eval_integrand,
     indicator_measure,
-    normalised_error,
-    reference_integral,
     riemann_sum,
     sign_change_error,
 )
@@ -114,22 +113,24 @@ def test_clamped_terminal_step():
         4 ** 0.5 * 0.2)
 
 
-def test_reference_integral_guards_fine_factor():
-    path = sample_fft(0.7, GridSpec(1.0, 64), 0)
-    with pytest.raises(ValueError):
-        reference_integral(path, indicator_measure(), (1, 1), 8)
+def _coarse_values_fancy(values, fine, grid):
+    """Reference: the fancy-index restriction the strided view replaced."""
+    r = fine.refinement_of(grid)
+    idx = np.arange(grid.full_steps + 1) * r
+    if grid.has_partial_step:
+        idx = np.append(idx, fine.num_nodes - 1)
+    return values[..., idx]
 
 
-def test_normalised_error_sample_fields():
-    path = sample_fft(0.75, GridSpec(1.0, 256), 5)
-    es = normalised_error(path, indicator_measure(), (1, 1),
-                          GridSpec(1.0, 16), 16)
-    assert es.hurst == 0.75
-    assert es.component_pair == (1, 1)
-    # consistency with the crossing closed form
-    want = 2 * 0.5 * (
-        sign_change_error(path, 0.0, GridSpec(1.0, 16))
-        - 16 ** (2 * 0.75 - 1) / 256 ** (2 * 0.75 - 1)
-        * sign_change_error(path, 0.0, GridSpec(1.0, 256))
-    )
-    assert es.s_n == pytest.approx(want, abs=1e-10)
+# t = 207.5/256: the fine grid's terminal node has index 208 = 13 * 16, so a
+# plain ::16 stride already ends on it; t = 207/256: only the coarse grid has
+# a partial step
+@pytest.mark.parametrize("t", [1.0, 0.83, 207.5 / 256, 207 / 256])
+def test_coarse_view_matches_fancy_index(t):
+    fine = GridSpec(1.0, 256, t)
+    values = np.random.default_rng(4).standard_normal((3, 2, fine.num_nodes))
+    for n in (16, 64, 256):
+        grid = GridSpec(1.0, n, t)
+        got = _coarse_view(values, fine, grid)
+        assert got.shape == (3, 2, grid.num_nodes)
+        np.testing.assert_array_equal(got, _coarse_values_fancy(values, fine, grid))
