@@ -29,7 +29,7 @@ from .covariance import (
     decomp_factorisation_check,
     merged_large_windows,
 )
-from .fbm import as_hurst, sample_at_times, substream
+from .fbm import _cholesky_with_jitter, as_hurst, fbm_covariance, substream
 from .quadrature import _graded_rule, _iterated_integral
 
 __all__ = [
@@ -68,7 +68,7 @@ class CatalogEntry:
     witness: str
     times: callable  # h -> time vector t_0 = 0 < ... < t_{p+q}
     evaluate: callable  # (z: (N, p+q) array, eps) -> (N,) array
-    inner: callable | None  # (thetas, eps) -> float, or None if divergent
+    inner: callable  # (thetas, eps) -> float
 
 
 def _sgn(x):
@@ -78,12 +78,6 @@ def _sgn(x):
 def _times_one_small(h):
     # large 0.5, small 0.4 h, large 0.4
     return np.array([0.0, 0.5, 0.5 + 0.4 * h, 0.9 + 0.4 * h])
-
-
-def _times_two_small(h):
-    # large 0.5, small 0.3 h, large 0.4, small 0.3 h
-    s = 0.3 * h
-    return np.array([0.0, 0.5, 0.5 + s, 0.9 + s, 0.9 + 2 * s])
 
 
 def _step2_eval(z, eps):
@@ -108,57 +102,12 @@ def _step2_inner(thetas, eps):
     )
 
 
-def _step1_eval(z, eps):
-    return ((z[:, 1] >= 0).astype(float) - (z[:, 0] >= 0)) * (
-        (z[:, 3] >= 0).astype(float) - (z[:, 2] >= 0)
-    )
-
-
-def _step1_inner(thetas, eps):
-    # int dy1 dy2 E[F(Btilde)] = E[X1 (X2 - X1)] = -theta1^2
-    return -float(thetas[0] ** 2)
-
-
-def _abs_eval(z, eps):
-    return (
-        np.abs(z[:, 1])
-        * (_sgn(z[:, 0]) != _sgn(z[:, 1]))
-        * np.abs(z[:, 3])
-        * (_sgn(z[:, 2]) != _sgn(z[:, 3]))
-    )
-
-
-def _abs_inner(thetas, eps):
-    # E[X1^2 (X2 - X1)^2] / 4 with independent X1, X2
-    t1, t2 = thetas
-    return float((t1**2 * t2**2 + 3 * t1**4) / 4.0)
-
-
 def catalog() -> dict:
     return {
         "step2": CatalogEntry(
             "step2", 1, 2, (2,),
             witness="J={2}, M=3, G(x)=|x1+x2| 1_{|x1+x2+x3| <= eps}/(2 eps)",
             times=_times_one_small, evaluate=_step2_eval, inner=_step2_inner,
-        ),
-        "step1_product": CatalogEntry(
-            "step1_product", 2, 2, (2, 4),
-            witness="J={2,4}, M=1, G=1 (indicator differences vanish unless "
-                    "each large coordinate is bounded by a small increment)",
-            times=_times_two_small, evaluate=_step1_eval, inner=_step1_inner,
-        ),
-        "prop13_absolute": CatalogEntry(
-            "prop13_absolute", 2, 2, (2, 4),
-            witness="J={2,4}, M=1, G(x)=|x2||x4| (crossing indicators bound "
-                    "each coordinate by the adjacent small increment)",
-            times=_times_two_small, evaluate=_abs_eval, inner=_abs_inner,
-        ),
-        "constant": CatalogEntry(
-            "constant", 1, 2, (2,),
-            witness="F=1 has no admissible witness; true expectation only",
-            times=_times_one_small,
-            evaluate=lambda z, eps: np.ones(len(z)),
-            inner=None,
         ),
     }
 
@@ -170,7 +119,6 @@ class DecouplingExperiment:
     h: float
     a: float = 0.0
     mc_samples: int = 10_000
-    seed: int = 0
     eps: float = 0.1
 
     entry: CatalogEntry = field(init=False)
@@ -197,21 +145,16 @@ class DecouplingExperiment:
         return part
 
 
-def true_expectation(exp: DecouplingExperiment, normals: np.ndarray | None = None):
+def true_expectation(exp: DecouplingExperiment, normals: np.ndarray):
     """MC estimate of E[F(B_{t_1} - a, ...)] with exact joint sampling.
 
-    ``normals`` allows common random numbers across experiments (the same
-    standard normals pushed through each experiment's Cholesky factor).
+    ``normals`` (shape (samples, p + q)) are pushed through the Cholesky
+    factor of the joint covariance, so experiments that share them use
+    common random numbers.
     """
     ts = exp.times[1:]
-    if normals is None:
-        rng = substream(exp.seed, 0)
-        b = sample_at_times(exp.hurst, ts, rng, exp.mc_samples)
-    else:
-        from .fbm import fbm_covariance, _cholesky_with_jitter
-
-        cov = fbm_covariance(exp.hurst, ts[:, None], ts[None, :])
-        b = normals @ _cholesky_with_jitter(cov).T
+    cov = fbm_covariance(exp.hurst, ts[:, None], ts[None, :])
+    b = normals @ _cholesky_with_jitter(cov).T
     vals = exp.entry.evaluate(b - exp.a, exp.eps)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(len(vals)))
@@ -222,8 +165,6 @@ def surrogate_expectation(exp: DecouplingExperiment) -> float:
     """Decoupled surrogate: Gaussian point density of the merged large
     increments at (a, 0, ..., 0) times the closed-form inner integral."""
     entry = exp.entry
-    if entry.inner is None:
-        raise ValueError(f"functional {entry.name!r} has no surrogate form")
     ts = exp.times
     part = exp.partition
     sig_p = build_increment_cov(merged_large_windows(ts, part), exp.hurst).matrix
@@ -257,7 +198,7 @@ def decoupling_scaling(functional: str, hurst: float, h_levels, a: float = 0.0,
     z = substream(seed, 0).standard_normal((mc_samples, dim))
     rows = []
     for h in h_levels:
-        exp = DecouplingExperiment(functional, hurst, h, a, mc_samples, seed, eps)
+        exp = DecouplingExperiment(functional, hurst, h, a, mc_samples, eps)
         true = true_expectation(exp, normals=z)
         sur = surrogate_expectation(exp)
         disc = true["mean"] - sur

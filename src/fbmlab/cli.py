@@ -126,6 +126,8 @@ def _cmd_simulate(args):
 def _cmd_localtime(args):
     started = time.monotonic()
     levels = [float(x) for x in args.levels.split(",")]
+    if not np.all(np.isfinite(levels)):
+        raise CliError("levels must be finite")
     grid = GridSpec(args.t, args.n, args.t)
     eps = default_bin_width(args.H, args.n) if args.eps is None else args.eps
     if eps <= 0:
@@ -163,6 +165,8 @@ def _cmd_rate(args):
     n_values = tuple(int(x) for x in cfg.get("n_values", "64,128,256,512,1024").split(","))
     level = float(cfg.get("level", 0.0))
     pair = args.pair or cfg.get("pair", "11")
+    if len(pair) != 2 or not pair.isdigit():
+        raise CliError(f"pair must be two digits such as 11 or 12, not {pair!r}")
     i, j = int(pair[0]), int(pair[1])
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     reference = cfg.get(

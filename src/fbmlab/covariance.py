@@ -1,11 +1,11 @@
 """Covariance matrices of fBm increments and their structural bounds.
 
 Builds the matrix Sigma of E[(B_{a1}-B_{a2})(B_{b1}-B_{b2})] for a list of
-time windows and provides numerical certificates: local non-determinism
-floor, determinant sandwich, eigenvalue bracket, inverse-entry scalings of
-the determinant factorisation, and a quadratic-form floor.  Inequalities
-whose constants are not explicit are reported as positivity/finiteness
-certificates or scaling exponents, never asserted at a numeric level.
+time windows and provides numerical certificates: determinant sandwich,
+eigenvalue bracket and inverse-entry scalings of the determinant
+factorisation.  Inequalities whose constants are not explicit are reported
+as positivity/finiteness certificates or scaling exponents, never asserted
+at a numeric level.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ __all__ = [
     "ConditioningError",
     "consecutive_windows",
     "build_increment_cov",
-    "check_local_nondeterminism",
     "determinant_sandwich",
     "eigenvalue_bracket",
-    "quadratic_form_floor",
     "decomp_factorisation_check",
     "increment_level_bound_constant",
     "covariance_increment_bound_check",
@@ -108,28 +106,6 @@ def build_increment_cov(windows: IncrementWindows, h) -> IncrementCovariance:
     return IncrementCovariance(windows, h, mat)
 
 
-def _unit_sphere(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    u = rng.standard_normal((count, dim))
-    return u / np.linalg.norm(u, axis=1, keepdims=True)
-
-
-def check_local_nondeterminism(cov: IncrementCovariance, trials: int, rng_seed: int):
-    """Variance floor/ceiling of linear combinations of consecutive increments.
-
-    For random unit vectors u computes r(u) = u'Sigma u / sum_i u_i^2 d_i^{2H}
-    and returns {L_hat: min r, violations: count of r > m}.
-    """
-    if not cov.windows.is_consecutive:
-        raise ValueError("windows must be consecutive ordered increments")
-    m = cov.m
-    d2h = cov.windows.lengths() ** (2 * cov.hurst.value)
-    u = _unit_sphere(substream(rng_seed, 0), trials, m)
-    num = np.einsum("ti,ij,tj->t", u, cov.matrix, u)
-    den = (u**2) @ d2h
-    r = num / den
-    return {"L_hat": float(r.min()), "violations": int(np.sum(r > m * (1 + 1e-12)))}
-
-
 def determinant_sandwich(cov: IncrementCovariance):
     """det(Sigma) relative to the product of window lengths^{2H}.
 
@@ -165,17 +141,6 @@ def eigenvalue_bracket(cov: IncrementCovariance):
         "bracket_ok": bool(lam_max <= cov.m * d2h.max() * (1 + 1e-12)),
         "lower_ratio": lam_min / float(d2h.min()),
     }
-
-
-def quadratic_form_floor(cov: IncrementCovariance, trials: int, rng_seed: int):
-    """Empirical floor of x'Sigma^{-1}x / sum x_i^2 / d_i^{2H} over random x."""
-    inv = _checked_inverse(cov.matrix, "Sigma")
-    d2h = cov.windows.lengths() ** (2 * cov.hurst.value)
-    x = _unit_sphere(substream(rng_seed, 0), trials, cov.m)
-    num = np.einsum("ti,ij,tj->t", x, inv, x)
-    den = (x**2) @ (1.0 / d2h)
-    ratio = num / den
-    return {"ratio_min": float(ratio.min())}
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ __all__ = [
     "sample_exact_batch",
     "sample_fft",
     "sample_fft_batch",
-    "sample_at_times",
     "path_to_csv",
 ]
 
@@ -139,10 +138,6 @@ class FbmPath:
     def components(self) -> int:
         return self.values.shape[0]
 
-    def component(self, i: int) -> np.ndarray:
-        """1-based component accessor."""
-        return self.values[i - 1]
-
 
 def fbm_covariance(h, s: float, t: float) -> float:
     """E[B_s B_t] = (t^{2H} + s^{2H} - |t - s|^{2H}) / 2."""
@@ -231,16 +226,6 @@ def sample_exact_batch(
 def sample_exact(h, grid: GridSpec, seed: int, components: int = 1) -> FbmPath:
     values = sample_exact_batch(h, grid, seed, 1, components)[0]
     return FbmPath(as_hurst(h), grid, values)
-
-
-def sample_at_times(h, times, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Exact joint samples of (B_{t_1}, ..., B_{t_m}) at arbitrary node
-    times; returns array (size, m). Used for irregular-grid Monte Carlo."""
-    ts = np.asarray(times, dtype=float)
-    cov = fbm_covariance(h, ts[:, None], ts[None, :])
-    chol = _cholesky_with_jitter(cov)
-    z = rng.standard_normal((size, len(ts)))
-    return z @ chol.T
 
 
 # ---------------------------------------------------------------------------

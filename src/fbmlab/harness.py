@@ -93,10 +93,14 @@ class ExperimentPlan:
             raise PlanError("n values must span at least 2 octaves")
         if self.reference_kind not in ("fine_sign_change", "fine_riemann"):
             raise PlanError(f"unknown reference kind {self.reference_kind!r}")
-        if self.reference_kind == "fine_sign_change":
-            i, j = self.component_pair
-            if i != j:
-                raise PlanError("sign-change references need equal components")
+        pair = tuple(self.component_pair)
+        if len(pair) != 2 or not set(pair) <= {1, 2}:
+            raise PlanError(f"component pair {pair} must name two components "
+                            "from {1, 2}")
+        if self.reference_kind == "fine_sign_change" and pair[0] != pair[1]:
+            raise PlanError("sign-change references need equal components")
+        if self.replicates < 0:
+            raise PlanError("replicates must be >= 0 (0 = auto-scale)")
         if self.fine_factor == 0:
             object.__setattr__(
                 self, "fine_factor",
@@ -108,7 +112,7 @@ class ExperimentPlan:
 
     @property
     def components(self) -> int:
-        return 2 if self.component_pair[0] != self.component_pair[1] else 1
+        return max(self.component_pair)
 
     def check_budget(self, replicates: int) -> None:
         if replicates * (self.fine_n * self.t + 2) > BUDGET_VALUES:

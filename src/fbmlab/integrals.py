@@ -3,7 +3,7 @@
 An integrand of bounded variation is represented by its derivative measure:
 f(x) = beta + sum_k c_k * sgn(x - a_k), with sgn(0) = -1 so f is
 left-continuous (the left derivative of a convex function when all c_k are
-nonnegative).  An absolutely continuous part can be quantised into atoms.
+nonnegative).  Integrands are finite step functions: a finite list of atoms.
 
 The normalised discretisation error S_n = n^{2H-1} (integral - Riemann sum)
 is the central object; for indicator integrands and a single component it
@@ -28,8 +28,6 @@ __all__ = [
     "sign_change_error",
 ]
 
-MAX_DENSITY_ATOMS = 10_000
-
 
 @dataclass(frozen=True)
 class SignedMeasure:
@@ -38,52 +36,18 @@ class SignedMeasure:
 
     atoms: tuple
     base_constant: float = 0.0
-    quantisation_tv: float = 0.0  # TV mass moved during density quantisation
 
     def __post_init__(self):
         atoms = tuple((float(a), float(c)) for a, c in self.atoms)
         object.__setattr__(self, "atoms", atoms)
-        if not np.isfinite(self.total_variation):
-            raise ValueError("total variation must be finite")
+        if not (np.isfinite(atoms).all() and np.isfinite(self.base_constant)
+                and np.isfinite(self.total_variation)):
+            raise ValueError("atom positions, masses, base constant and "
+                             "total variation must be finite")
 
     @property
     def total_variation(self) -> float:
         return float(sum(abs(c) for _, c in self.atoms))
-
-    def growth_functional(self, p: float = 1.0) -> float:
-        """G(P) = integral of exp(-P a^2 / 2) against |mu|."""
-        if p <= 0:
-            raise ValueError("growth constant must be positive")
-        return float(sum(abs(c) * np.exp(-p * a * a / 2) for a, c in self.atoms))
-
-    @staticmethod
-    def from_density(density, lo: float, hi: float, n_atoms: int = 1000,
-                     base_constant: float = 0.0) -> "SignedMeasure":
-        """Quantise a density on [lo, hi] into atoms at mass quantiles.
-
-        The moved TV mass is recorded in ``quantisation_tv``; its effect on
-        discretisation-error rates is reported, not certified.
-        """
-        if n_atoms > MAX_DENSITY_ATOMS:
-            raise ValueError(f"at most {MAX_DENSITY_ATOMS} quantisation atoms")
-        xs = np.linspace(lo, hi, 64 * n_atoms + 1)
-        vals = np.asarray([density(x) for x in xs], dtype=float)
-        absmass = np.trapezoid(np.abs(vals), xs)
-        if absmass == 0:
-            return SignedMeasure((), base_constant)
-        cum_abs = np.concatenate([[0.0], np.cumsum(
-            0.5 * (np.abs(vals[1:]) + np.abs(vals[:-1])) * np.diff(xs))])
-        edges = np.interp(np.linspace(0, absmass, n_atoms + 1), cum_abs, xs)
-        cum = np.concatenate([[0.0], np.cumsum(
-            0.5 * (vals[1:] + vals[:-1]) * np.diff(xs))])
-        masses = np.diff(np.interp(edges, xs, cum))
-        atoms = tuple(
-            (0.5 * (a + b), m)
-            for a, b, m in zip(edges[:-1], edges[1:], masses)
-            if m != 0.0
-        )
-        return SignedMeasure(atoms, base_constant,
-                             quantisation_tv=absmass / n_atoms)
 
 
 def indicator_measure(a: float = 0.0) -> SignedMeasure:

@@ -19,42 +19,25 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .fbm import FbmPath, GridSpec, HurstIndex, as_hurst
-from .integrals import SignedMeasure, _crossing_sums
+from .fbm import FbmPath, GridSpec, as_hurst
+from .integrals import _crossing_sums
 from .quadrature import _graded_rule, _iterated_integral
 
 __all__ = [
-    "LocalTimeProfile",
     "ResolutionWarning",
     "binning_estimator",
     "sign_change_estimator",
     "default_bin_width",
     "moment_oracle",
-    "limit_functional",
-    "local_time_profile",
 ]
 
 
 class ResolutionWarning(UserWarning):
     """Bin width below the grid's typical increment magnitude."""
-
-
-@dataclass(frozen=True)
-class LocalTimeProfile:
-    levels: np.ndarray
-    estimates: np.ndarray
-    estimator_kind: str
-    t: float
-    hurst: HurstIndex
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.estimates) < 0):
-            raise ValueError("local-time estimates must be nonnegative")
 
 
 def default_bin_width(h, n: int) -> float:
@@ -262,45 +245,3 @@ def _second_moment(hv: float, t: float, a: float) -> tuple[float, float]:
     val = f1 + f2
     return val, max(abs(f1 - f2), abs(val - c1 - c2))
 
-
-def limit_functional(profile: LocalTimeProfile, mu: SignedMeasure) -> float:
-    """Integral of the local-time profile against the derivative measure:
-    sum_k c_k * L_hat(a_k), interpolating within the profile's level range."""
-    if not mu.atoms:
-        return 0.0
-    levels = np.asarray(profile.levels, dtype=float)
-    est = np.asarray(profile.estimates, dtype=float)
-    order = np.argsort(levels)
-    levels, est = levels[order], est[order]
-    total = 0.0
-    for a, c in mu.atoms:
-        exact = np.isclose(levels, a, rtol=0, atol=1e-12)
-        if exact.any():
-            total += c * est[exact.argmax()]
-        elif levels[0] <= a <= levels[-1]:
-            total += c * float(np.interp(a, levels, est))
-        else:
-            raise ValueError(
-                f"atom at {a} outside covered level range "
-                f"[{levels[0]}, {levels[-1]}]"
-            )
-    return float(total)
-
-
-def local_time_profile(path: FbmPath, levels, estimator: str = "sign",
-                       eps: float | None = None,
-                       grid: GridSpec | None = None) -> LocalTimeProfile:
-    """Estimate L_t(a) over a list of levels with either estimator."""
-    levels = np.asarray(levels, dtype=float)
-    grid = grid or path.grid
-    if estimator == "sign":
-        est = np.array([sign_change_estimator(path, a, grid) for a in levels])
-        kind = f"sign_change(n={grid.points_per_unit})"
-    elif estimator == "bin":
-        eps = eps if eps is not None else default_bin_width(
-            path.hurst, grid.points_per_unit)
-        est = np.array([binning_estimator(path, a, eps) for a in levels])
-        kind = f"binning(eps={eps:.6g})"
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    return LocalTimeProfile(levels, est, kind, grid.t_end, path.hurst)

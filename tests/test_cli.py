@@ -165,6 +165,48 @@ def test_rate_unknown_config_key(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+def _rate_cfg(tmp_path, extra=""):
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("H = 0.75\nn_values = 16,32,64\nreplicates = 40\nseed = 5\n"
+                   + extra)
+    return str(cfg)
+
+
+def test_rate_pair_22_uses_the_second_component(tmp_path, capsys):
+    rc = run(["rate", "--config", _rate_cfg(tmp_path), "--pair", "22"])
+    assert rc == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 3
+    l2 = [float(r.split(",")[2]) for r in rows]
+    assert all(np.isfinite(v) and v > 0 for v in l2)
+
+
+@pytest.mark.parametrize("pair", ["13", "1", "123"])
+def test_rate_rejects_bad_pair(tmp_path, capsys, pair):
+    rc = run(["rate", "--config", _rate_cfg(tmp_path), "--pair", pair])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", ["replicates = -5\n", "level = nan\n"])
+def test_rate_rejects_bad_config_values(tmp_path, capsys, extra):
+    rc = run(["rate", "--config", _rate_cfg(tmp_path, extra)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+def test_localtime_rejects_nonfinite_level(capsys):
+    rc = run(["localtime", "--H", "0.75", "--n", "64", "--levels=nan,0"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "levels must be finite" in captured.err
+    assert captured.out == ""
+
+
 def test_rate_determinism_across_threads(tmp_path):
     cfg = tmp_path / "rate.cfg"
     cfg.write_text("H = 0.75\nn_values = 16,32,64\nreplicates = 50\nseed = 6\n")

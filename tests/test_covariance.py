@@ -9,14 +9,12 @@ from fbmlab.covariance import (
     IncrementPartition,
     IncrementWindows,
     build_increment_cov,
-    check_local_nondeterminism,
     consecutive_windows,
     covariance_increment_bound_check,
     decomp_factorisation_check,
     determinant_sandwich,
     eigenvalue_bracket,
     merged_large_windows,
-    quadratic_form_floor,
 )
 from fbmlab.fbm import fbm_covariance
 
@@ -68,20 +66,6 @@ def test_brownian_increments_are_uncorrelated():
 @given(
     h=st.floats(0.05, 0.95),
     incr=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=5),
-    seed=st.integers(0, 1000),
-)
-def test_variance_floor_and_ceiling_random(h, incr, seed):
-    ts = np.concatenate([[0.0], np.cumsum(incr)])
-    cov = build_increment_cov(consecutive_windows(ts), h)
-    res = check_local_nondeterminism(cov, trials=200, rng_seed=seed)
-    assert res["violations"] == 0
-    assert res["L_hat"] > 0
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    h=st.floats(0.05, 0.95),
-    incr=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=5),
 )
 def test_determinant_and_eigenvalue_certificates_random(h, incr):
     ts = np.concatenate([[0.0], np.cumsum(incr)])
@@ -92,13 +76,6 @@ def test_determinant_and_eigenvalue_certificates_random(h, incr):
     eig = eigenvalue_bracket(cov)
     assert eig["bracket_ok"]
     assert eig["lambda_min"] > 0
-
-
-def test_quadratic_form_floor_positive():
-    cov = build_increment_cov(
-        consecutive_windows([0.0, 0.3, 0.55, 1.0]), 0.7)
-    res = quadratic_form_floor(cov, trials=500, rng_seed=1)
-    assert res["ratio_min"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from fbmlab.fbm import (
     fbm_covariance,
     fgn_autocovariance,
     path_to_csv,
-    sample_at_times,
     sample_exact,
     sample_exact_batch,
     sample_fft,
@@ -281,15 +280,6 @@ def test_fft_partial_node_marginal_variance():
     assert abs(cov - want) < 5 * np.sqrt(2.0 / 8000)
 
 
-def test_sample_at_times_joint_law():
-    ts = np.array([0.2, 0.5, 1.1])
-    z = sample_at_times(0.65, ts, substream(9, 0), 6000)
-    emp = z.T @ z / 6000
-    cov = fbm_covariance(0.65, ts[:, None], ts[None, :])
-    assert np.all(np.abs(emp - cov) < 5 * np.sqrt(2.0 / 6000) * np.sqrt(
-        np.outer(np.diag(cov), np.diag(cov))))
-
-
 def test_exact_cap_enforced():
     with pytest.raises(GridSizeError):
         sample_exact(0.7, GridSpec(2.0, EXACT_NODE_CAP), 0)
@@ -299,8 +289,8 @@ def test_components_are_independent_streams():
     grid = GridSpec(1.0, 32)
     path = sample_fft(0.7, grid, 42, components=2)
     assert path.components == 2
-    assert not np.array_equal(path.component(1), path.component(2))
-    corr = np.corrcoef(np.diff(path.component(1)), np.diff(path.component(2)))
+    assert not np.array_equal(path.values[0], path.values[1])
+    corr = np.corrcoef(np.diff(path.values[0]), np.diff(path.values[1]))
     assert abs(corr[0, 1]) < 0.6  # single path, loose sanity bound
 
 

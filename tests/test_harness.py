@@ -44,6 +44,16 @@ def test_plan_validation():
         make_plan(reference_kind="bogus")
     with pytest.raises(PlanError):
         make_plan(component_pair=(1, 2))  # sign-change needs i = j
+    for pair in ((1, 3), (0, 0), (1,), (1, 2, 1)):
+        with pytest.raises(PlanError):
+            make_plan(component_pair=pair, reference_kind="fine_riemann")
+    with pytest.raises(PlanError):
+        make_plan(replicates=-5)  # 0 means auto-scale; below 0 is an error
+
+
+def test_plan_samples_the_highest_named_component():
+    assert [make_plan(component_pair=p, reference_kind="fine_riemann").components
+            for p in ((1, 1), (1, 2), (2, 1), (2, 2))] == [1, 2, 2, 2]
 
 
 def test_default_fine_factor():

@@ -1,4 +1,5 @@
-"""Every module of the package uses every name it imports."""
+"""Every module of the package uses every name it imports and defines
+every name it exports."""
 
 import ast
 from pathlib import Path
@@ -48,6 +49,35 @@ def unused_imports(source: str) -> list:
     "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def undefined_exports(source: str) -> list:
+    """``__all__`` entries that no top-level statement of ``source`` binds."""
+    tree = ast.parse(source)
+    bound = set()
+    exported = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                bound |= {n.id for n in ast.walk(t) if isinstance(n, ast.Name)}
+                if isinstance(t, ast.Name) and t.id == "__all__":
+                    exported = [e.value for e in node.value.elts]
+    return sorted(name for name in exported if name not in bound)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_all_names_are_defined(module):
+    assert undefined_exports((PACKAGE / module).read_text()) == []
+
+
+def test_undefined_export_is_reported():
+    source = "from .fbm import GridSpec\nX = 1\n__all__ = ['GridSpec', 'X', 'f', 'gone']\ndef f():\n    pass\n"
+    assert undefined_exports(source) == ["gone"]
 
 
 def test_unused_import_is_reported():

@@ -24,10 +24,6 @@ def test_indicator_measure_evaluates_to_indicator():
 def test_total_variation_and_growth():
     mu = SignedMeasure(((0.0, 0.5), (1.0, -0.25)))
     assert mu.total_variation == pytest.approx(0.75)
-    want = 0.5 + 0.25 * np.exp(-2 * 1.0 / 2)
-    assert mu.growth_functional(2.0) == pytest.approx(want)
-    with pytest.raises(ValueError):
-        mu.growth_functional(0.0)
 
 
 def test_step_integrand_two_atoms():
@@ -36,20 +32,6 @@ def test_step_integrand_two_atoms():
     assert eval_integrand(mu, -2.0) == pytest.approx(0.0)
     assert eval_integrand(mu, 0.0) == pytest.approx(1.0)
     assert eval_integrand(mu, 2.0) == pytest.approx(3.0)
-
-
-def test_from_density_total_mass():
-    gauss = lambda x: np.exp(-x * x / 2) / np.sqrt(2 * np.pi)
-    mu = SignedMeasure.from_density(gauss, -6, 6, n_atoms=200)
-    assert sum(c for _, c in mu.atoms) == pytest.approx(1.0, abs=1e-3)
-    assert mu.quantisation_tv == pytest.approx(1.0 / 200, rel=0.05)
-    # the quantised step function tracks the smooth CDF:
-    # f(x) = beta + sum c sgn(x - a)  =>  CDF(x) = (f(x) - beta + sum c)/2
-    from scipy.stats import norm
-    total = sum(c for _, c in mu.atoms)
-    for x in (-1.0, 0.0, 0.8):
-        got = 0.5 * (eval_integrand(mu, x) - mu.base_constant + total)
-        assert got == pytest.approx(norm.cdf(x), abs=0.02)
 
 
 def test_constant_integrand_telescopes():

@@ -13,14 +13,10 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from fbmlab.fbm import FbmPath, GridSpec, HurstIndex, sample_fft, sample_fft_batch
-from fbmlab.integrals import SignedMeasure
 from fbmlab.localtime import (
-    LocalTimeProfile,
     ResolutionWarning,
     binning_estimator,
     default_bin_width,
-    limit_functional,
-    local_time_profile,
     moment_oracle,
     sign_change_estimator,
 )
@@ -228,38 +224,6 @@ def test_estimators_agree_in_the_mean():
         bin_vals[r] = binning_estimator(path, 0.0, eps)
     se = np.sqrt(sign_vals.var() / reps + bin_vals.var() / reps)
     assert abs(sign_vals.mean() - bin_vals.mean()) < 3 * se + 0.1
-
-
-def test_profile_and_limit_functional():
-    path = sample_fft(0.75, GridSpec(1.0, 512), 13)
-    prof = local_time_profile(path, [-0.5, 0.0, 0.5], estimator="sign")
-    assert prof.estimates.shape == (3,)
-    mu = SignedMeasure(((0.0, 0.5),), 0.5)
-    # single atom at an exact level: functional = c * L_hat(0)
-    assert limit_functional(prof, mu) == pytest.approx(0.5 * prof.estimates[1])
-    # interpolated level inside the range works, outside raises
-    mu_mid = SignedMeasure(((0.25, 1.0),))
-    limit_functional(prof, mu_mid)
-    with pytest.raises(ValueError):
-        limit_functional(prof, SignedMeasure(((3.0, 1.0),)))
-
-
-def test_limit_functional_empty_measure():
-    path = sample_fft(0.75, GridSpec(1.0, 64), 2)
-    prof = local_time_profile(path, [0.0])
-    assert limit_functional(prof, SignedMeasure(())) == 0.0
-
-
-def test_profile_rejects_negative_estimates():
-    with pytest.raises(ValueError):
-        LocalTimeProfile(np.array([0.0]), np.array([-0.1]), "sign", 1.0,
-                         HurstIndex(0.75))
-
-
-def test_profile_unknown_estimator():
-    path = sample_fft(0.75, GridSpec(1.0, 64), 2)
-    with pytest.raises(ValueError):
-        local_time_profile(path, [0.0], estimator="kernel")
 
 
 def test_default_bin_width_scaling():
