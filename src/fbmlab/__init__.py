@@ -5,18 +5,22 @@ __version__ = "0.1.0"
 
 from .fbm import (  # noqa: F401
     EmbeddingError,
-    FbmPath,
     GridSpec,
     HurstIndex,
     fbm_covariance,
     fgn_autocovariance,
-    sample_exact,
-    sample_fft,
+    sample_exact_batch,
+    sample_fft_batch,
 )
-from .integrals import SignedMeasure, indicator_measure, sign_change_error  # noqa: F401
+from .integrals import (  # noqa: F401
+    SignedMeasure,
+    crossing_sums,
+    indicator_measure,
+    riemann_sums,
+)
 from .localtime import (  # noqa: F401
-    binning_estimator,
+    binning_estimates,
     moment_oracle,
-    sign_change_estimator,
+    sign_change_estimates,
 )
 from .harness import ExperimentPlan, RateReport, run_rate_experiment  # noqa: F401

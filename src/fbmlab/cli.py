@@ -20,14 +20,14 @@ import time
 import numpy as np
 
 from . import __version__
-from .fbm import GridSpec, path_to_csv, sample_exact, sample_fft, sample_fft_batch
-from .integrals import SignedMeasure
+from .fbm import GridSpec, path_to_csv, sample_exact_batch, sample_fft_batch
+from .integrals import indicator_measure
 from .harness import ExperimentPlan, run_rate_experiment, resolve_threads
 from .localtime import (
-    _binning_estimates,
-    _sign_change_estimates,
+    binning_estimates,
     default_bin_width,
     moment_oracle,
+    sign_change_estimates,
 )
 
 __all__ = ["main", "parse_and_dispatch", "parse_config"]
@@ -113,10 +113,10 @@ def _fmt(v) -> str:
 def _cmd_simulate(args):
     started = time.monotonic()
     grid = GridSpec(args.T, args.n, args.T if args.t is None else args.t)
-    sampler = sample_fft if args.method == "fft" else sample_exact
-    path = sampler(args.H, grid, args.seed, args.components)
+    sampler = sample_fft_batch if args.method == "fft" else sample_exact_batch
+    values = sampler(args.H, grid, args.seed, 1, args.components)[0]
     buf = io.StringIO()
-    path_to_csv(path, buf)
+    path_to_csv(grid, values, buf)
     cfg = {"H": args.H, "n": args.n, "T": args.T, "t": grid.t_end,
            "components": args.components, "method": args.method}
     _emit(args, "path.csv", buf.getvalue(), _manifest(args, cfg, started))
@@ -138,9 +138,9 @@ def _cmd_localtime(args):
     rows = []
     for a in levels:
         if args.estimator == "sign":
-            vals = _sign_change_estimates(args.H, paths, grid, a, grid)
+            vals = sign_change_estimates(args.H, paths, grid, a, grid)
         else:
-            vals = _binning_estimates(args.H, paths, grid, a, eps)
+            vals = binning_estimates(args.H, paths, grid, a, eps)
         se = vals.std(ddof=1) / np.sqrt(args.replicates) if args.replicates > 1 else 0.0
         rows.append((a, float(vals.mean()), float(se), args.estimator,
                      args.n, args.H, args.t))
@@ -164,6 +164,8 @@ def _cmd_rate(args):
     h = float(cfg.get("H", 0.75))
     n_values = tuple(int(x) for x in cfg.get("n_values", "64,128,256,512,1024").split(","))
     level = float(cfg.get("level", 0.0))
+    if not np.isfinite(level):
+        raise CliError("level must be finite")
     pair = args.pair or cfg.get("pair", "11")
     if len(pair) != 2 or not pair.isdigit():
         raise CliError(f"pair must be two digits such as 11 or 12, not {pair!r}")
@@ -173,7 +175,7 @@ def _cmd_rate(args):
         "reference", "fine_sign_change" if i == j else "fine_riemann")
     plan = ExperimentPlan(
         hurst=h, n_values=n_values,
-        integrand=SignedMeasure(((level, 0.5),), 0.5),
+        integrand=indicator_measure(level),
         component_pair=(i, j), t=float(cfg.get("t", 1.0)),
         replicates=int(cfg.get("replicates", 0)),
         master_seed=seed, fine_factor=int(cfg.get("fine_factor", 0)),

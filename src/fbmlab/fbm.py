@@ -1,15 +1,16 @@
 """Fractional Brownian motion sample-path generation on uniform grids.
 
-Two generators with the same distributional contract:
+Two batch generators with the same distributional contract, each
+returning an array of shape (replicates, components, nodes):
 
-* :func:`sample_exact` -- Cholesky factorisation of the grid covariance,
-  O(N^3), capped at ``EXACT_NODE_CAP`` nodes.
-* :func:`sample_fft` -- circulant embedding of the stationary increment
-  process (Davies-Harte), O(N log N).
+* :func:`sample_exact_batch` -- Cholesky factorisation of the grid
+  covariance, O(N^3), capped at ``EXACT_NODE_CAP`` nodes.
+* :func:`sample_fft_batch` -- circulant embedding of the stationary
+  increment process (Davies-Harte), O(N log N).
 
 Both are deterministic given ``(seed, replicate, component)``; substreams
 are derived with :func:`substream` so results do not depend on execution
-order.
+order.  One path is row ``[0]`` of a batch of one.
 """
 
 from __future__ import annotations
@@ -23,16 +24,13 @@ from scipy.linalg import solve_toeplitz
 __all__ = [
     "HurstIndex",
     "GridSpec",
-    "FbmPath",
     "EmbeddingError",
     "GridSizeError",
     "EXACT_NODE_CAP",
     "fbm_covariance",
     "fgn_autocovariance",
     "substream",
-    "sample_exact",
     "sample_exact_batch",
-    "sample_fft",
     "sample_fft_batch",
     "path_to_csv",
 ]
@@ -126,19 +124,6 @@ class GridSpec:
         return int(round(r))
 
 
-@dataclass(frozen=True)
-class FbmPath:
-    """Sampled fBm path; ``values`` has shape (components, num_nodes)."""
-
-    hurst: HurstIndex
-    grid: GridSpec
-    values: np.ndarray
-
-    @property
-    def components(self) -> int:
-        return self.values.shape[0]
-
-
 def fbm_covariance(h, s: float, t: float) -> float:
     """E[B_s B_t] = (t^{2H} + s^{2H} - |t - s|^{2H}) / 2."""
     hv = as_hurst(h).value
@@ -221,11 +206,6 @@ def sample_exact_batch(
     out = np.zeros((count, components, grid.num_nodes))
     out[:, :, 1:] = z @ chol.T
     return out
-
-
-def sample_exact(h, grid: GridSpec, seed: int, components: int = 1) -> FbmPath:
-    values = sample_exact_batch(h, grid, seed, 1, components)[0]
-    return FbmPath(as_hurst(h), grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +317,11 @@ def sample_fft_batch(
     return out
 
 
-def sample_fft(h, grid: GridSpec, seed: int, components: int = 1) -> FbmPath:
-    values = sample_fft_batch(h, grid, seed, 1, components)[0]
-    return FbmPath(as_hurst(h), grid, values)
-
-
-def path_to_csv(path: FbmPath, stream) -> None:
-    """Write ``t,B1[,B2]`` rows at full double precision."""
-    cols = ["t"] + [f"B{i + 1}" for i in range(path.components)]
+def path_to_csv(grid: GridSpec, values: np.ndarray, stream) -> None:
+    """Write ``t,B1[,B2]`` rows at full double precision; ``values`` has
+    shape (components, num_nodes) on ``grid``."""
+    cols = ["t"] + [f"B{i + 1}" for i in range(values.shape[0])]
     stream.write(",".join(cols) + "\n")
-    for t, row in zip(path.grid.nodes(), path.values.T):
+    for t, row in zip(grid.nodes(), values.T):
         fields = [f"{t:.17g}"] + [f"{v:.17g}" for v in row]
         stream.write(",".join(fields) + "\n")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fbm import GridSpec, as_hurst, sample_fft_batch
-from .integrals import SignedMeasure, _crossing_sums, _riemann_sums
+from .integrals import SignedMeasure, crossing_sums, indicator_measure, riemann_sums
 
 __all__ = [
     "ExperimentPlan",
@@ -87,6 +87,8 @@ class ExperimentPlan:
         as_hurst(self.hurst).require_rough_regime()
         ns = tuple(int(n) for n in self.n_values)
         object.__setattr__(self, "n_values", ns)
+        if any(n < 1 for n in ns):
+            raise PlanError(f"n_values must all be >= 1, got {ns}")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise PlanError("n values must be strictly increasing")
         if ns and ns[-1] < 4 * ns[0]:
@@ -101,6 +103,9 @@ class ExperimentPlan:
             raise PlanError("sign-change references need equal components")
         if self.replicates < 0:
             raise PlanError("replicates must be >= 0 (0 = auto-scale)")
+        if self.fine_factor < 0:
+            raise PlanError("fine_factor must be >= 0 (0 = default for the "
+                            "reference kind)")
         if self.fine_factor == 0:
             object.__setattr__(
                 self, "fine_factor",
@@ -186,9 +191,9 @@ def _replicate_errors(plan: ExperimentPlan, first: int, count: int) -> np.ndarra
     bi, bj = batch[:, i - 1], batch[:, j - 1]
     atoms = plan.integrand.atoms
 
-    def sign_change(a, grid):  # sign_change_error of each replicate
+    def sign_change(a, grid):  # closed-form S_n of 1_{x > a}, per replicate
         n = grid.points_per_unit
-        return n ** (2 * h.value - 1) * _crossing_sums(bi, fine, a, grid)
+        return n ** (2 * h.value - 1) * crossing_sums(bi, fine, a, grid)
 
     errs = np.empty((len(grids), count))
     if plan.reference_kind == "fine_sign_change":
@@ -200,7 +205,7 @@ def _replicate_errors(plan: ExperimentPlan, first: int, count: int) -> np.ndarra
                 e += 2 * c * (sign_change(a, grid) - fine_sc[a])
             errs[gi] = e
     else:
-        ref = _riemann_sums(bi, bj, fine, plan.integrand, fine)
+        ref = riemann_sums(bi, bj, fine, plan.integrand, fine)
         if i == j:
             limit = sum(2 * c * sign_change(a, fine) for a, c in atoms)
         else:
@@ -208,7 +213,7 @@ def _replicate_errors(plan: ExperimentPlan, first: int, count: int) -> np.ndarra
         for gi, grid in enumerate(grids):
             n = grid.points_per_unit
             s_n = n ** (2 * h.value - 1) * (
-                ref - _riemann_sums(bi, bj, fine, plan.integrand, grid))
+                ref - riemann_sums(bi, bj, fine, plan.integrand, grid))
             errs[gi] = s_n - limit
     return errs
 
@@ -303,7 +308,7 @@ def level_decay_comparison(h, n: int, levels, replicates: int = 1000,
     for a in levels:
         plan = ExperimentPlan(
             hurst=h, n_values=(n // 4, n // 2, n),
-            integrand=SignedMeasure(((float(a), 0.5),), 0.5),
+            integrand=indicator_measure(float(a)),
             component_pair=(1, 1), t=t, replicates=replicates,
             master_seed=master_seed, fine_factor=fine_factor,
         )

@@ -8,8 +8,9 @@ nonnegative).  Integrands are finite step functions: a finite list of atoms.
 The normalised discretisation error S_n = n^{2H-1} (integral - Riemann sum)
 is the central object; for indicator integrands and a single component it
 has a closed form as a sum of |B - a| over grid steps that cross the level.
-The private kernels take arrays of shape (..., nodes), so one call covers
-a whole batch of replicates; the public functions apply them to one path.
+The kernels take arrays of shape (..., nodes), so one call covers a whole
+batch of replicates; a single path is a (nodes,) array and gives a 0-d
+result.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import FbmPath, GridSpec
+from .fbm import GridSpec
 
 __all__ = [
     "SignedMeasure",
     "indicator_measure",
     "eval_integrand",
-    "riemann_sum",
-    "sign_change_error",
+    "riemann_sums",
+    "crossing_sums",
 ]
 
 
@@ -77,21 +78,28 @@ def _coarse_view(values: np.ndarray, fine: GridSpec, grid: GridSpec) -> np.ndarr
     return view
 
 
-def _riemann_sums(bi: np.ndarray, bj: np.ndarray, fine: GridSpec,
-                  f: SignedMeasure, grid: GridSpec) -> np.ndarray:
+def riemann_sums(bi: np.ndarray, bj: np.ndarray, fine: GridSpec,
+                 f: SignedMeasure, grid: GridSpec) -> np.ndarray:
     """Left-point sums of f(B^i) dB^j on ``grid`` along the last axis of
-    ``bi`` and ``bj`` (shape (..., nodes) on ``fine``); shape (...)."""
+    ``bi`` and ``bj`` (shape (..., nodes) on ``fine``); shape (...).
+
+    The final increment is clamped at t_end via the grid's terminal node.
+    """
     bi = _coarse_view(bi, fine, grid)
     bj = _coarse_view(bj, fine, grid)
     return np.vecdot(eval_integrand(f, bi[..., :-1]), np.diff(bj, axis=-1))
 
 
-def _crossing_sums(values: np.ndarray, fine: GridSpec, a: float, grid: GridSpec,
-                   weights: np.ndarray | None = None) -> np.ndarray:
+def crossing_sums(values: np.ndarray, fine: GridSpec, a: float, grid: GridSpec,
+                  weights: np.ndarray | None = None) -> np.ndarray:
     """sum_k w_k |B_{(k+1)/n ^ t} - a| over the steps of ``grid`` whose
     endpoints lie on opposite sides of level a (sgn(0) = -1), per row of
     ``values`` (shape (..., nodes) on ``fine``); w = 1 without ``weights``.
-    Shape (...)."""
+    Shape (...).
+
+    n^{2H-1} times the unweighted sum is the closed form of S_n for
+    f = 1_{x > a} and equal components.
+    """
     b = _coarse_view(values, fine, grid)
     rows_shape = b.shape[:-1]
     b = b.reshape(-1, b.shape[-1])
@@ -101,25 +109,3 @@ def _crossing_sums(values: np.ndarray, fine: GridSpec, a: float, grid: GridSpec,
     if weights is not None:
         terms *= weights[steps]
     return np.bincount(rows, weights=terms, minlength=b.shape[0]).reshape(rows_shape)
-
-
-def riemann_sum(path: FbmPath, f: SignedMeasure, pair: tuple, grid: GridSpec) -> float:
-    """Left-point Riemann sum of integral f(B^i) dB^j on ``grid``.
-
-    The final increment is clamped at t_end via the grid's terminal node.
-    """
-    i, j = pair
-    return float(_riemann_sums(path.values[i - 1], path.values[j - 1],
-                               path.grid, f, grid))
-
-
-def sign_change_error(path: FbmPath, a: float, grid: GridSpec,
-                      component: int = 1) -> float:
-    """Closed form of S_n for f = 1_{x > a} and equal components.
-
-    n^{2H-1} sum_k |B_{(k+1)/n ^ t} - a| over steps where the path crosses
-    level a (signs taken with sgn(0) = -1).
-    """
-    n = grid.points_per_unit
-    return float(n ** (2 * path.hurst.value - 1)
-                 * _crossing_sums(path.values[component - 1], path.grid, a, grid))

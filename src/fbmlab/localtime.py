@@ -7,7 +7,7 @@ Two estimators of the local time L_t(a):
   crossings, which converges to L_t(a) at rate n^{-(1-H)/2} for H > 1/2.
   The weights w_k -> 1 undo the mean bias of order n^{-(1-H)} that the
   first steps leave at a = 0, where the path starts, so the estimate is
-  exact in the mean at a = 0 for every n; see ``sign_change_estimator``.
+  exact in the mean at a = 0 for every n; see ``sign_change_estimates``.
 
 Exact first and second moments of L_t(a) are computed by quadrature
 after an endpoint substitution that removes the u^{-H} singularity:
@@ -23,14 +23,14 @@ import warnings
 import numpy as np
 from scipy.integrate import quad
 
-from .fbm import FbmPath, GridSpec, as_hurst
-from .integrals import _crossing_sums
+from .fbm import GridSpec, as_hurst
+from .integrals import crossing_sums
 from .quadrature import _graded_rule, _iterated_integral
 
 __all__ = [
     "ResolutionWarning",
-    "binning_estimator",
-    "sign_change_estimator",
+    "binning_estimates",
+    "sign_change_estimates",
     "default_bin_width",
     "moment_oracle",
 ]
@@ -45,21 +45,14 @@ def default_bin_width(h, n: int) -> float:
     return 4.0 * n ** (-as_hurst(h).value)
 
 
-def binning_estimator(path: FbmPath, a: float, eps: float, t: float | None = None,
-                      component: int = 1) -> float:
-    """Occupation-time estimate (1/2eps) * time with |B_s - a| <= eps.
+def binning_estimates(h, values: np.ndarray, grid: GridSpec, a: float,
+                      eps: float, t: float | None = None) -> np.ndarray:
+    """Occupation-time estimate (1/2eps) * time with |B_s - a| <= eps, for
+    each row of ``values`` (shape (..., nodes) on ``grid``); shape (...).
 
     The time integral uses the left-point piecewise-constant rule on the
     path grid, with the terminal partial step weighted by its length.
     """
-    return float(_binning_estimates(path.hurst, path.values[component - 1],
-                                    path.grid, a, eps, t))
-
-
-def _binning_estimates(h, values: np.ndarray, grid: GridSpec, a: float,
-                       eps: float, t: float | None = None) -> np.ndarray:
-    """``binning_estimator`` for each row of ``values`` (shape (..., nodes)
-    on ``grid``); shape (...)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if t is None:
@@ -104,10 +97,12 @@ def _crossing_weights(hv: float, steps: int, last_end: float | None) -> np.ndarr
     return w
 
 
-def sign_change_estimator(path: FbmPath, a: float, grid: GridSpec,
-                          component: int = 1) -> float:
+def sign_change_estimates(h, values: np.ndarray, fine: GridSpec, a: float,
+                          grid: GridSpec) -> np.ndarray:
     """Level-crossing local-time estimate 2 n^{2H-1} sum_k w_k |B - a| over
-    the steps [k/n, (k+1)/n ^ t] that cross a.  Consistent for H > 1/2 only.
+    the steps [k/n, (k+1)/n ^ t] of ``grid`` that cross a, for each row of
+    ``values`` (shape (..., nodes) on ``fine``, which must refine
+    ``grid``); shape (...).  Consistent for H > 1/2 only.
 
     For standard fBm on the integers, E|B_{k+1}| 1{crossing 0} =
     (1 - rho_k)(k+1)^H / sqrt(2 pi), with rho_k the correlation of
@@ -131,20 +126,12 @@ def sign_change_estimator(path: FbmPath, a: float, grid: GridSpec,
     level a), and the estimate is not claimed unbiased in the mean at
     a != 0.
     """
-    return float(_sign_change_estimates(path.hurst, path.values[component - 1],
-                                        path.grid, a, grid))
-
-
-def _sign_change_estimates(h, values: np.ndarray, fine: GridSpec, a: float,
-                           grid: GridSpec) -> np.ndarray:
-    """``sign_change_estimator`` on ``grid`` for each row of ``values``
-    (shape (..., nodes) on ``fine``, which must refine ``grid``); shape (...)."""
     h = as_hurst(h)
     h.require_rough_regime()
     n = grid.points_per_unit
     last_end = n * grid.t_end if grid.has_partial_step else None
     w = _crossing_weights(h.value, grid.full_steps, last_end)
-    return 2.0 * n ** (2 * h.value - 1) * _crossing_sums(values, fine, a, grid, w)
+    return 2.0 * n ** (2 * h.value - 1) * crossing_sums(values, fine, a, grid, w)
 
 
 def moment_oracle(h, t: float, a: float, p: int = 1) -> float:

@@ -20,10 +20,7 @@ from fbmlab.covariance import (
     eigenvalue_bracket,
 )
 from fbmlab.fbm import (
-    FbmPath,
     GridSpec,
-    HurstIndex,
-    fbm_covariance,
     fgn_autocovariance,
     sample_exact_batch,
     sample_fft_batch,
@@ -31,7 +28,7 @@ from fbmlab.fbm import (
 )
 from fbmlab.harness import ExperimentPlan, level_decay_comparison, run_rate_experiment
 from fbmlab.integrals import indicator_measure
-from fbmlab.localtime import moment_oracle, sign_change_estimator
+from fbmlab.localtime import moment_oracle, sign_change_estimates
 
 pytestmark = pytest.mark.acceptance
 
@@ -118,9 +115,8 @@ def test_criterion_02_localtime_mean_oracle():
         for first in range(0, paths, chunk):
             count = min(chunk, paths - first)
             batch = sample_fft_batch(h, grid, 201, count, 1, first_replicate=first)
-            for r in range(count):
-                path = FbmPath(HurstIndex(h), grid, batch[r])
-                vals[first + r] = sign_change_estimator(path, 0.0, grid)
+            vals[first:first + count] = sign_change_estimates(
+                h, batch[:, 0], grid, 0.0, grid)
         oracle = moment_oracle(h, 1.0, 0.0, p=1)
         rel = abs(vals.mean() - oracle) / oracle
         se_rel = vals.std(ddof=1) / np.sqrt(paths) / oracle

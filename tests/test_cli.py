@@ -2,7 +2,6 @@
 
 import importlib.metadata
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -13,8 +12,8 @@ import numpy as np
 import pytest
 
 from fbmlab.cli import CliError, parse_and_dispatch, parse_config
-from fbmlab.fbm import FbmPath, GridSpec, HurstIndex, sample_fft_batch
-from fbmlab.localtime import binning_estimator, default_bin_width, sign_change_estimator
+from fbmlab.fbm import GridSpec, sample_fft_batch
+from fbmlab.localtime import binning_estimates, default_bin_width, sign_change_estimates
 
 
 def run(args, capsys=None):
@@ -116,9 +115,9 @@ def test_localtime_matches_per_path_loop(tmp_path, estimator):
     for a in levels:
         vals = np.empty(reps)
         for r in range(reps):
-            path = FbmPath(HurstIndex(h), grid, batch[r])
-            vals[r] = (sign_change_estimator(path, a, grid) if estimator == "sign"
-                       else binning_estimator(path, a, eps))
+            b = batch[r, 0]
+            vals[r] = (sign_change_estimates(h, b, grid, a, grid) if estimator == "sign"
+                       else binning_estimates(h, b, grid, a, eps))
         want.append((a, vals.mean(), vals.std(ddof=1) / np.sqrt(reps)))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -190,12 +189,14 @@ def test_rate_rejects_bad_pair(tmp_path, capsys, pair):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("extra", ["replicates = -5\n", "level = nan\n"])
+@pytest.mark.parametrize("extra", ["replicates = -5\n", "level = nan\n",
+                                   "fine_factor = -3\n", "n_values = 0,16,64\n"])
 def test_rate_rejects_bad_config_values(tmp_path, capsys, extra):
     rc = run(["rate", "--config", _rate_cfg(tmp_path, extra)])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+    assert extra.split("=")[0].strip() in captured.err  # names the config key
     assert captured.out == ""
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fbmlab.covariance import (
-    ConditioningError,
     IncrementPartition,
     IncrementWindows,
     build_increment_cov,

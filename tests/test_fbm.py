@@ -11,7 +11,6 @@ from fbmlab.fbm import (
     _embedding_amplitude,
     _fgn_from_normals,
     _partial_step_weights,
-    FbmPath,
     GridSpec,
     GridSizeError,
     HurstIndex,
@@ -19,9 +18,7 @@ from fbmlab.fbm import (
     fbm_covariance,
     fgn_autocovariance,
     path_to_csv,
-    sample_exact,
     sample_exact_batch,
-    sample_fft,
     sample_fft_batch,
     substream,
 )
@@ -282,28 +279,29 @@ def test_fft_partial_node_marginal_variance():
 
 def test_exact_cap_enforced():
     with pytest.raises(GridSizeError):
-        sample_exact(0.7, GridSpec(2.0, EXACT_NODE_CAP), 0)
+        sample_exact_batch(0.7, GridSpec(2.0, EXACT_NODE_CAP), 0, 1)
 
 
 def test_components_are_independent_streams():
     grid = GridSpec(1.0, 32)
-    path = sample_fft(0.7, grid, 42, components=2)
-    assert path.components == 2
-    assert not np.array_equal(path.values[0], path.values[1])
-    corr = np.corrcoef(np.diff(path.values[0]), np.diff(path.values[1]))
+    values = sample_fft_batch(0.7, grid, 42, 1, components=2)[0]
+    assert values.shape == (2, grid.num_nodes)
+    assert not np.array_equal(values[0], values[1])
+    corr = np.corrcoef(np.diff(values[0]), np.diff(values[1]))
     assert abs(corr[0, 1]) < 0.6  # single path, loose sanity bound
 
 
 def test_path_to_csv_roundtrip():
-    path = sample_fft(0.6, GridSpec(1.0, 4), 3, components=2)
+    grid = GridSpec(1.0, 4)
+    values = sample_fft_batch(0.6, grid, 3, 1, components=2)[0]
     buf = io.StringIO()
-    path_to_csv(path, buf)
+    path_to_csv(grid, values, buf)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "t,B1,B2"
-    assert len(lines) == path.grid.num_nodes + 1
+    assert len(lines) == grid.num_nodes + 1
     back = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
-    np.testing.assert_array_equal(back[:, 0], path.grid.nodes())
-    np.testing.assert_array_equal(back[:, 1:].T, path.values)
+    np.testing.assert_array_equal(back[:, 0], grid.nodes())
+    np.testing.assert_array_equal(back[:, 1:].T, values)
 
 
 def test_as_hurst_passthrough():

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fbmlab.fbm import FbmPath, GridSpec, HurstIndex, sample_fft_batch
+from fbmlab.fbm import GridSpec, sample_fft_batch
 from fbmlab.harness import (
     ExperimentPlan,
     PILOT_REPLICATES,
@@ -19,9 +19,9 @@ from fbmlab.harness import (
 )
 from fbmlab.integrals import (
     SignedMeasure,
+    crossing_sums,
     indicator_measure,
-    riemann_sum,
-    sign_change_error,
+    riemann_sums,
 )
 
 
@@ -38,6 +38,10 @@ def test_plan_validation():
         make_plan(hurst=0.5)  # rate results need H > 1/2
     with pytest.raises(PlanError):
         make_plan(n_values=(64, 32))
+    with pytest.raises(PlanError, match="n_values"):
+        make_plan(n_values=(0, 16, 64))
+    with pytest.raises(PlanError, match="fine_factor"):
+        make_plan(fine_factor=-3)
     with pytest.raises(PlanError):
         make_plan(n_values=(64, 128))  # under 2 octaves
     with pytest.raises(PlanError):
@@ -122,29 +126,32 @@ def test_auto_scaled_run_extends_the_pilot():
 
 
 def _per_path_errors(plan, first, count):
-    """The harness's errors through the public per-path functions."""
-    h = HurstIndex(plan.hurst)
+    """The harness's errors from per-row calls of the public batch kernels."""
     fine = GridSpec(plan.t, plan.fine_n, plan.t)
-    batch = sample_fft_batch(h, fine, plan.master_seed, count,
+    batch = sample_fft_batch(plan.hurst, fine, plan.master_seed, count,
                              plan.components, first_replicate=first)
     i, j = plan.component_pair
     atoms = plan.integrand.atoms
+
+    def sign_change(b, a, grid):
+        n = grid.points_per_unit
+        return n ** (2 * plan.hurst - 1) * crossing_sums(b, fine, a, grid)
+
     errs = np.empty((len(plan.n_values), count))
     for r in range(count):
-        path = FbmPath(h, fine, batch[r])
+        bi, bj = batch[r, i - 1], batch[r, j - 1]
         for gi, n in enumerate(plan.n_values):
             grid = GridSpec(plan.t, n, plan.t)
             if plan.reference_kind == "fine_sign_change":
                 errs[gi, r] = sum(
-                    2 * c * (sign_change_error(path, a, grid, i)
-                             - sign_change_error(path, a, fine, i))
+                    2 * c * (sign_change(bi, a, grid) - sign_change(bi, a, fine))
                     for a, c in atoms)
             else:
-                limit = sum(2 * c * sign_change_error(path, a, fine, i)
+                limit = sum(2 * c * sign_change(bi, a, fine)
                             for a, c in atoms) if i == j else 0.0
                 s_n = n ** (2 * plan.hurst - 1) * (
-                    riemann_sum(path, plan.integrand, (i, j), fine)
-                    - riemann_sum(path, plan.integrand, (i, j), grid))
+                    riemann_sums(bi, bj, fine, plan.integrand, fine)
+                    - riemann_sums(bi, bj, fine, plan.integrand, grid))
                 errs[gi, r] = s_n - limit
     return errs
 

@@ -1,5 +1,5 @@
-"""Every module of the package uses every name it imports and defines
-every name it exports."""
+"""Every module of the package and every test file uses every name it
+imports, and every module defines every name it exports."""
 
 import ast
 from pathlib import Path
@@ -45,10 +45,13 @@ def unused_imports(source: str) -> list:
 
 
 # __init__.py is left out: its imports are the package's re-exports
-@pytest.mark.parametrize(
-    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
+SOURCES = {p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+SOURCES.update({f"tests/{p.name}": p for p in Path(__file__).parent.glob("*.py")})
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
 def test_no_unused_imports(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+    assert unused_imports(SOURCES[module].read_text()) == []
 
 
 def undefined_exports(source: str) -> list:

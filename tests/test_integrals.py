@@ -3,15 +3,26 @@
 import numpy as np
 import pytest
 
-from fbmlab.fbm import FbmPath, GridSpec, HurstIndex, sample_fft
+from fbmlab.fbm import GridSpec, sample_fft_batch
 from fbmlab.integrals import (
     SignedMeasure,
     _coarse_view,
+    crossing_sums,
     eval_integrand,
     indicator_measure,
-    riemann_sum,
-    sign_change_error,
+    riemann_sums,
 )
+from fbmlab.localtime import binning_estimates, sign_change_estimates
+
+
+def _path(h, grid, seed):
+    """One sampled path on ``grid`` as a (nodes,) array."""
+    return sample_fft_batch(h, grid, seed, 1)[0, 0]
+
+
+def _scaled_crossings(h, values, fine, a, grid):
+    """n^{2H-1} crossing_sums: the closed-form S_n of 1_{x > a}."""
+    return grid.points_per_unit ** (2 * h - 1) * crossing_sums(values, fine, a, grid)
 
 
 def test_indicator_measure_evaluates_to_indicator():
@@ -35,64 +46,87 @@ def test_step_integrand_two_atoms():
 
 
 def test_constant_integrand_telescopes():
-    path = sample_fft(0.7, GridSpec(1.0, 64), 11)
+    fine = GridSpec(1.0, 64)
+    b = _path(0.7, fine, 11)
     f = SignedMeasure((), base_constant=2.0)
-    s = riemann_sum(path, f, (1, 1), GridSpec(1.0, 16))
-    assert s == pytest.approx(2.0 * path.values[0, -1], abs=1e-12)
+    s = riemann_sums(b, b, fine, f, GridSpec(1.0, 16))
+    assert s == pytest.approx(2.0 * b[-1], abs=1e-12)
 
 
 def test_riemann_sum_on_known_staircase():
     # deterministic path on 4 nodes; integrand 1_{x > 0}
     grid = GridSpec(1.0, 4)
-    vals = np.array([[0.0, 1.0, -1.0, 2.0, 0.5]])
-    path = FbmPath(HurstIndex(0.7), grid, vals)
+    b = np.array([0.0, 1.0, -1.0, 2.0, 0.5])
     f = indicator_measure(0.0)
     # left-point rule: f(0)*1 + f(1)*(-2) + f(-1)*3 + f(2)*(-1.5)
-    assert riemann_sum(path, f, (1, 1), grid) == pytest.approx(-3.5)
+    assert riemann_sums(b, b, grid, f, grid) == pytest.approx(-3.5)
 
 
 def test_sign_change_initial_step_counts():
     # B_0 = 0 with sgn(0) = -1: a first step to +0.8 crosses level 0
     grid = GridSpec(1.0, 2)
-    vals = np.array([[0.0, 0.8, 0.9]])
-    path = FbmPath(HurstIndex(0.75), grid, vals)
+    b = np.array([0.0, 0.8, 0.9])
     n, h = 2, 0.75
-    assert sign_change_error(path, 0.0, grid) == pytest.approx(
+    assert _scaled_crossings(h, b, grid, 0.0, grid) == pytest.approx(
         n ** (2 * h - 1) * 0.8)
 
 
 def test_sign_change_matches_riemann_identity():
     # exact algebraic identity: the S_n of an indicator equals the scaled
     # difference of Riemann sums between two dyadic resolutions
-    path = sample_fft(0.7, GridSpec(1.0, 512), 23)
-    f = indicator_measure(0.0)
     fine, coarse = GridSpec(1.0, 512), GridSpec(1.0, 64)
-    lhs = riemann_sum(path, f, (1, 1), fine) - riemann_sum(path, f, (1, 1), coarse)
+    b = _path(0.7, fine, 23)
+    f = indicator_measure(0.0)
+    lhs = riemann_sums(b, b, fine, f, fine) - riemann_sums(b, b, fine, f, coarse)
     rhs = (
-        64 ** (1 - 2 * 0.7) * sign_change_error(path, 0.0, coarse)
-        - 512 ** (1 - 2 * 0.7) * sign_change_error(path, 0.0, fine)
+        64 ** (1 - 2 * 0.7) * _scaled_crossings(0.7, b, fine, 0.0, coarse)
+        - 512 ** (1 - 2 * 0.7) * _scaled_crossings(0.7, b, fine, 0.0, fine)
     )
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_sign_change_nonzero_level_shift_invariance():
-    path = sample_fft(0.65, GridSpec(1.0, 128), 7)
-    grid = GridSpec(1.0, 32)
+    fine, grid = GridSpec(1.0, 128), GridSpec(1.0, 32)
+    b = _path(0.65, fine, 7)
     a = 0.4
-    shifted = FbmPath(path.hurst, path.grid, path.values - a)
-    assert sign_change_error(path, a, grid) == pytest.approx(
-        sign_change_error(shifted, 0.0, grid))
+    assert crossing_sums(b, fine, a, grid) == pytest.approx(
+        crossing_sums(b - a, fine, 0.0, grid))
 
 
 def test_clamped_terminal_step():
     # t = 0.3 on an n = 4 grid: one full step then the partial one
     grid = GridSpec(1.0, 4, 0.3)
-    vals = np.array([[0.0, -0.5, 0.2]])
-    path = FbmPath(HurstIndex(0.75), grid, vals)
+    b = np.array([0.0, -0.5, 0.2])
     # crossings: step 1 (0 -> -0.5) no (both "negative" under sgn(0) = -1),
     # step 2 (-0.5 -> 0.2) yes
-    assert sign_change_error(path, 0.0, grid) == pytest.approx(
+    assert _scaled_crossings(0.75, b, grid, 0.0, grid) == pytest.approx(
         4 ** 0.5 * 0.2)
+
+
+BATCH_FUNCTIONS = {
+    "crossing_sums": lambda v, fine, grid: crossing_sums(v, fine, 0.1, grid),
+    "riemann_sums": lambda v, fine, grid: riemann_sums(
+        v, v[..., ::-1], fine, indicator_measure(0.1), grid),
+    "sign_change_estimates": lambda v, fine, grid: sign_change_estimates(
+        0.75, v, fine, 0.1, grid),
+    "binning_estimates": lambda v, fine, grid: binning_estimates(
+        0.75, v, fine, 0.1, 0.5),
+}
+
+
+@pytest.mark.parametrize("t", [1.0, 0.83])
+@pytest.mark.parametrize("name", sorted(BATCH_FUNCTIONS))
+def test_single_path_is_a_batch_row(name, t):
+    # a (nodes,) path gives a 0-d result equal to its row of a batch call
+    fn = BATCH_FUNCTIONS[name]
+    fine, grid = GridSpec(1.0, 256, t), GridSpec(1.0, 32, t)
+    batch = sample_fft_batch(0.75, fine, 9, 6)[:, 0]
+    whole = fn(batch, fine, grid)
+    assert whole.shape == (6,)
+    for r in range(6):
+        row = fn(batch[r], fine, grid)
+        assert np.ndim(row) == 0
+        np.testing.assert_allclose(row, whole[r], rtol=1e-12, atol=0)
 
 
 def _coarse_values_fancy(values, fine, grid):

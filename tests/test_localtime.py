@@ -12,13 +12,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from fbmlab.fbm import FbmPath, GridSpec, HurstIndex, sample_fft, sample_fft_batch
+from fbmlab.fbm import GridSpec, sample_fft_batch
 from fbmlab.localtime import (
     ResolutionWarning,
-    binning_estimator,
+    binning_estimates,
     default_bin_width,
     moment_oracle,
-    sign_change_estimator,
+    sign_change_estimates,
 )
 
 # independently computed E[L_1(a)] values (raw-coordinate adaptive quadrature)
@@ -117,32 +117,33 @@ def test_moment_oracle_validation():
 
 def test_binning_estimator_on_known_path():
     grid = GridSpec(1.0, 4)
-    vals = np.array([[0.0, 0.05, 0.5, -0.02, 0.3]])
-    path = FbmPath(HurstIndex(0.75), grid, vals)
+    b = np.array([0.0, 0.05, 0.5, -0.02, 0.3])
     # nodes 0, .05, .5, -.02 are the left values; |b| <= 0.1 at 3 of 4
     # (eps is far below the coarse grid's resolution, hence the warning)
     with pytest.warns(ResolutionWarning):
-        est = binning_estimator(path, 0.0, eps=0.1)
+        est = binning_estimates(0.75, b, grid, 0.0, eps=0.1)
     assert est == pytest.approx((0.25 * 3) / 0.2)
 
 
 def test_binning_warns_below_resolution():
-    path = sample_fft(0.75, GridSpec(1.0, 256), 1)
+    grid = GridSpec(1.0, 256)
+    b = sample_fft_batch(0.75, grid, 1, 1)[0, 0]
     with pytest.warns(ResolutionWarning):
-        binning_estimator(path, 0.0, eps=1e-4)
+        binning_estimates(0.75, b, grid, 0.0, eps=1e-4)
 
 
 def test_binning_rejects_nonpositive_eps():
-    path = sample_fft(0.75, GridSpec(1.0, 16), 0)
+    grid = GridSpec(1.0, 16)
+    b = sample_fft_batch(0.75, grid, 0, 1)[0, 0]
     with pytest.raises(ValueError):
-        binning_estimator(path, 0.0, eps=0.0)
+        binning_estimates(0.75, b, grid, 0.0, eps=0.0)
 
 
 def test_sign_change_estimator_requires_rough_regime():
-    path = sample_fft(0.5, GridSpec(1.0, 16), 0)
     grid = GridSpec(1.0, 16)
+    b = sample_fft_batch(0.5, grid, 0, 1)[0, 0]
     with pytest.raises(ValueError):
-        sign_change_estimator(path, 0.0, grid)
+        sign_change_estimates(0.5, b, grid, 0.0, grid)
 
 
 def _crossing_mean_quad(h, s, e):
@@ -166,10 +167,9 @@ def _crossing_mean_quad(h, s, e):
 def _single_crossing_weight(h, grid, step):
     """w_step read off the estimator on a path that crosses 0 only on that
     step and lands at distance 1 from it."""
-    vals = np.where(np.arange(grid.num_nodes) > step, 1.0, -1.0)[None, :]
-    path = FbmPath(HurstIndex(h), grid, vals)
+    b = np.where(np.arange(grid.num_nodes) > step, 1.0, -1.0)
     n = grid.points_per_unit
-    return sign_change_estimator(path, 0.0, grid) / (2 * n ** (2 * h - 1))
+    return sign_change_estimates(h, b, grid, 0.0, grid) / (2 * n ** (2 * h - 1))
 
 
 @pytest.mark.parametrize("h", [0.6, 0.75, 0.9])
@@ -199,9 +199,8 @@ def test_partial_step_weight_makes_step_mean_exact():
 def test_sign_change_estimator_is_nonnegative():
     h, n, reps = 0.75, 1024, 300
     grid = GridSpec(1.0, n)
-    batch = sample_fft_batch(h, grid, 77, reps)
-    vals = [sign_change_estimator(FbmPath(HurstIndex(h), grid, batch[r]), a, coarse)
-            for r in range(reps)
+    batch = sample_fft_batch(h, grid, 77, reps)[:, 0]
+    vals = [sign_change_estimates(h, batch, grid, a, coarse).min()
             for a in (-0.5, 0.0, 0.5, 1.0)
             for coarse in (grid, GridSpec(1.0, 64))]
     assert min(vals) >= 0
@@ -214,14 +213,9 @@ def test_estimators_agree_in_the_mean():
     # weighted crossing estimator is exact in the mean at a = 0
     h, n, reps = 0.75, 1024, 300
     grid = GridSpec(1.0, n)
-    batch = sample_fft_batch(h, grid, 77, reps)
-    sign_vals = np.empty(reps)
-    bin_vals = np.empty(reps)
-    eps = default_bin_width(h, n)
-    for r in range(reps):
-        path = FbmPath(HurstIndex(h), grid, batch[r])
-        sign_vals[r] = sign_change_estimator(path, 0.0, grid)
-        bin_vals[r] = binning_estimator(path, 0.0, eps)
+    batch = sample_fft_batch(h, grid, 77, reps)[:, 0]
+    sign_vals = sign_change_estimates(h, batch, grid, 0.0, grid)
+    bin_vals = binning_estimates(h, batch, grid, 0.0, default_bin_width(h, n))
     se = np.sqrt(sign_vals.var() / reps + bin_vals.var() / reps)
     assert abs(sign_vals.mean() - bin_vals.mean()) < 3 * se + 0.1
 
