@@ -6,11 +6,16 @@ returning an array of shape (replicates, components, nodes):
 * :func:`sample_exact_batch` -- Cholesky factorisation of the grid
   covariance, O(N^3), capped at ``EXACT_NODE_CAP`` nodes.
 * :func:`sample_fft_batch` -- circulant embedding of the stationary
-  increment process (Davies-Harte), O(N log N).
+  increment process (Davies-Harte), O(N log N).  It synthesises the batch
+  in blocks of rows of at most ``BLOCK_VALUES`` values, reusing three
+  block buffers (normals, half spectrum, transform output), so its memory
+  is the output plus a few MB whatever the batch size.
 
 Both are deterministic given ``(seed, replicate, component)``; substreams
 are derived with :func:`substream` so results do not depend on execution
-order.  One path is row ``[0]`` of a batch of one.
+order.  Every row is computed on its own, so a path is bit-identical
+whatever batch or block it is drawn in; one path is row ``[0]`` of a batch
+of one.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ __all__ = [
 ]
 
 EXACT_NODE_CAP = 4096
+
+# values per row block of the FFT sampler and the Riemann kernel: a block's
+# float64 buffers (2 MB each) stay within a 4 MB L2 cache
+BLOCK_VALUES = 2**18
 
 # grid arithmetic tolerance for deciding whether n * t_end is an integer
 _GRID_EPS = 1e-9
@@ -145,6 +154,13 @@ def fgn_autocovariance(h, lags, dt: float = 1.0) -> np.ndarray:
     return gamma * dt**two_h
 
 
+def row_blocks(rows: int, row_len: int):
+    """Consecutive slices covering ``range(rows)``, each of as many rows of
+    ``row_len`` values as fit in ``BLOCK_VALUES`` (at least one row)."""
+    step = max(1, BLOCK_VALUES // max(row_len, 1))
+    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+
+
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent substream keyed by (master_seed, *key).
 
@@ -238,21 +254,29 @@ def _embedding_amplitude(h_value: float, n_increments: int) -> np.ndarray:
     return amp
 
 
-def _fgn_from_normals(amp: np.ndarray, zeta: np.ndarray, n_incr: int) -> np.ndarray:
-    """Map iid standard normals (batch, m) to fGn (batch, n_incr): modes 0 and
-    m/2 are real, mode j in (0, m/2) is zeta[j] + i zeta[m/2 + j], and the
-    real inverse transform implies the conjugate modes m - j."""
+def _fgn_from_normals(amp: np.ndarray, zeta: np.ndarray, spec: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+    """Map one block of iid standard normals ``zeta`` (rows, m) to unit-lag
+    fGn in ``out`` (rows, m); the first n_incr columns of a row are its
+    increments.  ``spec`` (rows, m/2 + 1) is the complex half-spectrum
+    buffer: modes 0 and m/2 are real, mode j in (0, m/2) is
+    zeta[j] + i zeta[m/2 + j], and the real inverse transform implies the
+    conjugate modes m - j.  Returns ``out``."""
     half = amp.shape[0] - 1
-    z = np.zeros(zeta.shape[:-1] + (half + 1,), dtype=complex)
-    z.real = zeta[..., : half + 1]
-    z.imag[..., 1:half] = zeta[..., half + 1 :]
-    z *= amp
-    return np.fft.irfft(z, n=2 * half, axis=-1)[..., :n_incr]
+    spec.real = zeta[..., : half + 1]
+    spec.imag[..., 0] = 0.0
+    spec.imag[..., half] = 0.0
+    spec.imag[..., 1:half] = zeta[..., half + 1 :]
+    spec *= amp
+    return np.fft.irfft(spec, n=2 * half, axis=-1, out=out)
 
 
+@lru_cache(maxsize=32)
 def _partial_step_weights(h: HurstIndex, grid: GridSpec):
     """Conditional law of the terminal partial increment given the uniform
-    increments: returns (w, cond_std) with mean = increments @ w."""
+    increments: returns (w, cond_std) with mean = increments @ w.  The
+    Toeplitz solve is O(k^2), so results are cached; ``w`` is read-only
+    (shared)."""
     n = grid.points_per_unit
     k = grid.full_steps
     tail = grid.t_end - k / n
@@ -268,6 +292,7 @@ def _partial_step_weights(h: HurstIndex, grid: GridSpec):
         + fbm_covariance(h, k / n, ks - 1.0 / n)
     )
     w = solve_toeplitz(gamma, c)
+    w.flags.writeable = False
     cond_var = tail ** (2 * h.value) - float(c @ w)
     return w, np.sqrt(max(cond_var, 0.0))
 
@@ -301,19 +326,28 @@ def sample_fft_batch(
     amp = _embedding_amplitude(h.value, k) * n ** (-h.value)
     if partial:
         w, cond_std = _partial_step_weights(h, grid)
-    zeta = np.empty((count, 2 * (amp.shape[0] - 1)))
-    extra = np.empty(count)
+    m = 2 * (amp.shape[0] - 1)
+    blocks = row_blocks(count, m)
+    rows = blocks[0].stop if blocks else 0
+    zeta = np.empty((rows, m))
+    spec = np.empty((rows, m // 2 + 1), dtype=complex)
+    incr = np.empty((rows, m))
+    extra = np.empty(rows)
     for c in range(components):
-        for r in range(count):
-            rng = substream(master_seed, first_replicate + r, c)
-            rng.standard_normal(out=zeta[r])
+        for blk in blocks:
+            nb = blk.stop - blk.start
+            for r in range(nb):
+                rng = substream(master_seed, first_replicate + blk.start + r, c)
+                rng.standard_normal(out=zeta[r])
+                if partial:
+                    extra[r] = rng.standard_normal()
+            fgn = _fgn_from_normals(amp, zeta[:nb], spec[:nb], incr[:nb])[:, :k]
+            dest = out[blk, c]
+            np.cumsum(fgn, axis=-1, out=dest[:, 1 : k + 1])
             if partial:
-                extra[r] = rng.standard_normal()
-        incr = _fgn_from_normals(amp, zeta, k)
-        np.cumsum(incr, axis=-1, out=out[:, c, 1 : k + 1])
-        if partial:
-            out[:, c, k + 1] = out[:, c, k] + (incr @ w + cond_std * extra)
-        del incr  # release the (count, m) transform before the next is made
+                # one dot product per row: no result depends on the block
+                mean = np.vecdot(fgn, w)
+                dest[:, k + 1] = dest[:, k] + (mean + cond_std * extra[:nb])
     return out
 
 

@@ -87,11 +87,14 @@ class ExperimentPlan:
         as_hurst(self.hurst).require_rough_regime()
         ns = tuple(int(n) for n in self.n_values)
         object.__setattr__(self, "n_values", ns)
+        if len(ns) < 3:
+            raise PlanError(f"n_values needs at least 3 values for a rate "
+                            f"fit, got {ns}")
         if any(n < 1 for n in ns):
             raise PlanError(f"n_values must all be >= 1, got {ns}")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise PlanError("n values must be strictly increasing")
-        if ns and ns[-1] < 4 * ns[0]:
+        if ns[-1] < 4 * ns[0]:
             raise PlanError("n values must span at least 2 octaves")
         if self.reference_kind not in ("fine_sign_change", "fine_riemann"):
             raise PlanError(f"unknown reference kind {self.reference_kind!r}")
@@ -101,8 +104,9 @@ class ExperimentPlan:
                             "from {1, 2}")
         if self.reference_kind == "fine_sign_change" and pair[0] != pair[1]:
             raise PlanError("sign-change references need equal components")
-        if self.replicates < 0:
-            raise PlanError("replicates must be >= 0 (0 = auto-scale)")
+        if self.replicates < 0 or self.replicates == 1:
+            raise PlanError("replicates must be 0 (auto-scale) or >= 2 (the "
+                            f"stderr needs two), got {self.replicates}")
         if self.fine_factor < 0:
             raise PlanError("fine_factor must be >= 0 (0 = default for the "
                             "reference kind)")

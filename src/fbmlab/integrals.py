@@ -10,7 +10,9 @@ is the central object; for indicator integrands and a single component it
 has a closed form as a sum of |B - a| over grid steps that cross the level.
 The kernels take arrays of shape (..., nodes), so one call covers a whole
 batch of replicates; a single path is a (nodes,) array and gives a 0-d
-result.
+result.  The Riemann kernel works through the rows in blocks of at most
+``fbm.BLOCK_VALUES`` coarse values, so its temporaries are a few MB
+whatever the batch size.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import GridSpec
+from .fbm import GridSpec, row_blocks
 
 __all__ = [
     "SignedMeasure",
@@ -85,9 +87,15 @@ def riemann_sums(bi: np.ndarray, bj: np.ndarray, fine: GridSpec,
 
     The final increment is clamped at t_end via the grid's terminal node.
     """
-    bi = _coarse_view(bi, fine, grid)
-    bj = _coarse_view(bj, fine, grid)
-    return np.vecdot(eval_integrand(f, bi[..., :-1]), np.diff(bj, axis=-1))
+    rows_shape = bi.shape[:-1]
+    bi = bi.reshape(-1, bi.shape[-1])
+    bj = bj.reshape(-1, bj.shape[-1])
+    out = np.empty(bi.shape[0])
+    for blk in row_blocks(bi.shape[0], grid.num_nodes):
+        xi = _coarse_view(bi[blk], fine, grid)
+        xj = _coarse_view(bj[blk], fine, grid)
+        out[blk] = np.vecdot(eval_integrand(f, xi[:, :-1]), np.diff(xj, axis=-1))
+    return out.reshape(rows_shape)[()]
 
 
 def crossing_sums(values: np.ndarray, fine: GridSpec, a: float, grid: GridSpec,

@@ -190,7 +190,8 @@ def test_rate_rejects_bad_pair(tmp_path, capsys, pair):
 
 
 @pytest.mark.parametrize("extra", ["replicates = -5\n", "level = nan\n",
-                                   "fine_factor = -3\n", "n_values = 0,16,64\n"])
+                                   "fine_factor = -3\n", "n_values = 0,16,64\n",
+                                   "n_values = 16,64\n", "replicates = 1\n"])
 def test_rate_rejects_bad_config_values(tmp_path, capsys, extra):
     rc = run(["rate", "--config", _rate_cfg(tmp_path, extra)])
     assert rc == 1

@@ -1,12 +1,14 @@
 """Unit tests for path generation: covariance formulas, grids, samplers."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fbmlab.fbm import (
+    BLOCK_VALUES,
     EXACT_NODE_CAP,
     _embedding_amplitude,
     _fgn_from_normals,
@@ -147,11 +149,17 @@ def test_substream_reproducible_and_distinct():
 
 
 def test_batch_equals_concatenated_singles():
-    grid = GridSpec(1.0, 16)
-    batch = sample_fft_batch(0.7, grid, 5, 3)
-    for r in range(3):
-        single = sample_fft_batch(0.7, grid, 5, 1, first_replicate=r)
-        np.testing.assert_array_equal(batch[r], single[0])
+    # the second grid embeds in m = 2^17, so a synthesis block holds two
+    # rows: three replicates span a two-row and a one-row block, and the
+    # partial step (t = 0.83) is drawn in both
+    assert BLOCK_VALUES // 2**17 == 2
+    for grid, components in ((GridSpec(1.0, 16), 1),
+                             (GridSpec(1.0, 2**16, 0.83), 2)):
+        batch = sample_fft_batch(0.7, grid, 5, 3, components)
+        for r in range(3):
+            single = sample_fft_batch(0.7, grid, 5, 1, components,
+                                      first_replicate=r)
+            np.testing.assert_array_equal(batch[r], single[0])
 
 
 def test_exact_batch_offset_contract():
@@ -207,8 +215,10 @@ def test_half_spectrum_synthesis_matches_complex_ifft(h, n_incr, m):
     amp = _embedding_amplitude(h, n_incr)
     assert amp.shape == (m // 2 + 1,)
     zeta = substream(11, m).standard_normal((4, m))
-    _assert_close_rel(_fgn_from_normals(amp, zeta, n_incr),
-                      _reference_fgn(h, zeta, n_incr))
+    # stale buffer contents must not leak into the transform
+    spec = np.full((4, m // 2 + 1), complex(np.nan, np.nan))
+    got = _fgn_from_normals(amp, zeta, spec, np.full((4, m), np.nan))
+    _assert_close_rel(got[:, :n_incr], _reference_fgn(h, zeta, n_incr))
 
 
 def test_fft_batch_matches_complex_ifft_on_partial_grid():
@@ -217,6 +227,7 @@ def test_fft_batch_matches_complex_ifft_on_partial_grid():
     k = grid.full_steps
     m = 32  # smallest power of two >= 2k for k = 13
     w, cond_std = _partial_step_weights(as_hurst(h), grid)
+    assert not w.flags.writeable  # cached and shared between calls
     want = np.zeros((3, 2, grid.num_nodes))
     for r in range(3):
         for c in range(2):
@@ -275,6 +286,20 @@ def test_fft_partial_node_marginal_variance():
     cov = np.mean(last * prev)
     want = fbm_covariance(0.7, 0.25, 0.3)
     assert abs(cov - want) < 5 * np.sqrt(2.0 / 8000)
+
+
+def test_fft_sampler_memory_is_output_plus_block_buffers():
+    # 32 x 2 paths of 131073 nodes (m = 2^18): beyond its output the sampler
+    # holds block buffers only, never a (count, m) temporary
+    grid = GridSpec(1.0, 2**17)
+    sample_fft_batch(0.75, grid, 1, 1)  # fill the embedding cache untraced
+    tracemalloc.start()
+    try:
+        out = sample_fft_batch(0.75, grid, 1, 32, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 16 * 2**20
 
 
 def test_exact_cap_enforced():

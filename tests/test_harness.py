@@ -43,7 +43,10 @@ def test_plan_validation():
     with pytest.raises(PlanError, match="fine_factor"):
         make_plan(fine_factor=-3)
     with pytest.raises(PlanError):
-        make_plan(n_values=(64, 128))  # under 2 octaves
+        make_plan(n_values=(16, 32, 48))  # under 2 octaves
+    for ns in ((), (16,), (16, 64)):  # a rate fit needs three points
+        with pytest.raises(PlanError, match="n_values"):
+            make_plan(n_values=ns)
     with pytest.raises(PlanError):
         make_plan(reference_kind="bogus")
     with pytest.raises(PlanError):
@@ -53,6 +56,8 @@ def test_plan_validation():
             make_plan(component_pair=pair, reference_kind="fine_riemann")
     with pytest.raises(PlanError):
         make_plan(replicates=-5)  # 0 means auto-scale; below 0 is an error
+    with pytest.raises(PlanError, match="replicates"):
+        make_plan(replicates=1)  # no stderr from one replicate
 
 
 def test_plan_samples_the_highest_named_component():

@@ -1,5 +1,7 @@
 """Riemann sums, signed derivative measures and the crossing closed form."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,16 @@ def test_single_path_is_a_batch_row(name, t):
         row = fn(batch[r], fine, grid)
         assert np.ndim(row) == 0
         np.testing.assert_allclose(row, whole[r], rtol=1e-12, atol=0)
+    if name == "riemann_sums":
+        # rows of >= 2^18 fine nodes: the kernel's blocks hold one row on the
+        # fine grid and four on n = 2^16 (a four-row and a two-row block)
+        fine = GridSpec(1.0, 2**19, t)
+        walk = np.cumsum(np.random.default_rng(3).standard_normal(
+            (6, fine.num_nodes)), axis=-1) * 2.0**-9.5
+        for grid in (fine, GridSpec(1.0, 2**16, t), GridSpec(1.0, 32, t)):
+            whole = fn(walk, fine, grid)
+            rows = [fn(walk[r], fine, grid) for r in range(6)]
+            np.testing.assert_array_equal(rows, whole)
 
 
 def _coarse_values_fancy(values, fine, grid):
@@ -150,3 +162,19 @@ def test_coarse_view_matches_fancy_index(t):
         got = _coarse_view(values, fine, grid)
         assert got.shape == (3, 2, grid.num_nodes)
         np.testing.assert_array_equal(got, _coarse_values_fancy(values, fine, grid))
+
+
+def test_riemann_sums_memory_is_block_sized():
+    # 32 x 2 paths of 131073 nodes: temporaries are block-sized, never a
+    # (replicates, nodes) array
+    fine = GridSpec(1.0, 2**17)
+    batch = sample_fft_batch(0.75, fine, 1, 32, 2)
+    tracemalloc.start()
+    try:
+        for grid in (fine, GridSpec(1.0, 512)):
+            riemann_sums(batch[:, 0], batch[:, 1], fine, indicator_measure(0.0),
+                         grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
