@@ -18,10 +18,10 @@ that makes the comparison valid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from .covariance import (
     IncrementPartition,
@@ -92,14 +92,15 @@ def _step2_eval(z, eps):
 
 def _step2_inner(thetas, eps):
     # E[((X^2 - eps^2)+)/2] for X ~ N(0, theta^2): the y-integrals of the
-    # level-crossing kernel given the small increment, in closed form
+    # level-crossing kernel given the small increment, in closed form with
+    # the normal tail P(Z > c) = erfc(c / sqrt 2) / 2 and density phi(c)
     theta = thetas[0]
     if theta == 0:
         return 0.0
     c = eps / theta
-    return float(
-        (theta**2 - eps**2) * norm.sf(c) + theta**2 * c * norm.pdf(c)
-    )
+    tail = 0.5 * math.erfc(c / math.sqrt(2.0))
+    density = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
+    return float((theta**2 - eps**2) * tail + theta**2 * c * density)
 
 
 def catalog() -> dict:

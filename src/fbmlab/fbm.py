@@ -15,7 +15,8 @@ Both are deterministic given ``(seed, replicate, component)``; substreams
 are derived with :func:`substream` so results do not depend on execution
 order.  Every row is computed on its own, so a path is bit-identical
 whatever batch or block it is drawn in; one path is row ``[0]`` of a batch
-of one.
+of one.  The partial step's conditional mean is a pairwise sum per row, not
+a BLAS dot product, so paths do not depend on the BLAS thread count either.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
 
 __all__ = [
     "HurstIndex",
@@ -276,7 +276,10 @@ def _partial_step_weights(h: HurstIndex, grid: GridSpec):
     """Conditional law of the terminal partial increment given the uniform
     increments: returns (w, cond_std) with mean = increments @ w.  The
     Toeplitz solve is O(k^2), so results are cached; ``w`` is read-only
-    (shared)."""
+    (shared).  Only grids whose t_end is off the grid reach this, so scipy
+    is imported here rather than with the module."""
+    from scipy.linalg import solve_toeplitz
+
     n = grid.points_per_unit
     k = grid.full_steps
     tail = grid.t_end - k / n
@@ -293,7 +296,7 @@ def _partial_step_weights(h: HurstIndex, grid: GridSpec):
     )
     w = solve_toeplitz(gamma, c)
     w.flags.writeable = False
-    cond_var = tail ** (2 * h.value) - float(c @ w)
+    cond_var = tail ** (2 * h.value) - float((c * w).sum())
     return w, np.sqrt(max(cond_var, 0.0))
 
 
@@ -345,8 +348,9 @@ def sample_fft_batch(
             dest = out[blk, c]
             np.cumsum(fgn, axis=-1, out=dest[:, 1 : k + 1])
             if partial:
-                # one dot product per row: no result depends on the block
-                mean = np.vecdot(fgn, w)
+                # one pairwise sum per row, so no result depends on the block,
+                # and no BLAS dot, whose threads would split a long row
+                mean = (fgn * w).sum(axis=-1)
                 dest[:, k + 1] = dest[:, k] + (mean + cond_std * extra[:nb])
     return out
 

@@ -94,7 +94,11 @@ def riemann_sums(bi: np.ndarray, bj: np.ndarray, fine: GridSpec,
     for blk in row_blocks(bi.shape[0], grid.num_nodes):
         xi = _coarse_view(bi[blk], fine, grid)
         xj = _coarse_view(bj[blk], fine, grid)
-        out[blk] = np.vecdot(eval_integrand(f, xi[:, :-1]), np.diff(xj, axis=-1))
+        terms = eval_integrand(f, xi[:, :-1])
+        terms *= np.diff(xj, axis=-1)
+        # one pairwise sum per row, so no result depends on the block, and no
+        # BLAS dot, whose threads would split a long row
+        out[blk] = terms.sum(axis=-1)
     return out.reshape(rows_shape)[()]
 
 

@@ -21,7 +21,6 @@ import functools
 import warnings
 
 import numpy as np
-from scipy.integrate import quad
 
 from .fbm import GridSpec, as_hurst
 from .integrals import crossing_sums
@@ -139,9 +138,11 @@ def moment_oracle(h, t: float, a: float, p: int = 1) -> float:
 
     The substitution u = r^{1/(1-H)} (per time variable) removes the
     u^{-H} endpoint singularity, leaving a bounded integrand.  p = 1 uses
-    adaptive quadrature; p = 2 the graded Gauss-Legendre rule of
-    ``_second_moment``.  Raises RuntimeError when the achieved relative
-    tolerance exceeds 1e-6 or the result is not finite.
+    adaptive quadrature (``scipy.integrate.quad``, imported on the first
+    such call at a != 0, so that importing fbmlab loads numpy only); p = 2
+    the graded Gauss-Legendre rule of ``_second_moment``, which needs numpy
+    alone.  Raises RuntimeError when the achieved relative tolerance
+    exceeds 1e-6 or the result is not finite.
     """
     h = as_hurst(h)
     hv = h.value
@@ -154,9 +155,13 @@ def moment_oracle(h, t: float, a: float, p: int = 1) -> float:
         if a == 0:
             return t**one_mh / (one_mh * np.sqrt(2 * np.pi))
 
+        from scipy.integrate import quad
+
         def f1(w):
-            u = w ** (1.0 / one_mh)
-            return np.exp(-a * a / (2 * u ** (2 * hv)))
+            u2h = (w ** (1.0 / one_mh)) ** (2 * hv)
+            # near H = 1, u^{2H} underflows to 0 at small w, where the
+            # integrand's limit is exp(-inf) = 0
+            return np.exp(-a * a / (2 * u2h)) if u2h > 0 else 0.0
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", category=Warning)

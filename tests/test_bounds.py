@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from fbmlab.bounds import (
     DecouplingExperiment,
+    _step2_inner,
     catalog,
     decoupling_scaling,
     density_shift_integral,
@@ -40,6 +42,25 @@ def test_experiment_validation():
         DecouplingExperiment("step2", 0.4, 0.1)
     with pytest.raises(ValueError):
         DecouplingExperiment("step2", 0.75, 0.1, mc_samples=10)
+
+
+def test_step2_inner_matches_scipy_normal_tail():
+    # (theta^2 - eps^2) P(Z > c) + theta^2 c phi(c), c = eps / theta, with the
+    # tail and density from scipy.  The two terms cancel to about 2/c^2 of
+    # their size at large c, so the gap is bounded relative to the terms.  On
+    # c <= 5 (criterion 09 at H = 0.75, h >= 2^-6) it is also bounded
+    # relative to the value; the CLI's default h = 2^-9 reaches c = 21, where
+    # the two forms differ by 2e-11 of the value and both miss it by 1e-11.
+    for theta in np.geomspace(1e-2, 10.0, 13):
+        for c in np.geomspace(1e-3, 30.0, 61):
+            eps = c * theta
+            terms = [(theta**2 - eps**2) * norm.sf(c), theta**2 * c * norm.pdf(c)]
+            want = sum(terms)
+            gap = abs(_step2_inner([theta], eps) - want)
+            assert gap <= 1e-13 * (abs(terms[0]) + abs(terms[1])), (theta, c)
+            if c <= 5.0:
+                assert gap <= 1e-13 * want, (theta, c)
+    assert _step2_inner([0.0], 0.1) == 0.0
 
 
 def test_true_expectation_common_random_numbers():

@@ -248,6 +248,11 @@ def test_oracle_values(capsys):
     assert rc == 0
     want = 1.0 / (0.4 * np.sqrt(2 * np.pi))
     assert float(capsys.readouterr().out) == pytest.approx(want)
+    # near H = 1, where the p = 1 integrand's inner power underflows
+    rc = run(["oracle", "--lemma", "moments", "--H", "0.99", "--a", "0.5"])
+    assert rc == 0
+    assert float(capsys.readouterr().out) == pytest.approx(0.3252454394294698,
+                                                          rel=1e-10)
 
 
 def test_oracle_second_moment_converges_at_high_hurst(capsys):

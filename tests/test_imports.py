@@ -1,7 +1,11 @@
 """Every module of the package and every test file uses every name it
-imports, and every module defines every name it exports."""
+imports, every module defines every name it exports, and the package's
+numpy-only paths never import scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,3 +90,31 @@ def test_undefined_export_is_reported():
 def test_unused_import_is_reported():
     source = "from .fbm import GridSpec, as_hurst\n__all__ = ['f']\ndef f(g: 'GridSpec'):\n    pass\n"
     assert unused_imports(source) == ["as_hurst (line 1)"]
+
+
+# Runs in a fresh interpreter: imports the package and runs an on-grid rate
+# experiment, the exact sampler and two CLI commands, none of which needs scipy.
+_NUMPY_ONLY_SCRIPT = """
+import sys
+import fbmlab, fbmlab.bounds, fbmlab.cli
+from fbmlab import ExperimentPlan, GridSpec, indicator_measure, run_rate_experiment
+from fbmlab import sample_exact_batch
+
+plan = ExperimentPlan(0.75, (8, 16, 32), indicator_measure(0.0), replicates=8,
+                      master_seed=1)
+run_rate_experiment(plan, threads=2)
+sample_exact_batch(0.75, GridSpec(1.0, 16), 1, 4, 2)
+for argv in (["simulate", "--H", "0.75", "--n", "64"],
+             ["verify-bounds", "--suite", "cov", "--samples", "1000"]):
+    assert fbmlab.cli.parse_and_dispatch(["--quiet", "--output-dir", sys.argv[1]] + argv) == 0
+print(",".join(m for m in ("scipy.linalg", "scipy.integrate", "scipy.stats",
+                           "scipy.special") if m in sys.modules))
+"""
+
+
+def test_numpy_only_paths_do_not_import_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

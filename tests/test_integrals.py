@@ -1,6 +1,10 @@
 """Riemann sums, signed derivative measures and the crossing closed form."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,3 +182,34 @@ def test_riemann_sums_memory_is_block_sized():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+# rows of 2^15 values and more, which a multi-threaded BLAS dot splits across
+# its threads and so rounds differently; at H = 0.1 the partial step's
+# conditional mean is large enough to show in the path's last node
+_ROW_DOTS_SCRIPT = """
+import hashlib
+import numpy as np
+from fbmlab.fbm import GridSpec, sample_fft_batch
+from fbmlab.integrals import indicator_measure, riemann_sums
+
+fine = GridSpec(1.0, 2**17)
+walk = np.cumsum(np.random.default_rng(5).standard_normal((4, 2, fine.num_nodes)),
+                 axis=-1) * 2.0**-8.5
+sums = riemann_sums(walk[:, 0], walk[:, 1], fine, indicator_measure(0.0), fine)
+paths = sample_fft_batch(0.1, GridSpec(2.0, 2**15, 1 + 2**-16), 3, 3)
+print(hashlib.sha256(sums.tobytes()).hexdigest(),
+      hashlib.sha256(paths.tobytes()).hexdigest())
+"""
+
+
+def test_row_dot_products_do_not_depend_on_blas_threads():
+    src = Path(__file__).resolve().parents[1] / "src"
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _ROW_DOTS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert digests[0] == digests[1]

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma, gammaincc
 from scipy.stats import norm
 
 from fbmlab.fbm import GridSpec, sample_fft_batch
@@ -48,6 +49,26 @@ def test_first_moment_nonzero_level(key):
     h, a = key
     assert moment_oracle(h, 1.0, a, p=1) == pytest.approx(
         FIRST_MOMENT_REFERENCE[key], rel=1e-8)
+
+
+def _first_moment_closed_form(h, t, a):
+    """E[L_t(a)] = C Gamma(s, x) for a != 0, with s = (H-1)/(2H) < 0 and
+    x = a^2 / (2 t^{2H}); the upper incomplete gamma at negative s comes
+    from Gamma(s+1, x) = s Gamma(s, x) + x^s e^{-x}."""
+    s = (h - 1) / (2 * h)
+    x = a * a / (2 * t ** (2 * h))
+    c = (np.sqrt(2) / abs(a)) * (a * a / 2) ** (1 / (2 * h)) / (2 * h * np.sqrt(2 * np.pi))
+    return c * (gamma(s + 1) * gammaincc(s + 1, x) - x**s * np.exp(-x)) / s
+
+
+# near H = 1 the substituted variable u = w^{1/(1-H)} underflows to 0 at small
+# w, where the integrand's limit is exp(-inf) = 0
+@pytest.mark.parametrize("a", [0.5, 1.0, -2.0])
+@pytest.mark.parametrize("t", [1.0, 0.83])
+@pytest.mark.parametrize("h", [0.98, 0.99])
+def test_first_moment_near_one_matches_incomplete_gamma(h, t, a):
+    assert moment_oracle(h, t, a, p=1) == pytest.approx(
+        _first_moment_closed_form(h, t, a), rel=1e-10)
 
 
 def test_second_moment_brownian_unit():
