@@ -1,40 +1,35 @@
 """Desk-scale verification of the decoupling estimate and Gaussian
 integral identities behind the discretisation-error rate.
 
-The central object is a comparison between
+The central object is a comparison, for the level-crossing functional
+F(x) = |x_1| 1{sgn x_0 != sgn x_1, |x_1| > eps, |x_2| <= eps} / (2 eps)
+at the times (0, 0.5, 0.5 + 0.4h, 0.9 + 0.4h), between
 
-* the true expectation E[F(B_{t_1} - a, ..., B_{t_{p+q}} - a)] over exact
-  joint fBm samples, and
-* a decoupled surrogate in which the small increments (indices J) are
-  replaced by independent Gaussians and the large increments enter only
-  through the merged-window covariance Sigma'; the surrogate equals a
-  Gaussian point-density prefactor times a closed-form inner integral.
+* the true expectation E[F(B_{t_1} - a, B_{t_2} - a, B_{t_3} - a)] over
+  exact joint fBm samples, and
+* a decoupled surrogate in which the small middle increment is replaced
+  by an independent Gaussian and the two large increments enter only
+  through the merged-increment covariance Sigma' of (0, 0.5, 0.9 + 0.4h);
+  the surrogate equals a Gaussian point-density prefactor times a
+  closed-form inner integral.
 
 The discrepancy between the two shrinks like h^{2-2H} as the small/large
 increment ratio h goes to 0; ``decoupling_scaling`` regresses that
-exponent.  Each catalog functional ships the structural witness (J, M, G)
-that makes the comparison valid.
+exponent, and ``factorisation_scaling`` does the same for the
+determinant factorisation error theta1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import (
-    IncrementPartition,
-    build_increment_cov,
-    decomp_factorisation_check,
-    merged_large_windows,
-)
+from .covariance import factorisation_error, increment_cov
 from .fbm import _cholesky_with_jitter, as_hurst, fbm_covariance, substream
 from .quadrature import _graded_rule, _iterated_integral
 
 __all__ = [
-    "DecouplingExperiment",
-    "catalog",
     "true_expectation",
     "surrogate_expectation",
     "decoupling_scaling",
@@ -48,34 +43,14 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# functional catalog
+# decoupling of the level-crossing functional
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A functional F with its structural witness and closed-form pieces.
-
-    ``witness`` documents (J, M, G): small indices, the constant bounding
-    large coordinates by small increments, and the dominating function.
-    ``inner`` is the exact value of the surrogate's inner integral
-    int_{R^q} E[F(Btilde(y))] dy given the small-increment std devs.
-    """
-
-    name: str
-    p: int
-    q: int
-    small_indices: tuple
-    witness: str
-    times: callable  # h -> time vector t_0 = 0 < ... < t_{p+q}
-    evaluate: callable  # (z: (N, p+q) array, eps) -> (N,) array
-    inner: callable  # (thetas, eps) -> float
-
 
 def _sgn(x):
     return np.where(np.asarray(x) > 0, 1.0, -1.0)
 
 
-def _times_one_small(h):
+def _step2_times(h):
     # large 0.5, small 0.4 h, large 0.4
     return np.array([0.0, 0.5, 0.5 + 0.4 * h, 0.9 + 0.4 * h])
 
@@ -90,11 +65,10 @@ def _step2_eval(z, eps):
     )
 
 
-def _step2_inner(thetas, eps):
+def _step2_inner(theta, eps):
     # E[((X^2 - eps^2)+)/2] for X ~ N(0, theta^2): the y-integrals of the
     # level-crossing kernel given the small increment, in closed form with
     # the normal tail P(Z > c) = erfc(c / sqrt 2) / 2 and density phi(c)
-    theta = thetas[0]
     if theta == 0:
         return 0.0
     c = eps / theta
@@ -103,84 +77,37 @@ def _step2_inner(thetas, eps):
     return float((theta**2 - eps**2) * tail + theta**2 * c * density)
 
 
-def catalog() -> dict:
-    return {
-        "step2": CatalogEntry(
-            "step2", 1, 2, (2,),
-            witness="J={2}, M=3, G(x)=|x1+x2| 1_{|x1+x2+x3| <= eps}/(2 eps)",
-            times=_times_one_small, evaluate=_step2_eval, inner=_step2_inner,
-        ),
-    }
+def true_expectation(hurst, h, a, eps, normals: np.ndarray):
+    """MC estimate of E[F(B_{t_1} - a, B_{t_2} - a, B_{t_3} - a)] with
+    exact joint sampling.
 
-
-@dataclass(frozen=True)
-class DecouplingExperiment:
-    functional: str
-    hurst: float
-    h: float
-    a: float = 0.0
-    mc_samples: int = 10_000
-    eps: float = 0.1
-
-    entry: CatalogEntry = field(init=False)
-
-    def __post_init__(self):
-        as_hurst(self.hurst).require_rough_regime()
-        if self.mc_samples < 1000:
-            raise ValueError("mc_samples must be >= 1000")
-        cat = catalog()
-        if self.functional not in cat:
-            raise ValueError(f"unknown functional {self.functional!r}")
-        object.__setattr__(self, "entry", cat[self.functional])
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.entry.times(self.h)
-
-    @property
-    def partition(self) -> IncrementPartition:
-        part = IncrementPartition(
-            self.entry.p + self.entry.q, self.entry.small_indices, self.h
-        )
-        part.validate(self.times)
-        return part
-
-
-def true_expectation(exp: DecouplingExperiment, normals: np.ndarray):
-    """MC estimate of E[F(B_{t_1} - a, ...)] with exact joint sampling.
-
-    ``normals`` (shape (samples, p + q)) are pushed through the Cholesky
-    factor of the joint covariance, so experiments that share them use
-    common random numbers.
+    ``normals`` (shape (samples, 3)) are pushed through the Cholesky
+    factor of the joint covariance, so calls that share them use common
+    random numbers.
     """
-    ts = exp.times[1:]
-    cov = fbm_covariance(exp.hurst, ts[:, None], ts[None, :])
+    ts = _step2_times(h)[1:]
+    cov = fbm_covariance(hurst, ts[:, None], ts[None, :])
     b = normals @ _cholesky_with_jitter(cov).T
-    vals = exp.entry.evaluate(b - exp.a, exp.eps)
+    vals = _step2_eval(b - a, eps)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(len(vals)))
     return {"mean": mean, "stderr": stderr}
 
 
-def surrogate_expectation(exp: DecouplingExperiment) -> float:
+def surrogate_expectation(hurst, h, a, eps) -> float:
     """Decoupled surrogate: Gaussian point density of the merged large
-    increments at (a, 0, ..., 0) times the closed-form inner integral."""
-    entry = exp.entry
-    ts = exp.times
-    part = exp.partition
-    sig_p = build_increment_cov(merged_large_windows(ts, part), exp.hurst).matrix
-    q = entry.q
-    avec = np.zeros(q)
-    avec[0] = exp.a
+    increments at (a, 0) times the closed-form inner integral."""
+    ts = _step2_times(h)
+    sig_p = increment_cov(hurst, ts[[0, 1, 3]])
+    avec = np.array([a, 0.0])
     inv_a = np.linalg.solve(sig_p, avec)
     det = float(np.linalg.det(sig_p))
-    prefactor = np.exp(-0.5 * avec @ inv_a) / ((2 * np.pi) ** (q / 2) * np.sqrt(det))
-    d = np.diff(ts)
-    thetas = [d[i - 1] ** as_hurst(exp.hurst).value for i in entry.small_indices]
-    return float(prefactor * entry.inner(thetas, exp.eps))
+    prefactor = np.exp(-0.5 * avec @ inv_a) / (2 * np.pi * np.sqrt(det))
+    theta = np.diff(ts)[1] ** as_hurst(hurst).value
+    return float(prefactor * _step2_inner(theta, eps))
 
 
-def decoupling_scaling(functional: str, hurst: float, h_levels, a: float = 0.0,
+def decoupling_scaling(hurst: float, h_levels, a: float = 0.0,
                        mc_samples: int = 200_000, seed: int = 0,
                        eps: float = 0.1, min_usable: int = 5):
     """Regress log|true - surrogate| against log h over a dyadic h-grid.
@@ -194,14 +121,17 @@ def decoupling_scaling(functional: str, hurst: float, h_levels, a: float = 0.0,
     h_levels = sorted(float(h) for h in h_levels)
     if len(h_levels) < 5:
         raise ValueError("need at least 5 h levels")
-    hv = as_hurst(hurst).value
-    dim = catalog()[functional].p + catalog()[functional].q
-    z = substream(seed, 0).standard_normal((mc_samples, dim))
+    if not all(0 < h < 1 for h in h_levels):
+        raise ValueError("every h must lie in (0, 1)")
+    hu = as_hurst(hurst)
+    hu.require_rough_regime()
+    if mc_samples < 1000:
+        raise ValueError("mc_samples must be >= 1000")
+    z = substream(seed, 0).standard_normal((mc_samples, 3))
     rows = []
     for h in h_levels:
-        exp = DecouplingExperiment(functional, hurst, h, a, mc_samples, eps)
-        true = true_expectation(exp, normals=z)
-        sur = surrogate_expectation(exp)
+        true = true_expectation(hurst, h, a, eps, normals=z)
+        sur = surrogate_expectation(hurst, h, a, eps)
         disc = true["mean"] - sur
         rows.append({
             "h": h, "true": true["mean"], "stderr": true["stderr"],
@@ -209,7 +139,7 @@ def decoupling_scaling(functional: str, hurst: float, h_levels, a: float = 0.0,
             "usable": true["stderr"] > 0 and abs(disc) > 3 * true["stderr"],
         })
     usable = [r for r in rows if r["usable"]]
-    target = (2 - 2 * hv) - 0.4
+    target = (2 - 2 * hu.value) - 0.4
     if len(usable) < 2:
         slope = np.nan
         status = "INCONCLUSIVE"
@@ -234,12 +164,7 @@ def factorisation_scaling(hurst: float, h_levels):
     theta1 vanishes like h^{2-2H}.
     """
     h_levels = sorted(float(h) for h in h_levels)
-    theta1 = []
-    for h in h_levels:
-        times = np.array([0.0, 1.0, 1.0 + h, 2.0 + h])
-        part = IncrementPartition(3, (2,), h)
-        res = decomp_factorisation_check(times, part, hurst)
-        theta1.append(res["theta1"])
+    theta1 = [factorisation_error(hurst, h) for h in h_levels]
     x = np.log2(h_levels)
     y = np.log2(np.abs(theta1))
     slope = float(np.polyfit(x, y, 1)[0])

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .fbm import GridSpec, path_to_csv, sample_exact_batch, sample_fft_batch
 from .integrals import indicator_measure
-from .harness import ExperimentPlan, run_rate_experiment, resolve_threads
+from .harness import ExperimentPlan, run_rate_experiment
 from .localtime import (
     binning_estimates,
     default_bin_width,
@@ -214,7 +214,7 @@ def _cmd_verify_bounds(args):
         rows.append(("theta1_slope", "", args.H, fac["slope"]))
     elif args.suite == "decoupling":
         res = bounds.decoupling_scaling(
-            "step2", args.H, h_grid, a=args.a, mc_samples=args.samples,
+            args.H, h_grid, a=args.a, mc_samples=args.samples,
             seed=args.seed)
         for row in res["per_h"]:
             rows.append(("decoupling_discrepancy", row["h"], args.H,
@@ -272,8 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--quiet", action="store_true",
                     help="machine-readable stdout only")
     ap.add_argument("--threads", type=int, default=None,
-                    help="worker cap (results are independent of it); "
-                         "FBMLAB_THREADS mirrors this flag")
+                    help="worker cap, default the CPU count (results are "
+                         "independent of it)")
     ap.add_argument("--output-dir", default=None,
                     help="write CSV + manifest here instead of stdout")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -337,8 +337,6 @@ def parse_and_dispatch(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    if args.threads is not None:
-        args.threads = resolve_threads(args.threads)
     try:
         return args.func(args)
     except Inconclusive as exc:

@@ -1,31 +1,28 @@
-"""Covariance matrices of fBm increments and their structural bounds.
+"""Covariance matrices of consecutive fBm increments and their structural
+bounds.
 
-Builds the matrix Sigma of E[(B_{a1}-B_{a2})(B_{b1}-B_{b2})] for a list of
-time windows and provides numerical certificates: determinant sandwich,
-eigenvalue bracket and inverse-entry scalings of the determinant
-factorisation.  Inequalities whose constants are not explicit are reported
-as positivity/finiteness certificates or scaling exponents, never asserted
-at a numeric level.
+Every matrix here is the covariance Sigma of the consecutive increments
+B_{t_1} - B_{t_0}, ..., B_{t_m} - B_{t_{m-1}} of a strictly increasing time
+vector.  The certificates are the determinant sandwich, the eigenvalue
+bracket, the sharp increment-level bound constant and the error theta1 of
+the small/large determinant factorisation.  Inequalities whose constants
+are not explicit are reported as ratios or scaling exponents, never
+asserted at a numeric level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
-from .fbm import HurstIndex, as_hurst, fbm_covariance, substream
+from .fbm import as_hurst, fbm_covariance, substream
 
 __all__ = [
-    "IncrementWindows",
-    "IncrementCovariance",
-    "IncrementPartition",
-    "ConditioningError",
-    "consecutive_windows",
-    "build_increment_cov",
+    "increment_cov",
     "determinant_sandwich",
     "eigenvalue_bracket",
-    "decomp_factorisation_check",
+    "factorisation_error",
     "increment_level_bound_constant",
     "covariance_increment_bound_check",
 ]
@@ -33,68 +30,19 @@ __all__ = [
 CONDITION_LIMIT = 1e12
 
 
-class ConditioningError(RuntimeError):
-    """Matrix condition number too large for meaningful inverse entries."""
-
-
-@dataclass(frozen=True)
-class IncrementWindows:
-    """Ordered list of time pairs defining increments B_{a1} - B_{a2}."""
-
-    pairs: tuple
-
-    def __post_init__(self):
-        pairs = tuple((float(a), float(b)) for a, b in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        for a, b in pairs:
-            if min(a, b) < 0:
-                raise ValueError("window endpoints must be nonnegative")
-            if a == b:
-                raise ValueError(f"degenerate window ({a}, {b})")
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def lengths(self) -> np.ndarray:
-        return np.array([abs(a - b) for a, b in self.pairs])
-
-    @property
-    def is_consecutive(self) -> bool:
-        """True when windows are (s_0,s_1),(s_1,s_2),... with s_i increasing."""
-        prev_end = None
-        for a, b in self.pairs:
-            if b <= a:
-                return False
-            if prev_end is not None and abs(a - prev_end) > 1e-12:
-                return False
-            prev_end = b
-        return True
-
-
-def consecutive_windows(times) -> IncrementWindows:
-    """Windows (s_0,s_1),(s_1,s_2),... from an increasing time vector."""
+def _increasing(times) -> np.ndarray:
     ts = np.asarray(times, dtype=float)
-    if np.any(np.diff(ts) <= 0):
-        raise ValueError("times must be strictly increasing")
-    return IncrementWindows(tuple(zip(ts[:-1], ts[1:])))
+    if ts.ndim != 1 or len(ts) < 2 or np.any(np.diff(ts) <= 0):
+        raise ValueError("times must be a strictly increasing vector of "
+                         "at least two points")
+    return ts
 
 
-@dataclass(frozen=True)
-class IncrementCovariance:
-    windows: IncrementWindows
-    hurst: HurstIndex
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def m(self) -> int:
-        return len(self.windows)
-
-
-def build_increment_cov(windows: IncrementWindows, h) -> IncrementCovariance:
-    """Covariance matrix of the fBm increments given by ``windows``."""
+def increment_cov(h, times) -> np.ndarray:
+    """Covariance matrix of the consecutive increments of ``times``."""
     h = as_hurst(h)
-    a1 = np.array([p[0] for p in windows.pairs])
-    a2 = np.array([p[1] for p in windows.pairs])
+    ts = _increasing(times)
+    a1, a2 = ts[:-1], ts[1:]
     # E[(B_u - B_v)(B_x - B_y)] expanded through R(s, t)
     mat = (
         fbm_covariance(h, a1[:, None], a1[None, :])
@@ -102,177 +50,71 @@ def build_increment_cov(windows: IncrementWindows, h) -> IncrementCovariance:
         - fbm_covariance(h, a2[:, None], a1[None, :])
         + fbm_covariance(h, a2[:, None], a2[None, :])
     )
-    mat = 0.5 * (mat + mat.T)
-    return IncrementCovariance(windows, h, mat)
+    return 0.5 * (mat + mat.T)
 
 
-def determinant_sandwich(cov: IncrementCovariance):
-    """det(Sigma) relative to the product of window lengths^{2H}.
+def determinant_sandwich(h, times):
+    """det(Sigma) relative to the product of increment lengths^{2H}.
 
     upper_ratio = det / (m! prod d^{2H}) must be <= 1 (explicit constant);
     lower_ratio carries the non-explicit constant and is reported only.
     """
-    import math
-
-    det = float(np.linalg.det(cov.matrix))
-    prod = float(np.prod(cov.windows.lengths() ** (2 * cov.hurst.value)))
+    h = as_hurst(h)
+    ts = _increasing(times)
+    det = float(np.linalg.det(increment_cov(h, ts)))
+    prod = float(np.prod(np.diff(ts) ** (2 * h.value)))
     return {
         "det": det,
         "lower_ratio": det / prod,
-        "upper_ratio": det / (math.factorial(cov.m) * prod),
+        "upper_ratio": det / (math.factorial(len(ts) - 1) * prod),
         "violation": det <= 0,
     }
 
 
-def eigenvalue_bracket(cov: IncrementCovariance):
+def eigenvalue_bracket(h, times):
     """Eigenvalue range of a consecutive-increment covariance.
 
     The explicit half is lambda_max <= m * max d^{2H}; the lower bracket's
     constant is unknown, so lambda_min / min d^{2H} is reported for logging.
     """
-    if not cov.windows.is_consecutive:
-        raise ValueError("windows must be consecutive ordered increments")
-    eigs = np.linalg.eigvalsh(cov.matrix)
-    d2h = cov.windows.lengths() ** (2 * cov.hurst.value)
+    h = as_hurst(h)
+    ts = _increasing(times)
+    eigs = np.linalg.eigvalsh(increment_cov(h, ts))
+    d2h = np.diff(ts) ** (2 * h.value)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     return {
         "lambda_min": lam_min,
         "lambda_max": lam_max,
-        "bracket_ok": bool(lam_max <= cov.m * d2h.max() * (1 + 1e-12)),
+        "bracket_ok": bool(lam_max <= len(d2h) * d2h.max() * (1 + 1e-12)),
         "lower_ratio": lam_min / float(d2h.min()),
     }
 
 
-@dataclass(frozen=True)
-class IncrementPartition:
-    """Split of increments 1..p+q into small indices J and large complement.
+def factorisation_error(hurst, h) -> float:
+    """theta1 = det(Sigma) / (det(Sigma') h^{2H}) - 1 for the times
+    (0, 1, 1+h, 2+h), whose middle increment is the small one.
 
-    Small increments must be pairwise non-adjacent, must not include the
-    first increment, and each small length must be <= h times every large
-    length (validated against a time vector in ``validate``).
+    Sigma' is the covariance of the two large increments with the small
+    one absorbed, the consecutive increments of (0, 1, 2+h).  theta1
+    vanishes like h^{2-2H} for H > 1/2; at H = 1/2 only the O(h) term of
+    that absorption is left, theta1 = -h / (1+h).
     """
-
-    total: int
-    small_indices: tuple
-    separation_ratio: float
-
-    def __post_init__(self):
-        j = tuple(sorted(int(i) for i in self.small_indices))
-        object.__setattr__(self, "small_indices", j)
-        if not 0 < self.separation_ratio < 1:
-            raise ValueError("separation_ratio must lie in (0, 1)")
-        if any(i < 1 or i > self.total for i in j):
-            raise ValueError("small indices out of range 1..total")
-        if 1 in j:
-            raise ValueError("the first increment cannot be small")
-        if any(b - a < 2 for a, b in zip(j, j[1:])):
-            raise ValueError("small indices must be pairwise non-adjacent")
-
-    @property
-    def p(self) -> int:
-        return len(self.small_indices)
-
-    @property
-    def q(self) -> int:
-        return self.total - self.p
-
-    @property
-    def large_indices(self) -> tuple:
-        return tuple(i for i in range(1, self.total + 1) if i not in self.small_indices)
-
-    def validate(self, times) -> None:
-        ts = np.asarray(times, dtype=float)
-        if len(ts) != self.total + 1:
-            raise ValueError("need total+1 time points")
-        if abs(ts[0]) > 1e-15 or np.any(np.diff(ts) <= 0):
-            raise ValueError("times must be strictly increasing from 0")
-        d = np.diff(ts)
-        small = d[[i - 1 for i in self.small_indices]]
-        large = d[[i - 1 for i in self.large_indices]]
-        if small.size and np.any(small[:, None] > self.separation_ratio * large[None, :] * (1 + 1e-12)):
-            raise ValueError(
-                "small increments exceed separation_ratio times a large increment"
-            )
-
-
-def _checked_inverse(mat: np.ndarray, label: str) -> np.ndarray:
-    cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise ConditioningError(f"{label} condition number {cond:.3e} exceeds limit")
-    return np.linalg.inv(mat)
-
-
-def merged_large_windows(times, part: IncrementPartition) -> IncrementWindows:
-    """Windows of the large increments with the intervening small increments
-    absorbed: window i runs from the previous large endpoint (or 0) to
-    t_{large_i}."""
-    ts = np.asarray(times, dtype=float)
-    ends = [ts[i] for i in part.large_indices]
-    starts = [0.0] + ends[:-1]
-    return IncrementWindows(tuple(zip(starts, ends)))
-
-
-def decomp_factorisation_check(times, part: IncrementPartition, h):
-    """Scaled errors of the small/large determinant factorisation.
-
-    theta1: relative error of det(Sigma) ~ det(Sigma') * prod_small d^{2H};
-    theta2/theta3: scaled small-block inverse entries minus their
-    independent-increment limits; theta4: relative error of the large-block
-    inverse entries against the merged-window inverse.  theta2/theta3
-    vanish identically at H = 1/2; theta1/theta4 keep an O(h) term from
-    absorbing the small windows into the merged large ones.  All scale
-    like h^{2-2H} as the small/large ratio h shrinks (for H > 1/2).
-    """
-    h = as_hurst(h)
-    part.validate(times)
-    ts = np.asarray(times, dtype=float)
-    d = np.diff(ts)
-    two_h = 2 * h.value
-
-    sigma = build_increment_cov(consecutive_windows(ts), h).matrix
-    sigma_prime = build_increment_cov(merged_large_windows(ts, part), h).matrix
-    inv = _checked_inverse(sigma, "Sigma")
-    inv_prime = _checked_inverse(sigma_prime, "Sigma'")
-
-    small = [i - 1 for i in part.small_indices]  # 0-based
-    large = [i - 1 for i in part.large_indices]
-
-    prod_small = float(np.prod(d[small] ** two_h)) if small else 1.0
+    hu = as_hurst(hurst)
+    if not 0 < h < 1:
+        raise ValueError(f"h must lie in (0, 1), got {h}")
+    ts = np.array([0.0, 1.0, 1.0 + h, 2.0 + h])
+    sigma = increment_cov(hu, ts)
+    sigma_prime = increment_cov(hu, ts[[0, 1, 3]])
+    for label, mat in (("Sigma", sigma), ("Sigma'", sigma_prime)):
+        cond = np.linalg.cond(mat)
+        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+            raise ValueError(f"{label} condition number {cond:.3e} exceeds limit")
     sign, logdet = np.linalg.slogdet(sigma)
     signp, logdetp = np.linalg.slogdet(sigma_prime)
     if sign <= 0 or signp <= 0:
-        raise ConditioningError("non-positive determinant")
-    theta1 = float(np.exp(logdet - logdetp - np.log(prod_small))) - 1.0
-
-    theta2 = np.array([inv[i, i] * d[i] ** two_h - 1.0 for i in small])
-    theta3 = np.array(
-        [
-            [inv[i, j] * d[i] ** h.value * d[j] ** h.value if i != j else 0.0 for j in small]
-            for i in small
-        ]
-    )
-    theta4 = np.array(
-        [
-            [
-                inv[large[i], large[j]] / inv_prime[i, j] - 1.0
-                if abs(inv_prime[i, j]) > 1e-300
-                else np.nan
-                for j in range(part.q)
-            ]
-            for i in range(part.q)
-        ]
-    )
-    # mixed small/large entries: only finiteness is certified (the bound's
-    # constant is not explicit)
-    mixed = np.array([[inv[i, j] for j in large] for i in small])
-    cof_bound_ok = bool(np.all(np.isfinite(mixed)))
-    return {
-        "theta1": theta1,
-        "theta2": theta2,
-        "theta3": theta3,
-        "theta4": theta4,
-        "cof_bound_ok": cof_bound_ok,
-    }
+        raise ValueError("non-positive determinant")
+    small = np.diff(ts)[1] ** (2 * hu.value)
+    return float(np.exp(logdet - logdetp - np.log(small))) - 1.0
 
 
 def increment_level_bound_constant(h) -> float:

@@ -66,8 +66,7 @@ def default_fine_factor(h, reference_kind: str) -> int:
 
 def resolve_threads(threads=None) -> int:
     if threads is None:
-        env = os.environ.get("FBMLAB_THREADS")
-        threads = int(env) if env else (os.cpu_count() or 1)
+        threads = os.cpu_count() or 1
     return max(1, int(threads))
 
 
@@ -155,8 +154,8 @@ def fit_rate(points):
     """Weighted least squares of log2(l2) on log2(n).
 
     ``points`` is a list of (n, l2_error, stderr); weights come from the
-    delta-method error of log2(l2).  half_width is twice the slope's
-    standard error.
+    delta-method error of log2(l2), so every stderr must be positive.
+    half_width is twice the slope's standard error.
     """
     points = [p for p in points if p[1] > 0]
     if len(points) < 3:
@@ -167,19 +166,16 @@ def fit_rate(points):
     x = np.log2(n)
     y = np.log2(l2)
     sig = se / (l2 * np.log(2.0))
-    if np.all(sig > 0):
-        w = 1.0 / sig**2
-    else:
-        w = np.ones_like(x)
+    if not np.all(sig > 0):
+        raise PlanError("every point of a rate fit needs a positive stderr")
+    w = 1.0 / sig**2
     sw = w.sum()
     xbar = (w * x).sum() / sw
     ybar = (w * y).sum() / sw
     sxx = (w * (x - xbar) ** 2).sum()
     slope = float((w * (x - xbar) * (y - ybar)).sum() / sxx)
     intercept = float(ybar - slope * xbar)
-    slope_se = float(np.sqrt(1.0 / sxx)) if np.all(sig > 0) else float(
-        np.sqrt(((y - intercept - slope * x) ** 2).sum() / max(len(x) - 2, 1) / sxx)
-    )
+    slope_se = float(np.sqrt(1.0 / sxx))
     return {"slope": slope, "intercept": intercept, "half_width": 2 * slope_se}
 
 

@@ -45,7 +45,7 @@ def default_bin_width(h, n: int) -> float:
 
 
 def binning_estimates(h, values: np.ndarray, grid: GridSpec, a: float,
-                      eps: float, t: float | None = None) -> np.ndarray:
+                      eps: float) -> np.ndarray:
     """Occupation-time estimate (1/2eps) * time with |B_s - a| <= eps, for
     each row of ``values`` (shape (..., nodes) on ``grid``); shape (...).
 
@@ -54,8 +54,6 @@ def binning_estimates(h, values: np.ndarray, grid: GridSpec, a: float,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if t is None:
-        t = grid.t_end
     dt_typ = grid.points_per_unit ** (-as_hurst(h).value)
     if eps < 4 * dt_typ:
         warnings.warn(
@@ -63,7 +61,7 @@ def binning_estimates(h, values: np.ndarray, grid: GridSpec, a: float,
             "estimate may be grid-resolution limited",
             ResolutionWarning,
         )
-    w = np.diff(np.minimum(grid.nodes(), t))
+    w = np.diff(np.minimum(grid.nodes(), grid.t_end))
     inside = np.abs(values[..., :-1] - a) <= eps
     return (inside @ w) / (2 * eps)
 

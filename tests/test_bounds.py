@@ -5,9 +5,9 @@ import pytest
 from scipy.stats import norm
 
 from fbmlab.bounds import (
-    DecouplingExperiment,
+    _step2_eval,
     _step2_inner,
-    catalog,
+    _step2_times,
     decoupling_scaling,
     density_shift_integral,
     density_shift_slope,
@@ -22,26 +22,23 @@ from fbmlab.bounds import (
 H_LEVELS = [2.0 ** -k for k in range(1, 7)]
 
 
-def test_catalog_entries_are_well_formed():
-    cat = catalog()
-    for name, entry in cat.items():
-        assert entry.name == name
-        ts = entry.times(0.1)
-        assert len(ts) == entry.p + entry.q + 1
-        assert ts[0] == 0.0
-        assert np.all(np.diff(ts) > 0)
-        z = np.zeros((5, entry.p + entry.q))
-        out = entry.evaluate(z, 0.1)
-        assert out.shape == (5,)
+def test_step2_functional_is_well_formed():
+    ts = _step2_times(0.1)
+    assert len(ts) == 4
+    assert ts[0] == 0.0
+    assert np.all(np.diff(ts) > 0)
+    out = _step2_eval(np.zeros((5, 3)), 0.1)
+    assert out.shape == (5,)
 
 
 def test_experiment_validation():
     with pytest.raises(ValueError):
-        DecouplingExperiment("nope", 0.75, 0.1)
+        decoupling_scaling(0.4, H_LEVELS, mc_samples=1000)  # H <= 1/2
     with pytest.raises(ValueError):
-        DecouplingExperiment("step2", 0.4, 0.1)
-    with pytest.raises(ValueError):
-        DecouplingExperiment("step2", 0.75, 0.1, mc_samples=10)
+        decoupling_scaling(0.75, H_LEVELS, mc_samples=10)
+    for bad in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            decoupling_scaling(0.75, H_LEVELS[:4] + [bad], mc_samples=1000)
 
 
 def test_step2_inner_matches_scipy_normal_tail():
@@ -56,33 +53,28 @@ def test_step2_inner_matches_scipy_normal_tail():
             eps = c * theta
             terms = [(theta**2 - eps**2) * norm.sf(c), theta**2 * c * norm.pdf(c)]
             want = sum(terms)
-            gap = abs(_step2_inner([theta], eps) - want)
+            gap = abs(_step2_inner(theta, eps) - want)
             assert gap <= 1e-13 * (abs(terms[0]) + abs(terms[1])), (theta, c)
             if c <= 5.0:
                 assert gap <= 1e-13 * want, (theta, c)
-    assert _step2_inner([0.0], 0.1) == 0.0
+    assert _step2_inner(0.0, 0.1) == 0.0
 
 
 def test_true_expectation_common_random_numbers():
-    exp = DecouplingExperiment("step2", 0.75, 0.25, mc_samples=5000)
     z = np.random.default_rng(0).standard_normal((5000, 3))
-    a = true_expectation(exp, normals=z)
-    b = true_expectation(exp, normals=z)
+    a = true_expectation(0.75, 0.25, 0.0, 0.1, normals=z)
+    b = true_expectation(0.75, 0.25, 0.0, 0.1, normals=z)
     assert a == b
 
 
 def test_surrogate_positive_and_decaying():
-    vals = [
-        surrogate_expectation(
-            DecouplingExperiment("step2", 0.75, h, mc_samples=1000))
-        for h in (0.5, 0.25, 0.125)
-    ]
+    vals = [surrogate_expectation(0.75, h, 0.0, 0.1) for h in (0.5, 0.25, 0.125)]
     assert all(v > 0 for v in vals)
     assert vals[0] > vals[1] > vals[2]
 
 
 def test_decoupling_scaling_step2_smoke():
-    res = decoupling_scaling("step2", 0.75, H_LEVELS, mc_samples=50_000, seed=0)
+    res = decoupling_scaling(0.75, H_LEVELS, mc_samples=50_000, seed=0)
     assert res["status"] in ("PASS", "INCONCLUSIVE")
     assert len(res["per_h"]) == len(H_LEVELS)
     # cells without sampled events are never treated as informative
@@ -93,7 +85,7 @@ def test_decoupling_scaling_step2_smoke():
 
 def test_decoupling_scaling_needs_enough_levels():
     with pytest.raises(ValueError):
-        decoupling_scaling("step2", 0.75, [0.5, 0.25], mc_samples=1000)
+        decoupling_scaling(0.75, [0.5, 0.25], mc_samples=1000)
 
 
 @pytest.mark.parametrize("h", [0.6, 0.75])

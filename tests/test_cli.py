@@ -239,6 +239,29 @@ def test_verify_bounds_cov(capsys):
     assert "theta1_slope" in out
 
 
+def test_verify_bounds_accepts_tiny_ratios(capsys):
+    # (1 + h) - 1 rounds away from h at these ratios; the small increment
+    # must still be taken as the one the code laid out
+    rc = run(["verify-bounds", "--suite", "cov", "--samples", "1000",
+              "--h-grid", "1e-3,1e-4,1e-5,1e-6,1e-7"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.count("\ntheta1,") == 5
+    assert "theta1_slope" in out
+    rc = run(["verify-bounds", "--suite", "decoupling", "--samples", "1000",
+              "--h-grid", "0.5,0.25,0.125,0.0625,1e-6"])
+    assert rc in (0, 2)  # PASS or INCONCLUSIVE, never a validation error
+    out = capsys.readouterr().out
+    assert "decoupling_discrepancy,9.9999999999999995e-07," in out
+
+
+def test_verify_bounds_ill_conditioned_sigma_exits_1(capsys):
+    rc = run(["verify-bounds", "--suite", "cov", "--samples", "1000",
+              "--h-grid", "0.0009765625,9.5367431640625e-07,9.313225746154785e-10"])
+    assert rc == 1
+    assert "error: Sigma condition number" in capsys.readouterr().err
+
+
 def test_oracle_values(capsys):
     rc = run(["oracle", "--lemma", "a1", "--theta", "2"])
     assert rc == 0

@@ -72,11 +72,9 @@ def test_default_fine_factor():
     assert default_fine_factor(0.75, "fine_riemann") == 256
 
 
-def test_resolve_threads(monkeypatch):
+def test_resolve_threads():
     assert resolve_threads(3) == 3
     assert resolve_threads(0) == 1
-    monkeypatch.setenv("FBMLAB_THREADS", "5")
-    assert resolve_threads(None) == 5
 
 
 def test_fit_rate_recovers_exact_power_law():
@@ -89,6 +87,12 @@ def test_fit_rate_recovers_exact_power_law():
 def test_fit_rate_needs_three_points():
     with pytest.raises(PlanError):
         fit_rate([(16, 1.0, 0.1), (32, 0.5, 0.05)])
+
+
+def test_fit_rate_rejects_zero_stderr():
+    # the fit is weighted by 1/stderr^2: a zero stderr has no weight to give
+    with pytest.raises(PlanError):
+        fit_rate([(16, 1.0, 0.1), (32, 0.5, 0.0), (64, 0.25, 0.02)])
 
 
 def test_rate_experiment_smoke_and_determinism():
