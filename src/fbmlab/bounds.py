@@ -67,14 +67,36 @@ def _step2_eval(z, eps):
 
 def _step2_inner(theta, eps):
     # E[((X^2 - eps^2)+)/2] for X ~ N(0, theta^2): the y-integrals of the
-    # level-crossing kernel given the small increment, in closed form with
-    # the normal tail P(Z > c) = erfc(c / sqrt 2) / 2 and density phi(c)
+    # level-crossing kernel given the small increment.  The closed form
+    # (theta^2 - eps^2) P(Z > c) + theta^2 c phi(c), c = eps / theta, cancels
+    # to 2/c^2 of its terms at large c, so it is evaluated as
+    # theta^2 phi(c) (c - (c^2 - 1) R(c)), R(c) = P(Z > c) / phi(c) the Mills
+    # ratio, with the bracket taken from R's continued fraction for c >= 3
     if theta == 0:
         return 0.0
     c = eps / theta
-    tail = 0.5 * math.erfc(c / math.sqrt(2.0))
-    density = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
-    return float((theta**2 - eps**2) * tail + theta**2 * c * density)
+    # c^2 / 2 reaches 450 at c = 30, where rounding it would cost 1e-13 of
+    # phi(c): split the exact exponent into a float and its remainder
+    # (fractions loads decimal, so it is imported on first use, not with fbmlab)
+    from fractions import Fraction
+
+    half_sq = (Fraction(eps) / Fraction(theta)) ** 2 / 2
+    hi = float(half_sq)
+    density = (math.exp(-hi) * math.exp(-float(half_sq - Fraction(hi)))
+               / math.sqrt(2.0 * math.pi))
+    if c < 3.0:
+        mills = 0.5 * math.erfc(c / math.sqrt(2.0)) / density
+        bracket = c - (c * c - 1.0) * mills
+    else:
+        # R(c) = 1 / (c + t), t = 1 / (c + 2 / (c + 3 / (c + ...))), so the
+        # bracket is (c t + 1) / (c + t), a ratio of positive terms; 60 levels
+        # converge to a few ulp at c = 3 and faster above
+        t = 0.0
+        for k in range(60, 1, -1):
+            t = k / (c + t)
+        t = 1.0 / (c + t)
+        bracket = (c * t + 1.0) / (c + t)
+    return float(theta**2 * density * bracket)
 
 
 def true_expectation(hurst, h, a, eps, normals: np.ndarray):

@@ -349,3 +349,7 @@ def parse_and_dispatch(argv=None) -> int:
 
 def main() -> None:
     sys.exit(parse_and_dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -6,10 +6,16 @@ returning an array of shape (replicates, components, nodes):
 * :func:`sample_exact_batch` -- Cholesky factorisation of the grid
   covariance, O(N^3), capped at ``EXACT_NODE_CAP`` nodes.
 * :func:`sample_fft_batch` -- circulant embedding of the stationary
-  increment process (Davies-Harte), O(N log N).  It synthesises the batch
-  in blocks of rows of at most ``BLOCK_VALUES`` values, reusing three
-  block buffers (normals, half spectrum, transform output), so its memory
-  is the output plus a few MB whatever the batch size.
+  increment process (Davies-Harte), O(N log N).
+
+The circulant-embedding synthesis itself is :func:`fft_blocks`, which
+yields the paths in blocks of consecutive replicates of about
+``GROUP_VALUES`` values through one reused block buffer, so a consumer
+that needs each block only once (the rate experiments) holds a few MB
+whatever the replicate count.  Within a block, normals, half spectrum and
+transform output go through three buffers of at most ``BLOCK_VALUES``
+values.  :func:`sample_fft_batch` runs the same generator with its output
+array as the block buffer, so its memory is the output plus a few MB.
 
 Both are deterministic given ``(seed, replicate, component)``; substreams
 are derived with :func:`substream` so results do not depend on execution
@@ -36,6 +42,7 @@ __all__ = [
     "fgn_autocovariance",
     "substream",
     "sample_exact_batch",
+    "fft_blocks",
     "sample_fft_batch",
     "path_to_csv",
 ]
@@ -45,6 +52,10 @@ EXACT_NODE_CAP = 4096
 # values per row block of the FFT sampler and the Riemann kernel: a block's
 # float64 buffers (2 MB each) stay within a 4 MB L2 cache
 BLOCK_VALUES = 2**18
+# path values per block that fft_blocks yields: every kernel call on a block
+# hands the interpreter lock between worker threads, so a block spans several
+# synthesis blocks
+GROUP_VALUES = 4 * BLOCK_VALUES
 
 # grid arithmetic tolerance for deciding whether n * t_end is an integer
 _GRID_EPS = 1e-9
@@ -300,6 +311,77 @@ def _partial_step_weights(h: HurstIndex, grid: GridSpec):
     return w, np.sqrt(max(cond_var, 0.0))
 
 
+def fft_blocks(
+    h,
+    grid: GridSpec,
+    master_seed: int,
+    count: int,
+    components: int = 1,
+    first_replicate: int = 0,
+    out: np.ndarray | None = None,
+):
+    """Circulant-embedding paths of replicates ``first_replicate`` to
+    ``first_replicate + count - 1``, in blocks of consecutive replicates.
+
+    Yields ``(rows, block)`` with ``block`` of shape
+    (rows, components, num_nodes).  Without ``out``, every block is a view
+    of one buffer of about ``GROUP_VALUES`` values (at least one row) that
+    the next block overwrites, so a consumer must use a block before it
+    asks for the next.  With ``out`` (shape (count, components, num_nodes),
+    zero in column 0) the blocks are consecutive rows of ``out``, and
+    draining the generator fills it.  Each block is synthesised in
+    sub-blocks of at most ``BLOCK_VALUES`` embedding values through three
+    buffers allocated once per call.
+    """
+    h = as_hurst(h)
+    n = grid.points_per_unit
+    k = grid.full_steps
+    partial = grid.has_partial_step
+    step = max(1, GROUP_VALUES // (components * grid.num_nodes))
+    reuse = out is None
+    if reuse:
+        out = np.zeros((min(step, count), components, grid.num_nodes))
+    if k > 0:
+        amp = _embedding_amplitude(h.value, k) * n ** (-h.value)
+        if partial:
+            w, cond_std = _partial_step_weights(h, grid)
+        m = 2 * (amp.shape[0] - 1)
+        subs = row_blocks(min(step, count), m)
+        sub_rows = subs[0].stop if subs else 0
+        zeta = np.empty((sub_rows, m))
+        spec = np.empty((sub_rows, m // 2 + 1), dtype=complex)
+        incr = np.empty((sub_rows, m))
+        extra = np.empty(sub_rows)
+    for start in range(0, count, step):
+        rows = min(step, count - start)
+        block = out[:rows] if reuse else out[start : start + rows]
+        first = first_replicate + start
+        if k == 0:
+            for r in range(rows):
+                for c in range(components):
+                    rng = substream(master_seed, first + r, c)
+                    block[r, c, 1] = grid.t_end ** h.value * rng.standard_normal()
+        else:
+            for sub in row_blocks(rows, m):
+                nb = sub.stop - sub.start
+                for c in range(components):
+                    for r in range(nb):
+                        rng = substream(master_seed, first + sub.start + r, c)
+                        rng.standard_normal(out=zeta[r])
+                        if partial:
+                            extra[r] = rng.standard_normal()
+                    fgn = _fgn_from_normals(amp, zeta[:nb], spec[:nb], incr[:nb])[:, :k]
+                    dest = block[sub, c]
+                    np.cumsum(fgn, axis=-1, out=dest[:, 1 : k + 1])
+                    if partial:
+                        # one pairwise sum per row, so no result depends on
+                        # the block, and no BLAS dot, whose threads would
+                        # split a long row
+                        mean = (fgn * w).sum(axis=-1)
+                        dest[:, k + 1] = dest[:, k] + (mean + cond_std * extra[:nb])
+        yield rows, block
+
+
 def sample_fft_batch(
     h,
     grid: GridSpec,
@@ -312,46 +394,13 @@ def sample_fft_batch(
 
     Same distribution and substream contract as :func:`sample_exact_batch`.
     The terminal partial increment (when present) is drawn exactly from its
-    conditional law given the uniform increments.
+    conditional law given the uniform increments.  The paths are those of
+    :func:`fft_blocks`, synthesised straight into the returned array.
     """
-    h = as_hurst(h)
-    n = grid.points_per_unit
-    k = grid.full_steps
-    partial = grid.has_partial_step
     out = np.zeros((count, components, grid.num_nodes))
-    if k == 0:
-        for r in range(count):
-            for c in range(components):
-                rng = substream(master_seed, first_replicate + r, c)
-                out[r, c, 1] = grid.t_end ** h.value * rng.standard_normal()
-        return out
-
-    amp = _embedding_amplitude(h.value, k) * n ** (-h.value)
-    if partial:
-        w, cond_std = _partial_step_weights(h, grid)
-    m = 2 * (amp.shape[0] - 1)
-    blocks = row_blocks(count, m)
-    rows = blocks[0].stop if blocks else 0
-    zeta = np.empty((rows, m))
-    spec = np.empty((rows, m // 2 + 1), dtype=complex)
-    incr = np.empty((rows, m))
-    extra = np.empty(rows)
-    for c in range(components):
-        for blk in blocks:
-            nb = blk.stop - blk.start
-            for r in range(nb):
-                rng = substream(master_seed, first_replicate + blk.start + r, c)
-                rng.standard_normal(out=zeta[r])
-                if partial:
-                    extra[r] = rng.standard_normal()
-            fgn = _fgn_from_normals(amp, zeta[:nb], spec[:nb], incr[:nb])[:, :k]
-            dest = out[blk, c]
-            np.cumsum(fgn, axis=-1, out=dest[:, 1 : k + 1])
-            if partial:
-                # one pairwise sum per row, so no result depends on the block,
-                # and no BLAS dot, whose threads would split a long row
-                mean = (fgn * w).sum(axis=-1)
-                dest[:, k + 1] = dest[:, k] + (mean + cond_std * extra[:nb])
+    for _ in fft_blocks(h, grid, master_seed, count, components,
+                        first_replicate, out=out):
+        pass
     return out
 
 

@@ -1,13 +1,16 @@
 """Monte Carlo orchestration: discretisation-error experiments and rate fits.
 
-Replicates are simulated in chunks: one fine-grid batch of shape
-(replicates, components, nodes) per chunk.  The crossing and Riemann
-kernels of ``integrals`` evaluate the normalised discretisation error S_n
-on every coarse resolution n from that same batch (common random
-numbers), for all of the chunk's replicates at once, together with the
-local-time limit functional from the fine grid.  L2 errors per (H, n)
-cell are reduced in a fixed order and substreams are keyed by absolute
-replicate id, so results are bit-identical for any worker count.
+Each worker thread takes one contiguous range of replicates and streams
+its fine-grid paths from ``fbm.fft_blocks``, one block of consecutive
+replicates at a time through one reused buffer, so no batch of all the
+range's paths is ever held and a worker's memory does not grow with the
+replicate count.  The crossing and Riemann kernels of ``integrals``
+evaluate the normalised discretisation error S_n on every coarse
+resolution n from the same block (common random numbers), for all of the
+block's replicates at once, together with the local-time limit functional
+from the fine grid.  L2 errors per (H, n) cell are reduced in a fixed
+order and substreams are keyed by absolute replicate id, so results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import GridSpec, as_hurst, sample_fft_batch
+from .fbm import GridSpec, as_hurst, fft_blocks
 from .integrals import SignedMeasure, crossing_sums, indicator_measure, riemann_sums
 
 __all__ = [
@@ -35,14 +38,6 @@ __all__ = [
 
 PILOT_REPLICATES = 200
 REPLICATE_CAP = 10_000
-# replicates per work unit; shrinks for large fine grids to bound memory
-CHUNK = 200
-CHUNK_VALUE_BUDGET = 2**23
-
-
-def _chunk_size(plan) -> int:
-    per_replicate = plan.components * max(plan.fine_n, 1)
-    return max(1, min(CHUNK, CHUNK_VALUE_BUDGET // per_replicate))
 # cap on replicates x fine-grid nodes to keep runs desk-scale
 BUDGET_VALUES = 2e10
 
@@ -103,6 +98,11 @@ class ExperimentPlan:
                             "from {1, 2}")
         if self.reference_kind == "fine_sign_change" and pair[0] != pair[1]:
             raise PlanError("sign-change references need equal components")
+        if self.reference_kind == "fine_riemann" and pair[0] == pair[1]:
+            # the Riemann reference would add (n/F)^{2H-1} S_F to the error
+            # that the closed form measures exactly
+            raise PlanError("Riemann references need distinct components; "
+                            "equal components use fine_sign_change")
         if self.replicates < 0 or self.replicates == 1:
             raise PlanError("replicates must be 0 (auto-scale) or >= 2 (the "
                             f"stderr needs two), got {self.replicates}")
@@ -179,62 +179,71 @@ def fit_rate(points):
     return {"slope": slope, "intercept": intercept, "half_width": 2 * slope_se}
 
 
-def _replicate_errors(plan: ExperimentPlan, first: int, count: int) -> np.ndarray:
-    """Errors S_n - delta_ij * limit for replicates [first, first+count),
-    shape (len(n_values), count)."""
-    h = as_hurst(plan.hurst)
-    fine = GridSpec(plan.t, plan.fine_n, plan.t)
+def _path_errors(plan: ExperimentPlan, fine: GridSpec, bi: np.ndarray,
+                 bj: np.ndarray) -> np.ndarray:
+    """Errors S_n - delta_ij * limit of the paths ``bi``, ``bj`` (components
+    i and j, shape (rows, nodes) on ``fine``); shape (len(n_values), rows)."""
+    hv = as_hurst(plan.hurst).value
     grids = [GridSpec(plan.t, n, plan.t) for n in plan.n_values]
-    i, j = plan.component_pair
-    batch = sample_fft_batch(h, fine, plan.master_seed, count,
-                             plan.components, first_replicate=first)
-    bi, bj = batch[:, i - 1], batch[:, j - 1]
     atoms = plan.integrand.atoms
 
     def sign_change(a, grid):  # closed-form S_n of 1_{x > a}, per replicate
         n = grid.points_per_unit
-        return n ** (2 * h.value - 1) * crossing_sums(bi, fine, a, grid)
+        return n ** (2 * hv - 1) * crossing_sums(bi, fine, a, grid)
 
-    errs = np.empty((len(grids), count))
+    errs = np.empty((len(grids), bi.shape[0]))
     if plan.reference_kind == "fine_sign_change":
         # closed-form route: S_n per atom, limit from the fine grid
         fine_sc = {a: sign_change(a, fine) for a, _ in atoms}
         for gi, grid in enumerate(grids):
-            e = np.zeros(count)
+            e = np.zeros(bi.shape[0])
             for a, c in atoms:
                 e += 2 * c * (sign_change(a, grid) - fine_sc[a])
             errs[gi] = e
     else:
+        # i != j (the plan rejects a Riemann reference at i = j): no limit term
         ref = riemann_sums(bi, bj, fine, plan.integrand, fine)
-        if i == j:
-            limit = sum(2 * c * sign_change(a, fine) for a, c in atoms)
-        else:
-            limit = 0.0
         for gi, grid in enumerate(grids):
             n = grid.points_per_unit
-            s_n = n ** (2 * h.value - 1) * (
+            errs[gi] = n ** (2 * hv - 1) * (
                 ref - riemann_sums(bi, bj, fine, plan.integrand, grid))
-            errs[gi] = s_n - limit
+    return errs
+
+
+def _replicate_errors(plan: ExperimentPlan, first: int, count: int) -> np.ndarray:
+    """Errors S_n - delta_ij * limit for replicates [first, first+count),
+    shape (len(n_values), count), from paths streamed block by block."""
+    fine = GridSpec(plan.t, plan.fine_n, plan.t)
+    i, j = plan.component_pair
+    errs = np.empty((len(plan.n_values), count))
+    done = 0
+    for rows, block in fft_blocks(plan.hurst, fine, plan.master_seed, count,
+                                  plan.components, first_replicate=first):
+        errs[:, done:done + rows] = _path_errors(plan, fine, block[:, i - 1],
+                                                 block[:, j - 1])
+        done += rows
     return errs
 
 
 def _collect(plan: ExperimentPlan, first: int, total: int, threads: int) -> np.ndarray:
-    """Errors of replicates [first, total), shape (len(n_values), total - first)."""
+    """Errors of replicates [first, total), shape (len(n_values), total - first).
+
+    Each worker takes one contiguous range, so it allocates its block
+    buffers once whatever the replicate count."""
     out = np.empty((len(plan.n_values), total - first))
-    step = _chunk_size(plan)
-    chunks = [(r, min(step, total - r)) for r in range(first, total, step)]
+    cuts = [first + (total - first) * w // threads for w in range(threads + 1)]
+    ranges = [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
 
-    def work(chunk):
-        start, count = chunk
-        col = start - first
-        out[:, col:col + count] = _replicate_errors(plan, start, count)
+    def work(rng):
+        a, b = rng
+        out[:, a - first:b - first] = _replicate_errors(plan, a, b - a)
 
-    if threads <= 1 or len(chunks) == 1:
-        for c in chunks:
-            work(c)
+    if len(ranges) <= 1:
+        for r in ranges:
+            work(r)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, chunks))
+        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+            list(pool.map(work, ranges))
     return out
 
 

@@ -60,6 +60,23 @@ def test_step2_inner_matches_scipy_normal_tail():
     assert _step2_inner(0.0, 0.1) == 0.0
 
 
+def test_step2_inner_matches_50_digit_reference():
+    # the closed form in 50-digit arithmetic, at the float inputs themselves:
+    # no cancellation is left, so the gap is bounded relative to the value
+    # up to c = 30, where the terms cancel to 2e-3 of their size
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        for theta in np.geomspace(1e-2, 10.0, 13):
+            for c in np.geomspace(1e-3, 30.0, 61):
+                eps = c * theta
+                th, e = mp.mpf(theta), mp.mpf(eps)
+                cm = e / th
+                want = ((th**2 - e**2) * mp.erfc(cm / mp.sqrt(2)) / 2
+                        + th**2 * cm * mp.exp(-cm**2 / 2) / mp.sqrt(2 * mp.pi))
+                gap = abs(mp.mpf(_step2_inner(theta, eps)) - want)
+                assert gap <= 1e-13 * want, (theta, c)
+
+
 def test_true_expectation_common_random_numbers():
     z = np.random.default_rng(0).standard_normal((5000, 3))
     a = true_expectation(0.75, 0.25, 0.0, 0.1, normals=z)

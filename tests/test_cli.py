@@ -2,6 +2,7 @@
 
 import importlib.metadata
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -191,7 +192,8 @@ def test_rate_rejects_bad_pair(tmp_path, capsys, pair):
 
 @pytest.mark.parametrize("extra", ["replicates = -5\n", "level = nan\n",
                                    "fine_factor = -3\n", "n_values = 0,16,64\n",
-                                   "n_values = 16,64\n", "replicates = 1\n"])
+                                   "n_values = 16,64\n", "replicates = 1\n",
+                                   "reference = fine_riemann\n"])
 def test_rate_rejects_bad_config_values(tmp_path, capsys, extra):
     rc = run(["rate", "--config", _rate_cfg(tmp_path, extra)])
     assert rc == 1
@@ -276,6 +278,19 @@ def test_oracle_values(capsys):
     assert rc == 0
     assert float(capsys.readouterr().out) == pytest.approx(0.3252454394294698,
                                                           rel=1e-10)
+
+
+@pytest.mark.parametrize("module", ["fbmlab", "fbmlab.cli"])
+def test_python_m_runs_the_cli(module):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "oracle", "--lemma", "moments", "--H", "0.75"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    # E[L_1(0)] = 1 / ((1 - H) sqrt(2 pi))
+    assert float(proc.stdout) == pytest.approx(1.0 / (0.25 * np.sqrt(2 * np.pi)))
 
 
 def test_oracle_second_moment_converges_at_high_hurst(capsys):

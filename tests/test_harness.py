@@ -1,5 +1,6 @@
 """Rate-experiment orchestration: plans, fits, determinism."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from fbmlab.harness import (
     ExperimentPlan,
     PILOT_REPLICATES,
     PlanError,
+    _path_errors,
     _replicate_errors,
     default_fine_factor,
     fit_rate,
@@ -61,8 +63,20 @@ def test_plan_validation():
 
 
 def test_plan_samples_the_highest_named_component():
-    assert [make_plan(component_pair=p, reference_kind="fine_riemann").components
+    def plan(pair):
+        kind = "fine_sign_change" if pair[0] == pair[1] else "fine_riemann"
+        return make_plan(component_pair=pair, reference_kind=kind)
+
+    assert [plan(p).components
             for p in ((1, 1), (1, 2), (2, 1), (2, 2))] == [1, 2, 2, 2]
+
+
+@pytest.mark.parametrize("pair", [(1, 1), (2, 2)])
+def test_riemann_reference_rejects_equal_components(pair):
+    # at i = j the closed form measures S_n exactly; a Riemann reference
+    # would add (n/F)^{2H-1} S_F to the error
+    with pytest.raises(PlanError, match="distinct components"):
+        make_plan(component_pair=pair, reference_kind="fine_riemann")
 
 
 def test_default_fine_factor():
@@ -105,21 +119,73 @@ def test_rate_experiment_smoke_and_determinism():
     assert all(l2 > 0 for l2 in r1.l2_error)
 
 
-def test_rate_experiment_chunking_invariance():
-    # results must not depend on how replicates are grouped into batches
+def test_rate_experiment_chunking_invariance(monkeypatch):
+    # results must not depend on where the worker ranges, the streamed blocks
+    # and the synthesis blocks begin and end
+    import fbmlab.fbm as fmod
     import fbmlab.harness as hmod
 
+    blocks = []
+    stream = hmod.fft_blocks
+
+    def spy(*args, **kwargs):
+        for rows, block in stream(*args, **kwargs):
+            blocks.append(rows)
+            yield rows, block
+
+    monkeypatch.setattr(hmod, "fft_blocks", spy)
     for plan in (make_plan(replicates=50),
                  make_plan(replicates=50, reference_kind="fine_riemann",
                            component_pair=(1, 2), t=0.83)):
-        ref = run_rate_experiment(plan, threads=2)
-        old = hmod.CHUNK
+        ref = run_rate_experiment(plan, threads=1)
+        fine = GridSpec(plan.t, plan.fine_n, plan.t)
+        m = 2 * (fmod._embedding_amplitude(plan.hurst, fine.full_steps).shape[0] - 1)
+        with monkeypatch.context() as patch:
+            # synthesis blocks of 2 rows inside streamed blocks of 7
+            patch.setattr(fmod, "BLOCK_VALUES", 2 * m)
+            patch.setattr(fmod, "GROUP_VALUES", 7 * plan.components * fine.num_nodes)
+            # worker ranges of 50; 25 and 25; 16, 17 and 17 replicates
+            for threads, sizes in ((1, [7] * 7 + [1]), (2, [7] * 6 + [4, 4]),
+                                   (3, [7] * 6 + [3, 3, 2])):
+                blocks.clear()
+                alt = run_rate_experiment(plan, threads=threads)
+                assert sorted(blocks) == sorted(sizes)
+                assert alt.l2_error == ref.l2_error
+                assert alt.stderr == ref.stderr
+
+
+def test_streamed_errors_equal_materialised_batch(monkeypatch):
+    import fbmlab.fbm as fmod
+
+    mu = SignedMeasure(((-0.3, 0.5), (0.4, 1.0)), base_constant=0.2)
+    for kind, pair in (("fine_sign_change", (2, 2)), ("fine_riemann", (2, 1))):
+        plan = make_plan(n_values=(8, 16, 32), integrand=mu, t=0.83,
+                         replicates=12, reference_kind=kind,
+                         component_pair=pair, fine_factor=16)
+        fine = GridSpec(plan.t, plan.fine_n, plan.t)
+        batch = sample_fft_batch(plan.hurst, fine, plan.master_seed, 12,
+                                 plan.components, first_replicate=5)
+        i, j = pair
+        want = _path_errors(plan, fine, batch[:, i - 1], batch[:, j - 1])
+        # streamed in blocks of 5, 5 and 2 replicates
+        monkeypatch.setattr(fmod, "GROUP_VALUES", 5 * 2 * fine.num_nodes)
+        np.testing.assert_array_equal(_replicate_errors(plan, 5, 12), want)
+
+
+def test_replicate_errors_memory_does_not_grow_with_count():
+    # 64 replicates on a fine grid of 131073 nodes would be a 67 MB batch;
+    # the stream holds one block of about GROUP_VALUES values instead
+    plan = make_plan(n_values=(128, 256, 512), fine_factor=256, replicates=64)
+    assert 64 * (plan.fine_n + 1) * 8 >= 64 * 2**20
+    _replicate_errors(plan, 0, 1)  # fill the embedding cache untraced
+    for count in (8, 64):
+        tracemalloc.start()
         try:
-            hmod.CHUNK = 7
-            alt = run_rate_experiment(plan, threads=2)
+            _replicate_errors(plan, 0, count)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            hmod.CHUNK = old
-        assert ref.l2_error == alt.l2_error
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20, (count, peak)
 
 
 def test_auto_scaled_run_extends_the_pilot():
@@ -156,18 +222,14 @@ def _per_path_errors(plan, first, count):
                     2 * c * (sign_change(bi, a, grid) - sign_change(bi, a, fine))
                     for a, c in atoms)
             else:
-                limit = sum(2 * c * sign_change(bi, a, fine)
-                            for a, c in atoms) if i == j else 0.0
-                s_n = n ** (2 * plan.hurst - 1) * (
+                errs[gi, r] = n ** (2 * plan.hurst - 1) * (
                     riemann_sums(bi, bj, fine, plan.integrand, fine)
                     - riemann_sums(bi, bj, fine, plan.integrand, grid))
-                errs[gi, r] = s_n - limit
     return errs
 
 
 @pytest.mark.parametrize("kind, pair, t", [
     ("fine_sign_change", (1, 1), 0.83),
-    ("fine_riemann", (1, 1), 1.0),
     ("fine_riemann", (1, 2), 0.83),
 ])
 def test_batch_errors_match_per_path_route(kind, pair, t):
