@@ -38,8 +38,12 @@ __all__ = [
     "lemma_a1_mc",
     "lemma_a2_check",
     "density_shift_integral",
-    "density_shift_slope",
 ]
+
+# half-width of the level band of the level-crossing functional F
+STEP2_EPS = 0.1
+# usable h cells a decoupling slope needs before a miss counts as FAIL
+MIN_USABLE = 5
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +134,15 @@ def surrogate_expectation(hurst, h, a, eps) -> float:
 
 
 def decoupling_scaling(hurst: float, h_levels, a: float = 0.0,
-                       mc_samples: int = 200_000, seed: int = 0,
-                       eps: float = 0.1, min_usable: int = 5):
-    """Regress log|true - surrogate| against log h over a dyadic h-grid.
+                       mc_samples: int = 200_000, seed: int = 0):
+    """Regress log|true - surrogate| against log h over a dyadic h-grid,
+    with the level band ``STEP2_EPS``.
 
     Common random numbers are used across h.  Cells where the discrepancy
     is within 3 standard errors of zero are excluded as noise-dominated.
     Status is PASS when the slope meets the h^{2-2H} envelope (one-sided:
     steeper decay also passes), FAIL only with adequate power
-    (>= ``min_usable`` usable cells), and INCONCLUSIVE otherwise.
+    (>= ``MIN_USABLE`` usable cells), and INCONCLUSIVE otherwise.
     """
     h_levels = sorted(float(h) for h in h_levels)
     if len(h_levels) < 5:
@@ -152,8 +156,8 @@ def decoupling_scaling(hurst: float, h_levels, a: float = 0.0,
     z = substream(seed, 0).standard_normal((mc_samples, 3))
     rows = []
     for h in h_levels:
-        true = true_expectation(hurst, h, a, eps, normals=z)
-        sur = surrogate_expectation(hurst, h, a, eps)
+        true = true_expectation(hurst, h, a, STEP2_EPS, normals=z)
+        sur = surrogate_expectation(hurst, h, a, STEP2_EPS)
         disc = true["mean"] - sur
         rows.append({
             "h": h, "true": true["mean"], "stderr": true["stderr"],
@@ -171,7 +175,7 @@ def decoupling_scaling(hurst: float, h_levels, a: float = 0.0,
         slope = float(np.polyfit(x, y, 1)[0])
         if slope >= target:
             status = "PASS"
-        elif len(usable) >= min_usable:
+        elif len(usable) >= MIN_USABLE:
             status = "FAIL"
         else:
             status = "INCONCLUSIVE"
@@ -249,18 +253,20 @@ def _phi_pair(hv: float, u, v, a: float):
     return np.exp(-0.5 * qf) / (2 * np.pi * np.sqrt(det))
 
 
-def density_shift_integral(h, n: int, a: float = 0.0, horizon: float = 1.0) -> float:
+def density_shift_integral(h, n: int, a: float = 0.0) -> float:
     """I(n) = integral of |phi_{u,v}(a,a) - phi_{u_n,v}(a,a)| over the
-    region where u, v and |u - v| all exceed 2/n, with u_n = floor(nu)/n.
+    region of [0, 1]^2 where u, v and |u - v| all exceed 2/n, with
+    u_n = floor(nu)/n.
 
     The u-axis is cut into strips [k/n, (k+1)/n] (u_n constant on each)
     with 6 Gauss-Legendre nodes per strip; for each u the v-integral runs
-    over [2/n, u - 2/n] and [u + 2/n, horizon] on panels graded toward the
-    excluded diagonal.  Decays like n^{-(1-H)}.
+    over [2/n, u - 2/n] and [u + 2/n, 1] on panels graded toward the
+    excluded diagonal.  Decays like n^{-(1-H)}; the decay sets in slowly,
+    and below a few hundred n the integral sits on a pre-asymptotic hump.
     """
     hv = as_hurst(h).value
-    k = np.arange(2, int(n * horizon))
-    lo, hi = k / n, np.minimum((k + 1) / n, horizon)
+    k = np.arange(2, n)
+    lo, hi = k / n, (k + 1) / n
     x, w = np.polynomial.legendre.leggauss(6)
     u = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * x).ravel()
     wu = (0.5 * (hi - lo)[:, None] * w).ravel()
@@ -274,23 +280,8 @@ def density_shift_integral(h, n: int, a: float = 0.0, horizon: float = 1.0) -> f
     gap = 2.0 / n
     # v below the diagonal, graded toward u - 2/n, then above, toward u + 2/n
     for start, end, sign in ((u - gap, np.full_like(u, gap), -1.0),
-                             (u + gap, np.full_like(u, horizon), 1.0)):
+                             (u + gap, np.ones_like(u), 1.0)):
         m = sign * (end - start) > 0
         total += _iterated_integral(shift, (u[m], un[m]), wu[m], start[m],
                                     end[m], rule)
     return total
-
-
-def density_shift_slope(h, n_values=(256, 512, 1024, 2048),
-                        a: float = 0.0, horizon: float = 1.0):
-    """Log-log slope of the density-shift integral against n.
-
-    The asymptotic decay n^{-(1-H)} sets in slowly; small grids (n below
-    a few hundred) sit on the pre-asymptotic hump and should not be used
-    for rate fits.
-    """
-    vals = [density_shift_integral(h, n, a, horizon) for n in n_values]
-    x = np.log2(np.asarray(n_values, dtype=float))
-    y = np.log2(vals)
-    slope = float(np.polyfit(x, y, 1)[0])
-    return {"slope": slope, "n": list(n_values), "integral": vals}

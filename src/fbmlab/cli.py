@@ -112,7 +112,9 @@ def _fmt(v) -> str:
 
 def _cmd_simulate(args):
     started = time.monotonic()
-    grid = GridSpec(args.T, args.n, args.T if args.t is None else args.t)
+    grid = GridSpec(args.T if args.t is None else args.t, args.n)
+    if not grid.t_end <= args.T:
+        raise CliError(f"--t ({grid.t_end}) must not exceed --T ({args.T})")
     sampler = sample_fft_batch if args.method == "fft" else sample_exact_batch
     values = sampler(args.H, grid, args.seed, 1, args.components)[0]
     buf = io.StringIO()
@@ -128,7 +130,7 @@ def _cmd_localtime(args):
     levels = [float(x) for x in args.levels.split(",")]
     if not np.all(np.isfinite(levels)):
         raise CliError("levels must be finite")
-    grid = GridSpec(args.t, args.n, args.t)
+    grid = GridSpec(args.t, args.n)
     eps = default_bin_width(args.H, args.n) if args.eps is None else args.eps
     if eps <= 0:
         raise CliError("eps must be positive")
@@ -171,23 +173,25 @@ def _cmd_rate(args):
         raise CliError(f"pair must be two digits such as 11 or 12, not {pair!r}")
     i, j = int(pair[0]), int(pair[1])
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    reference = cfg.get(
-        "reference", "fine_sign_change" if i == j else "fine_riemann")
     plan = ExperimentPlan(
         hurst=h, n_values=n_values,
         integrand=indicator_measure(level),
         component_pair=(i, j), t=float(cfg.get("t", 1.0)),
         replicates=int(cfg.get("replicates", 0)),
         master_seed=seed, fine_factor=int(cfg.get("fine_factor", 0)),
-        reference_kind=reference,
     )
+    # the component pair decides the reference; the key may only confirm it
+    reference = cfg.get("reference", plan.reference_kind)
+    if reference != plan.reference_kind:
+        raise CliError(f"reference {reference!r} does not apply to pair "
+                       f"{pair}, whose reference is {plan.reference_kind}")
     report = run_rate_experiment(plan, threads=args.threads)
     rows = [(r["H"], r["n"], r["l2_error"], r["stderr"], r["replicates"],
              r["slope"], r["half_width"], r["pass"]) for r in report.rows()]
     text = _csv(["H", "n", "l2_error", "stderr", "replicates", "slope",
                  "half_width", "pass"], rows)
     cfg_echo = {"H": h, "n_values": ",".join(map(str, n_values)), "level": level,
-                "pair": pair, "seed": seed, "reference": reference,
+                "pair": pair, "seed": seed, "reference": plan.reference_kind,
                 "replicates": report.replicates}
     _emit(args, "rate.csv", text, _manifest(args, cfg_echo, started))
     if report.unusable and len(report.unusable) == len(report.n_values):

@@ -130,20 +130,24 @@ def increment_level_bound_constant(h) -> float:
     return 2.0 ** (2 - 2 * hv) * hv
 
 
-def covariance_increment_bound_check(h, trials: int, rng_seed: int, horizon: float = 1.0):
+def covariance_increment_bound_check(h, trials: int, rng_seed: int):
     """Count violations of |E[(B_v - B_u) B_t]| <= beta t^{2H-1} (v - u)
     with the sharp beta from :func:`increment_level_bound_constant`.
 
-    Valid for H > 1/2; ``trials`` random triples (t, u <= v) in [0, T]^3.
+    Valid for H > 1/2; ``trials`` random triples (t, u <= v) in [0, 1]^3
+    (the bound scales with T^{2H}, so [0, 1] covers every horizon).
     Returns {violations, max_ratio} with 1e-12 rounding slack; max_ratio
     is lhs / (t^{2H-1}(v - u)) and must stay below beta.
     """
+    if trials < 1:
+        raise ValueError("the number of samples (trials) must be >= 1, "
+                         f"got {trials}")
     h = as_hurst(h)
     h.require_rough_regime()
     beta = increment_level_bound_constant(h)
     rng = substream(rng_seed, 0)
-    t = rng.uniform(0, horizon, trials)
-    uv = np.sort(rng.uniform(0, horizon, (trials, 2)), axis=1)
+    t = rng.uniform(0, 1, trials)
+    uv = np.sort(rng.uniform(0, 1, (trials, 2)), axis=1)
     u, v = uv[:, 0], uv[:, 1]
     lhs = np.abs(fbm_covariance(h, v, t) - fbm_covariance(h, u, t))
     scale = t ** (2 * h.value - 1) * (v - u)

@@ -96,19 +96,14 @@ class GridSpec:
     """Uniform grid k/n for k = 0..floor(n*t_end), plus t_end itself when
     n*t_end is not an integer (so the clamped terminal node is exact)."""
 
-    horizon: float
+    t_end: float
     points_per_unit: int
-    t_end: float | None = None
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.t_end < np.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.points_per_unit < 1:
             raise ValueError("points_per_unit must be >= 1")
-        if self.t_end is None:
-            object.__setattr__(self, "t_end", float(self.horizon))
-        if not 0.0 < self.t_end <= self.horizon + _GRID_EPS:
-            raise ValueError("t_end must lie in (0, horizon]")
 
     @property
     def full_steps(self) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fbm import GridSpec, as_hurst, fft_blocks
-from .integrals import SignedMeasure, crossing_sums, indicator_measure, riemann_sums
+from .integrals import SignedMeasure, crossing_sums, riemann_sums
 
 __all__ = [
     "ExperimentPlan",
@@ -31,7 +31,6 @@ __all__ = [
     "PlanError",
     "fit_rate",
     "run_rate_experiment",
-    "level_decay_comparison",
     "default_fine_factor",
     "resolve_threads",
 ]
@@ -46,10 +45,12 @@ class PlanError(ValueError):
     pass
 
 
-def default_fine_factor(h, reference_kind: str) -> int:
-    """16 for sign-change references; for Riemann references, enough that
-    the reference's own n^{1-2H} bias is two orders below the target."""
-    if reference_kind == "fine_sign_change":
+def default_fine_factor(h, component_pair) -> int:
+    """16 for equal components (sign-change reference); for distinct ones
+    (Riemann reference), enough that the reference's own n^{1-2H} bias is
+    two orders below the target."""
+    i, j = component_pair
+    if i == j:
         return 16
     hv = as_hurst(h).value
     need = 100.0 ** (1.0 / (2 * hv - 1))
@@ -74,8 +75,7 @@ class ExperimentPlan:
     t: float = 1.0
     replicates: int = 0  # 0 = auto-scale (pilot, then stderr <= 10% of l2)
     master_seed: int = 0
-    fine_factor: int = 0  # 0 = default for the reference kind
-    reference_kind: str = "fine_sign_change"
+    fine_factor: int = 0  # 0 = default for the component pair
 
     def __post_init__(self):
         as_hurst(self.hurst).require_rough_regime()
@@ -90,29 +90,33 @@ class ExperimentPlan:
             raise PlanError("n values must be strictly increasing")
         if ns[-1] < 4 * ns[0]:
             raise PlanError("n values must span at least 2 octaves")
-        if self.reference_kind not in ("fine_sign_change", "fine_riemann"):
-            raise PlanError(f"unknown reference kind {self.reference_kind!r}")
         pair = tuple(self.component_pair)
         if len(pair) != 2 or not set(pair) <= {1, 2}:
             raise PlanError(f"component pair {pair} must name two components "
                             "from {1, 2}")
-        if self.reference_kind == "fine_sign_change" and pair[0] != pair[1]:
-            raise PlanError("sign-change references need equal components")
-        if self.reference_kind == "fine_riemann" and pair[0] == pair[1]:
-            # the Riemann reference would add (n/F)^{2H-1} S_F to the error
-            # that the closed form measures exactly
-            raise PlanError("Riemann references need distinct components; "
-                            "equal components use fine_sign_change")
+        if not 0.0 < self.t < np.inf:
+            raise PlanError(f"t must be positive and finite, got {self.t}")
         if self.replicates < 0 or self.replicates == 1:
             raise PlanError("replicates must be 0 (auto-scale) or >= 2 (the "
                             f"stderr needs two), got {self.replicates}")
-        if self.fine_factor < 0:
-            raise PlanError("fine_factor must be >= 0 (0 = default for the "
-                            "reference kind)")
+        if self.fine_factor < 0 or self.fine_factor == 1:
+            # at 1 the reference would be the n_max grid itself
+            raise PlanError("fine_factor must be 0 (default for the component "
+                            f"pair) or >= 2, got {self.fine_factor}")
         if self.fine_factor == 0:
-            object.__setattr__(
-                self, "fine_factor",
-                default_fine_factor(self.hurst, self.reference_kind))
+            object.__setattr__(self, "fine_factor",
+                               default_fine_factor(self.hurst, pair))
+        bad = [n for n in ns if self.fine_n % n]
+        if bad:
+            raise PlanError(f"n_values {bad} do not divide the reference grid "
+                            f"fine_n = {self.fine_n}")
+
+    @property
+    def reference_kind(self) -> str:
+        """At i = j S_n has a closed form as a crossing sum; at i != j the
+        reference is a Riemann sum on the fine grid."""
+        i, j = self.component_pair
+        return "fine_sign_change" if i == j else "fine_riemann"
 
     @property
     def fine_n(self) -> int:
@@ -184,7 +188,7 @@ def _path_errors(plan: ExperimentPlan, fine: GridSpec, bi: np.ndarray,
     """Errors S_n - delta_ij * limit of the paths ``bi``, ``bj`` (components
     i and j, shape (rows, nodes) on ``fine``); shape (len(n_values), rows)."""
     hv = as_hurst(plan.hurst).value
-    grids = [GridSpec(plan.t, n, plan.t) for n in plan.n_values]
+    grids = [GridSpec(plan.t, n) for n in plan.n_values]
     atoms = plan.integrand.atoms
 
     def sign_change(a, grid):  # closed-form S_n of 1_{x > a}, per replicate
@@ -192,7 +196,8 @@ def _path_errors(plan: ExperimentPlan, fine: GridSpec, bi: np.ndarray,
         return n ** (2 * hv - 1) * crossing_sums(bi, fine, a, grid)
 
     errs = np.empty((len(grids), bi.shape[0]))
-    if plan.reference_kind == "fine_sign_change":
+    i, j = plan.component_pair
+    if i == j:
         # closed-form route: S_n per atom, limit from the fine grid
         fine_sc = {a: sign_change(a, fine) for a, _ in atoms}
         for gi, grid in enumerate(grids):
@@ -201,7 +206,7 @@ def _path_errors(plan: ExperimentPlan, fine: GridSpec, bi: np.ndarray,
                 e += 2 * c * (sign_change(a, grid) - fine_sc[a])
             errs[gi] = e
     else:
-        # i != j (the plan rejects a Riemann reference at i = j): no limit term
+        # i != j: Riemann reference, no limit term
         ref = riemann_sums(bi, bj, fine, plan.integrand, fine)
         for gi, grid in enumerate(grids):
             n = grid.points_per_unit
@@ -213,7 +218,7 @@ def _path_errors(plan: ExperimentPlan, fine: GridSpec, bi: np.ndarray,
 def _replicate_errors(plan: ExperimentPlan, first: int, count: int) -> np.ndarray:
     """Errors S_n - delta_ij * limit for replicates [first, first+count),
     shape (len(n_values), count), from paths streamed block by block."""
-    fine = GridSpec(plan.t, plan.fine_n, plan.t)
+    fine = GridSpec(plan.t, plan.fine_n)
     i, j = plan.component_pair
     errs = np.empty((len(plan.n_values), count))
     done = 0
@@ -303,25 +308,3 @@ def run_rate_experiment(plan: ExperimentPlan, threads=None) -> RateReport:
         fit["slope"], fit["half_width"], target,
         bool(fit["slope"] <= target), unusable, time.monotonic() - start,
     )
-
-
-def level_decay_comparison(h, n: int, levels, replicates: int = 1000,
-                           master_seed: int = 0, t: float = 1.0,
-                           fine_factor: int = 16, threads=None):
-    """l2 error of the crossing estimator per level on shared paths.
-
-    The same replicate substreams serve every level, isolating the
-    exp(-P a^2/2) level-decay effect from Monte Carlo noise.
-    """
-    out = {}
-    for a in levels:
-        plan = ExperimentPlan(
-            hurst=h, n_values=(n // 4, n // 2, n),
-            integrand=indicator_measure(float(a)),
-            component_pair=(1, 1), t=t, replicates=replicates,
-            master_seed=master_seed, fine_factor=fine_factor,
-        )
-        errs = _collect(plan, 0, replicates, resolve_threads(threads))
-        l2, se = _l2_and_stderr(errs)
-        out[float(a)] = {"l2_error": float(l2[-1]), "stderr": float(se[-1])}
-    return out

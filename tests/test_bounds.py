@@ -10,7 +10,6 @@ from fbmlab.bounds import (
     _step2_times,
     decoupling_scaling,
     density_shift_integral,
-    density_shift_slope,
     factorisation_scaling,
     lemma_a1_mc,
     lemma_a1_oracle,
@@ -177,5 +176,9 @@ def test_density_shift_integral_matches_strip_loop(a):
 
 @pytest.mark.slow
 def test_density_shift_decay_rate():
-    res = density_shift_slope(0.6, n_values=(256, 512, 1024))
-    assert res["slope"] <= -(1 - 0.6) + 0.3
+    # n^{-(1-H)} sets in slowly: grids below a few hundred sit on the
+    # pre-asymptotic hump, so the fit starts at 256
+    n = np.array([256, 512, 1024])
+    vals = [density_shift_integral(0.6, k) for k in n]
+    slope = np.polyfit(np.log2(n), np.log2(vals), 1)[0]
+    assert slope <= -(1 - 0.6) + 0.3

@@ -109,7 +109,7 @@ def test_localtime_matches_per_path_loop(tmp_path, estimator):
     assert rc == 0
     rows = (tmp_path / "localtime.csv").read_text().strip().split("\n")[1:]
     got = np.array([[float(x) for x in row.split(",")[:3]] for row in rows])
-    grid = GridSpec(t, n, t)
+    grid = GridSpec(t, n)
     batch = sample_fft_batch(h, grid, seed, reps)
     eps = default_bin_width(h, n)
     want = []
@@ -145,6 +145,24 @@ def test_simulate_rejects_zero_t(capsys):
     rc = run(["simulate", "--H", "0.75", "--n", "8", "--t", "0"])
     assert rc == 1
     assert "t_end" in capsys.readouterr().err
+
+
+def test_simulate_rejects_t_beyond_T(capsys):
+    rc = run(["simulate", "--H", "0.75", "--n", "8", "--T", "0.5", "--t", "0.8"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --t (0.8) must not exceed --T (0.5)")
+    assert captured.out == ""
+
+
+def test_simulate_path_does_not_depend_on_T(capsys):
+    # the grid ends at t; --T only bounds it
+    outs = []
+    for extra in (["--T", "2", "--t", "0.5"], ["--T", "0.5"]):
+        assert run(["simulate", "--H", "0.75", "--n", "8", "--seed", "1",
+                    *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_rate_subcommand(tmp_path, capsys):
@@ -193,14 +211,26 @@ def test_rate_rejects_bad_pair(tmp_path, capsys, pair):
 @pytest.mark.parametrize("extra", ["replicates = -5\n", "level = nan\n",
                                    "fine_factor = -3\n", "n_values = 0,16,64\n",
                                    "n_values = 16,64\n", "replicates = 1\n",
-                                   "reference = fine_riemann\n"])
+                                   "reference = fine_riemann\n",
+                                   "fine_factor = 1\n", "n_values = 16,48,64\n",
+                                   "t = 0\n", "t = -1\n", "t = nan\n",
+                                   "reference = bogus\n"])
 def test_rate_rejects_bad_config_values(tmp_path, capsys, extra):
     rc = run(["rate", "--config", _rate_cfg(tmp_path, extra)])
     assert rc == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
-    assert extra.split("=")[0].strip() in captured.err  # names the config key
+    key = extra.split("=")[0].strip()
+    assert captured.err.startswith(f"error: {key} ")  # names the config key
     assert captured.out == ""
+
+
+def test_rate_reference_key_confirms_the_pair(tmp_path):
+    # the pair decides the reference; a key that names it is accepted
+    cfg = _rate_cfg(tmp_path, "reference = fine_riemann\n")
+    assert run(["--output-dir", str(tmp_path), "--quiet", "rate", "--config",
+                cfg, "--pair", "12"]) == 0
+    man = json.loads((tmp_path / "rate.csv.manifest.json").read_text())
+    assert man["config"]["reference"] == "fine_riemann"
 
 
 def test_localtime_rejects_nonfinite_level(capsys):
@@ -239,6 +269,15 @@ def test_verify_bounds_cov(capsys):
     out = capsys.readouterr().out
     assert "increment_level_bound_violations,,0.75,0" in out
     assert "theta1_slope" in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_bounds_cov_rejects_bad_samples(capsys, samples):
+    rc = run(["verify-bounds", "--suite", "cov", "--samples", samples])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the number of samples")
+    assert captured.out == ""
 
 
 def test_verify_bounds_accepts_tiny_ratios(capsys):

@@ -15,7 +15,6 @@ from fbmlab.harness import (
     _replicate_errors,
     default_fine_factor,
     fit_rate,
-    level_decay_comparison,
     resolve_threads,
     run_rate_experiment,
 )
@@ -42,48 +41,52 @@ def test_plan_validation():
         make_plan(n_values=(64, 32))
     with pytest.raises(PlanError, match="n_values"):
         make_plan(n_values=(0, 16, 64))
-    with pytest.raises(PlanError, match="fine_factor"):
-        make_plan(fine_factor=-3)
+    for factor in (-3, 1):  # at 1 the reference is the n_max grid itself
+        with pytest.raises(PlanError, match="fine_factor"):
+            make_plan(fine_factor=factor)
+    for t in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(PlanError, match="^t must"):
+            make_plan(t=t)
     with pytest.raises(PlanError):
         make_plan(n_values=(16, 32, 48))  # under 2 octaves
     for ns in ((), (16,), (16, 64)):  # a rate fit needs three points
         with pytest.raises(PlanError, match="n_values"):
             make_plan(n_values=ns)
-    with pytest.raises(PlanError):
-        make_plan(reference_kind="bogus")
-    with pytest.raises(PlanError):
-        make_plan(component_pair=(1, 2))  # sign-change needs i = j
     for pair in ((1, 3), (0, 0), (1,), (1, 2, 1)):
         with pytest.raises(PlanError):
-            make_plan(component_pair=pair, reference_kind="fine_riemann")
+            make_plan(component_pair=pair)
     with pytest.raises(PlanError):
         make_plan(replicates=-5)  # 0 means auto-scale; below 0 is an error
     with pytest.raises(PlanError, match="replicates"):
         make_plan(replicates=1)  # no stderr from one replicate
 
 
-def test_plan_samples_the_highest_named_component():
-    def plan(pair):
-        kind = "fine_sign_change" if pair[0] == pair[1] else "fine_riemann"
-        return make_plan(component_pair=pair, reference_kind=kind)
+def test_plan_rejects_n_values_off_the_reference_grid():
+    # 48 does not divide fine_n = 16 * 64; caught by the plan, before any
+    # worker samples a path
+    with pytest.raises(PlanError, match="n_values"):
+        make_plan(n_values=(16, 48, 64), fine_factor=16)
+    assert make_plan(n_values=(16, 48, 64), fine_factor=3).fine_n == 192
 
-    assert [plan(p).components
+
+def test_plan_samples_the_highest_named_component():
+    assert [make_plan(component_pair=p).components
             for p in ((1, 1), (1, 2), (2, 1), (2, 2))] == [1, 2, 2, 2]
 
 
-@pytest.mark.parametrize("pair", [(1, 1), (2, 2)])
-def test_riemann_reference_rejects_equal_components(pair):
-    # at i = j the closed form measures S_n exactly; a Riemann reference
-    # would add (n/F)^{2H-1} S_F to the error
-    with pytest.raises(PlanError, match="distinct components"):
-        make_plan(component_pair=pair, reference_kind="fine_riemann")
+def test_component_pair_picks_the_reference():
+    kinds = [make_plan(component_pair=p).reference_kind
+             for p in ((1, 1), (1, 2), (2, 1), (2, 2))]
+    assert kinds == ["fine_sign_change", "fine_riemann", "fine_riemann",
+                     "fine_sign_change"]
 
 
 def test_default_fine_factor():
-    assert default_fine_factor(0.75, "fine_sign_change") == 16
+    assert default_fine_factor(0.75, (2, 2)) == 16
     # Riemann reference needs 100^{1/(2H-1)}-fold refinement, capped at 256
-    assert default_fine_factor(0.98, "fine_riemann") == 128
-    assert default_fine_factor(0.75, "fine_riemann") == 256
+    assert default_fine_factor(0.98, (1, 2)) == 128
+    assert default_fine_factor(0.75, (2, 1)) == 256
+    assert make_plan(component_pair=(1, 2)).fine_factor == 256
 
 
 def test_resolve_threads():
@@ -135,10 +138,9 @@ def test_rate_experiment_chunking_invariance(monkeypatch):
 
     monkeypatch.setattr(hmod, "fft_blocks", spy)
     for plan in (make_plan(replicates=50),
-                 make_plan(replicates=50, reference_kind="fine_riemann",
-                           component_pair=(1, 2), t=0.83)):
+                 make_plan(replicates=50, component_pair=(1, 2), t=0.83)):
         ref = run_rate_experiment(plan, threads=1)
-        fine = GridSpec(plan.t, plan.fine_n, plan.t)
+        fine = GridSpec(plan.t, plan.fine_n)
         m = 2 * (fmod._embedding_amplitude(plan.hurst, fine.full_steps).shape[0] - 1)
         with monkeypatch.context() as patch:
             # synthesis blocks of 2 rows inside streamed blocks of 7
@@ -158,11 +160,10 @@ def test_streamed_errors_equal_materialised_batch(monkeypatch):
     import fbmlab.fbm as fmod
 
     mu = SignedMeasure(((-0.3, 0.5), (0.4, 1.0)), base_constant=0.2)
-    for kind, pair in (("fine_sign_change", (2, 2)), ("fine_riemann", (2, 1))):
+    for pair in ((2, 2), (2, 1)):
         plan = make_plan(n_values=(8, 16, 32), integrand=mu, t=0.83,
-                         replicates=12, reference_kind=kind,
-                         component_pair=pair, fine_factor=16)
-        fine = GridSpec(plan.t, plan.fine_n, plan.t)
+                         replicates=12, component_pair=pair, fine_factor=16)
+        fine = GridSpec(plan.t, plan.fine_n)
         batch = sample_fft_batch(plan.hurst, fine, plan.master_seed, 12,
                                  plan.components, first_replicate=5)
         i, j = pair
@@ -202,7 +203,7 @@ def test_auto_scaled_run_extends_the_pilot():
 
 def _per_path_errors(plan, first, count):
     """The harness's errors from per-row calls of the public batch kernels."""
-    fine = GridSpec(plan.t, plan.fine_n, plan.t)
+    fine = GridSpec(plan.t, plan.fine_n)
     batch = sample_fft_batch(plan.hurst, fine, plan.master_seed, count,
                              plan.components, first_replicate=first)
     i, j = plan.component_pair
@@ -216,8 +217,8 @@ def _per_path_errors(plan, first, count):
     for r in range(count):
         bi, bj = batch[r, i - 1], batch[r, j - 1]
         for gi, n in enumerate(plan.n_values):
-            grid = GridSpec(plan.t, n, plan.t)
-            if plan.reference_kind == "fine_sign_change":
+            grid = GridSpec(plan.t, n)
+            if i == j:
                 errs[gi, r] = sum(
                     2 * c * (sign_change(bi, a, grid) - sign_change(bi, a, fine))
                     for a, c in atoms)
@@ -235,7 +236,8 @@ def _per_path_errors(plan, first, count):
 def test_batch_errors_match_per_path_route(kind, pair, t):
     mu = SignedMeasure(((-0.3, 0.5), (0.4, 1.0)), base_constant=0.2)
     plan = make_plan(n_values=(8, 16, 32), integrand=mu, t=t, replicates=12,
-                     reference_kind=kind, component_pair=pair, fine_factor=16)
+                     component_pair=pair, fine_factor=16)
+    assert plan.reference_kind == kind
     got = _replicate_errors(plan, 5, 12)
     want = _per_path_errors(plan, 5, 12)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -260,10 +262,3 @@ def test_budget_guard():
     plan = make_plan(n_values=(2 ** 14, 2 ** 16, 2 ** 18), fine_factor=256)
     with pytest.raises(PlanError):
         plan.check_budget(10_000)
-
-
-def test_level_decay_shared_streams():
-    res = level_decay_comparison(0.75, 64, [0.0, 2.0], replicates=200,
-                                 master_seed=3)
-    assert set(res) == {0.0, 2.0}
-    assert res[2.0]["l2_error"] < res[0.0]["l2_error"]

@@ -101,7 +101,7 @@ def test_sign_change_nonzero_level_shift_invariance():
 
 def test_clamped_terminal_step():
     # t = 0.3 on an n = 4 grid: one full step then the partial one
-    grid = GridSpec(1.0, 4, 0.3)
+    grid = GridSpec(0.3, 4)
     b = np.array([0.0, -0.5, 0.2])
     # crossings: step 1 (0 -> -0.5) no (both "negative" under sgn(0) = -1),
     # step 2 (-0.5 -> 0.2) yes
@@ -125,7 +125,7 @@ BATCH_FUNCTIONS = {
 def test_single_path_is_a_batch_row(name, t):
     # a (nodes,) path gives a 0-d result equal to its row of a batch call
     fn = BATCH_FUNCTIONS[name]
-    fine, grid = GridSpec(1.0, 256, t), GridSpec(1.0, 32, t)
+    fine, grid = GridSpec(t, 256), GridSpec(t, 32)
     batch = sample_fft_batch(0.75, fine, 9, 6)[:, 0]
     whole = fn(batch, fine, grid)
     assert whole.shape == (6,)
@@ -136,10 +136,10 @@ def test_single_path_is_a_batch_row(name, t):
     if name == "riemann_sums":
         # rows of >= 2^18 fine nodes: the kernel's blocks hold one row on the
         # fine grid and four on n = 2^16 (a four-row and a two-row block)
-        fine = GridSpec(1.0, 2**19, t)
+        fine = GridSpec(t, 2**19)
         walk = np.cumsum(np.random.default_rng(3).standard_normal(
             (6, fine.num_nodes)), axis=-1) * 2.0**-9.5
-        for grid in (fine, GridSpec(1.0, 2**16, t), GridSpec(1.0, 32, t)):
+        for grid in (fine, GridSpec(t, 2**16), GridSpec(t, 32)):
             whole = fn(walk, fine, grid)
             rows = [fn(walk[r], fine, grid) for r in range(6)]
             np.testing.assert_array_equal(rows, whole)
@@ -159,10 +159,10 @@ def _coarse_values_fancy(values, fine, grid):
 # a partial step
 @pytest.mark.parametrize("t", [1.0, 0.83, 207.5 / 256, 207 / 256])
 def test_coarse_view_matches_fancy_index(t):
-    fine = GridSpec(1.0, 256, t)
+    fine = GridSpec(t, 256)
     values = np.random.default_rng(4).standard_normal((3, 2, fine.num_nodes))
     for n in (16, 64, 256):
-        grid = GridSpec(1.0, n, t)
+        grid = GridSpec(t, n)
         got = _coarse_view(values, fine, grid)
         assert got.shape == (3, 2, grid.num_nodes)
         np.testing.assert_array_equal(got, _coarse_values_fancy(values, fine, grid))
@@ -197,7 +197,7 @@ fine = GridSpec(1.0, 2**17)
 walk = np.cumsum(np.random.default_rng(5).standard_normal((4, 2, fine.num_nodes)),
                  axis=-1) * 2.0**-8.5
 sums = riemann_sums(walk[:, 0], walk[:, 1], fine, indicator_measure(0.0), fine)
-paths = sample_fft_batch(0.1, GridSpec(2.0, 2**15, 1 + 2**-16), 3, 3)
+paths = sample_fft_batch(0.1, GridSpec(1 + 2**-16, 2**15), 3, 3)
 print(hashlib.sha256(sums.tobytes()).hexdigest(),
       hashlib.sha256(paths.tobytes()).hexdigest())
 """

@@ -210,7 +210,7 @@ def test_crossing_weight_makes_step_mean_exact(h, k):
 
 def test_partial_step_weight_makes_step_mean_exact():
     # t = 0.7 on n = 16: full steps end at 11, the partial step is [11, 11.2]
-    h, grid = 0.75, GridSpec(0.7, 16, 0.7)
+    h, grid = 0.75, GridSpec(0.7, 16)
     s, e = grid.full_steps, grid.points_per_unit * grid.t_end
     w = _single_crossing_weight(h, grid, s)
     share = (e ** (1 - h) - s ** (1 - h)) / ((1 - h) * np.sqrt(2 * np.pi))
