@@ -27,7 +27,7 @@ import numpy as np
 
 from .covariance import factorisation_error, increment_cov
 from .fbm import _cholesky_with_jitter, as_hurst, fbm_covariance, substream
-from .quadrature import _graded_rule, _iterated_integral
+from .quadrature import _graded_rule, _iterated_integral, _panel_rule
 
 __all__ = [
     "true_expectation",
@@ -265,12 +265,9 @@ def density_shift_integral(h, n: int, a: float = 0.0) -> float:
     and below a few hundred n the integral sits on a pre-asymptotic hump.
     """
     hv = as_hurst(h).value
-    k = np.arange(2, n)
-    lo, hi = k / n, (k + 1) / n
-    x, w = np.polynomial.legendre.leggauss(6)
-    u = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * x).ravel()
-    wu = (0.5 * (hi - lo)[:, None] * w).ravel()
-    un = np.repeat(lo, len(x))
+    edges = np.arange(2, n + 1) / n
+    u, wu = _panel_rule(edges, 6)
+    un = np.repeat(edges[:-1], 6)
     rule = _graded_rule(24, 6, 1e-4)
 
     def shift(u, un, v):

@@ -112,6 +112,8 @@ def _fmt(v) -> str:
 
 def _cmd_simulate(args):
     started = time.monotonic()
+    if args.n < 1:
+        raise CliError(f"--n must be >= 1, got {args.n}")
     grid = GridSpec(args.T if args.t is None else args.t, args.n)
     if not grid.t_end <= args.T:
         raise CliError(f"--t ({grid.t_end}) must not exceed --T ({args.T})")
@@ -153,36 +155,43 @@ def _cmd_localtime(args):
     return 0
 
 
-_RATE_KEYS = {"H", "n_values", "t", "level", "replicates", "fine_factor",
-              "reference", "pair", "seed"}
+# rate config key -> (conversion of its value, default)
+_RATE_KEYS = {
+    "H": (float, 0.75), "t": (float, 1.0), "level": (float, 0.0),
+    "n_values": (lambda v: tuple(int(x) for x in v.split(",")),
+                 (64, 128, 256, 512, 1024)),
+    "replicates": (int, 0), "fine_factor": (int, 0), "seed": (int, 0),
+    "pair": (str, "11"), "reference": (str, None)}
 
 
 def _cmd_rate(args):
     started = time.monotonic()
     cfg = parse_config(args.config) if args.config else {}
-    unknown = sorted(set(cfg) - _RATE_KEYS)
+    unknown = sorted(set(cfg) - set(_RATE_KEYS))
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(unknown)}")
-    h = float(cfg.get("H", 0.75))
-    n_values = tuple(int(x) for x in cfg.get("n_values", "64,128,256,512,1024").split(","))
-    level = float(cfg.get("level", 0.0))
+    settings = {}
+    for key, (kind, default) in _RATE_KEYS.items():
+        try:
+            settings[key] = kind(cfg[key]) if key in cfg else default
+        except ValueError as exc:
+            raise CliError(f"{key} has an invalid value: {exc}") from None
+    h, n_values, level = (settings[k] for k in ("H", "n_values", "level"))
     if not np.isfinite(level):
         raise CliError("level must be finite")
-    pair = args.pair or cfg.get("pair", "11")
+    pair = args.pair or settings["pair"]
     if len(pair) != 2 or not pair.isdigit():
         raise CliError(f"pair must be two digits such as 11 or 12, not {pair!r}")
     i, j = int(pair[0]), int(pair[1])
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else settings["seed"]
     plan = ExperimentPlan(
-        hurst=h, n_values=n_values,
-        integrand=indicator_measure(level),
-        component_pair=(i, j), t=float(cfg.get("t", 1.0)),
-        replicates=int(cfg.get("replicates", 0)),
-        master_seed=seed, fine_factor=int(cfg.get("fine_factor", 0)),
+        hurst=h, n_values=n_values, integrand=indicator_measure(level),
+        component_pair=(i, j), t=settings["t"], replicates=settings["replicates"],
+        master_seed=seed, fine_factor=settings["fine_factor"],
     )
     # the component pair decides the reference; the key may only confirm it
-    reference = cfg.get("reference", plan.reference_kind)
-    if reference != plan.reference_kind:
+    reference = settings["reference"]
+    if reference not in (None, plan.reference_kind):
         raise CliError(f"reference {reference!r} does not apply to pair "
                        f"{pair}, whose reference is {plan.reference_kind}")
     report = run_rate_experiment(plan, threads=args.threads)
@@ -228,16 +237,16 @@ def _cmd_verify_bounds(args):
         inconclusive = res["status"] == "INCONCLUSIVE"
         if res["status"] == "FAIL":
             raise CliError("decoupling scaling failed with adequate power")
-    elif args.suite == "lemmas":
+    else:  # lemmas
+        if args.samples < 10**5:  # lemma_a2_check's floor
+            raise CliError(f"--samples must be >= 100000, got {args.samples}")
         for theta in (0.5, 1.0, 2.0):
-            mc = bounds.lemma_a1_mc(theta, 10**6, args.seed)
+            mc = bounds.lemma_a1_mc(theta, args.samples, args.seed)
             rows.append(("lemma_a1_mc", theta, args.H, mc))
             rows.append(("lemma_a1_exact", theta, args.H,
                          bounds.lemma_a1_oracle(theta)))
-        chk = bounds.lemma_a2_check(1.0, 1.0, max(args.samples, 10**5), args.seed)
+        chk = bounds.lemma_a2_check(1.0, 1.0, args.samples, args.seed)
         rows.append(("lemma_a2_pass", "", args.H, chk["pass"]))
-    else:
-        raise CliError(f"unknown suite {args.suite!r}")
     text = _csv(["check", "param_h", "H", "value"], rows)
     cfg = {"suite": args.suite, "H": args.H, "samples": args.samples,
            "seed": args.seed}
@@ -252,14 +261,12 @@ def _cmd_oracle(args):
 
     if args.lemma == "a1":
         print(_fmt(bounds.lemma_a1_oracle(args.theta)))
-    elif args.lemma == "moments":
+    else:  # moments
         try:
             val = moment_oracle(args.H, args.t, args.a, args.p)
         except RuntimeError as exc:  # quadrature did not converge
             raise CliError(str(exc)) from exc
         print(_fmt(val))
-    else:
-        raise CliError(f"unknown oracle {args.lemma!r}")
     return 0
 
 

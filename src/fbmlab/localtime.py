@@ -9,10 +9,10 @@ Two estimators of the local time L_t(a):
   first steps leave at a = 0, where the path starts, so the estimate is
   exact in the mean at a = 0 for every n; see ``sign_change_estimates``.
 
-Exact first and second moments of L_t(a) are computed by quadrature
-after an endpoint substitution that removes the u^{-H} singularity:
-adaptive for the first, a graded Gauss-Legendre tensor rule for the
-second.  They serve as independent oracles for the estimators.
+Exact first and second moments of L_t(a) are computed by graded
+Gauss-Legendre quadrature after an endpoint substitution that removes
+the u^{-H} singularity.  They serve as independent oracles for the
+estimators.
 """
 
 from __future__ import annotations
@@ -135,45 +135,52 @@ def moment_oracle(h, t: float, a: float, p: int = 1) -> float:
     """E[(L_t(a))^p] for p in {1, 2}.
 
     The substitution u = r^{1/(1-H)} (per time variable) removes the
-    u^{-H} endpoint singularity, leaving a bounded integrand.  p = 1 uses
-    adaptive quadrature (``scipy.integrate.quad``, imported on the first
-    such call at a != 0, so that importing fbmlab loads numpy only); p = 2
-    the graded Gauss-Legendre rule of ``_second_moment``, which needs numpy
-    alone.  Raises RuntimeError when the achieved relative tolerance
-    exceeds 1e-6 or the result is not finite.
+    u^{-H} endpoint singularity, leaving a bounded integrand for
+    ``_first_moment`` (a != 0; a = 0 has a closed form) or
+    ``_second_moment``, integrated by a graded Gauss-Legendre rule at
+    (panels, order) = (24, 8) and (40, 10).  The error estimate is the
+    larger of their gap and the second moment's own.  Raises ValueError on
+    a non-positive or non-finite t or a non-finite a, and RuntimeError when
+    the estimated relative error exceeds 1e-6 or the result is not finite.
     """
-    h = as_hurst(h)
-    hv = h.value
+    hv = as_hurst(h).value
     if p not in (1, 2):
         raise ValueError("order p must be 1 or 2")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    one_mh = 1.0 - hv
-    if p == 1:
-        if a == 0:
-            return t**one_mh / (one_mh * np.sqrt(2 * np.pi))
-
-        from scipy.integrate import quad
-
-        def f1(w):
-            u2h = (w ** (1.0 / one_mh)) ** (2 * hv)
-            # near H = 1, u^{2H} underflows to 0 at small w, where the
-            # integrand's limit is exp(-inf) = 0
-            return np.exp(-a * a / (2 * u2h)) if u2h > 0 else 0.0
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", category=Warning)
-            val, err = quad(f1, 0.0, t**one_mh, epsabs=0, epsrel=1e-9,
-                            limit=200)
-        val /= one_mh * np.sqrt(2 * np.pi)
-    else:
-        val, err = _second_moment(hv, t, a)
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError(f"t must be positive and finite, got {t}")
+    if not np.isfinite(a):
+        raise ValueError(f"a must be finite, got {a}")
+    if p == 1 and a == 0:
+        return t ** (1.0 - hv) / ((1.0 - hv) * np.sqrt(2 * np.pi))
+    moment = _first_moment if p == 1 else _second_moment
+    (coarse, _), (val, err) = (
+        moment(hv, t, a, _graded_rule(panels, order, 1e-5, both_ends=p == 2))
+        for panels, order in ((24, 8), (40, 10)))
+    err = max(err, abs(val - coarse))
     rel = err / abs(val) if val != 0 else err
     if not (np.isfinite(val) and rel <= 1e-6):
         raise RuntimeError(
             f"quadrature achieved relative tolerance {rel:.2e} > 1e-6"
         )
     return float(val)
+
+
+def _first_moment(hv: float, t: float, a: float, rule) -> tuple[float, float]:
+    """E[L_t(a)] at a != 0 by ``rule`` (with no error estimate of its own):
+    the integral over 0 < r < t^{1-H} of exp(-a^2 / (2 r^{2H/(1-H)})) /
+    ((1-H) sqrt(2 pi)).  The integrand rises from 0 to 1 near
+    r* = |a|^{(1-H)/H}, the more steeply the nearer H is to 1, so the range
+    is split at r* and each side is integrated with the rule graded toward
+    it."""
+    one_mh = 1.0 - hv
+    r_end = t**one_mh
+    split = np.full(2, min(abs(a) ** (one_mh / hv), r_end))
+    # where r^{2H/(1-H)} underflows to 0 the integrand is exp(-inf) = 0
+    with np.errstate(divide="ignore", over="ignore"):
+        val = _iterated_integral(
+            lambda r: np.exp(-0.5 * a * a / r ** (2 * hv / one_mh)), (),
+            np.ones(2), split, np.array([0.0, r_end]), rule)
+    return val / (one_mh * np.sqrt(2 * np.pi)), 0.0
 
 
 def _pair_integrand(hv: float, a: float, r, s):
@@ -200,38 +207,24 @@ def _pair_integrand(hv: float, a: float, r, s):
         2 * np.pi * np.sqrt(rho) * one_mh**2)
 
 
-def _second_moment(hv: float, t: float, a: float) -> tuple[float, float]:
-    """E[L_t(a)^2] and its error estimate.
+def _second_moment(hv: float, t: float, a: float, rule) -> tuple[float, float]:
+    """E[L_t(a)^2] by ``rule`` and its orientation gap.
 
     E[L^2] = 2 * integral over 0 < u, 0 < w, u + w < t of
     phi_{u,u+w}(a, a); in r = u^{1-H}, s = w^{1-H} the integrand is
     ``_pair_integrand`` over 0 < r < t^{1-H}, 0 < s < (t - u)^{1-H}.  The
-    tensor rule graded toward both ends of r and of s is applied once per
-    orientation (u on the outer axis, then w), which gives the factor 2,
-    and at two resolutions.  The error estimate is the larger of the
-    orientation gap and the resolution gap; at a = 0 the integrand is
-    symmetric in (r, s) and the orientations agree exactly.
+    tensor rule, graded toward both ends of r and of s, is applied once
+    per orientation (u on the outer axis, then w), which gives the factor
+    2; at a = 0 the integrand is symmetric in (r, s) and the orientations
+    agree exactly.
     """
     one_mh = 1.0 - hv
     r_end = t**one_mh
-
-    def along(r, s):
-        return _pair_integrand(hv, a, r, s)
-
-    def across(r, s):
-        return _pair_integrand(hv, a, s, r)
-
-    results = []
+    orientations = (lambda r, s: _pair_integrand(hv, a, r, s),
+                    lambda r, s: _pair_integrand(hv, a, s, r))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for panels, order in ((24, 8), (40, 10)):
-            rule = _graded_rule(panels, order, 1e-5, both_ends=True)
-            r = r_end * rule[0]
-            s_end = (t - r ** (1.0 / one_mh)) ** one_mh
-            zero = np.zeros_like(r)
-            results.append([
-                _iterated_integral(f, (r,), r_end * rule[1], zero, s_end, rule)
-                for f in (along, across)])
-    (c1, c2), (f1, f2) = results
-    val = f1 + f2
-    return val, max(abs(f1 - f2), abs(val - c1 - c2))
-
+        r = r_end * rule[0]
+        s_end = (t - r ** (1.0 / one_mh)) ** one_mh
+        f1, f2 = (_iterated_integral(f, (r,), r_end * rule[1], np.zeros_like(r),
+                                     s_end, rule) for f in orientations)
+    return f1 + f2, abs(f1 - f2)

@@ -1,12 +1,11 @@
 """Composite Gauss-Legendre quadrature graded toward singular ends.
 
-The quadrature oracles (``localtime.moment_oracle`` with p = 2 and
-``bounds.density_shift_integral``) integrate over 2-D regions whose inner
-interval depends on the outer variable, with integrands that are bounded
-but change quickly near an end of that interval.  Both use the rule here:
-geometric panels shrinking toward the singular end(s), each carrying the
-same Gauss-Legendre nodes, with the integrand evaluated as one array per
-block of outer nodes.
+Every quadrature rule of fbmlab is built here: ``_panel_rule`` puts the
+same Gauss-Legendre nodes on each panel of a partition, and
+``_graded_rule`` on panels shrinking geometrically toward the singular
+end(s) of [0, 1].  ``_iterated_integral`` applies a rule over inner
+intervals that depend on an outer variable (none for a 1-D integral),
+with the integrand evaluated as one array per block of outer nodes.
 """
 
 from __future__ import annotations
@@ -19,19 +18,23 @@ import numpy as np
 _BLOCK_ELEMENTS = 1 << 15
 
 
-@functools.lru_cache(maxsize=8)
-def _graded_rule(panels: int, order: int, ratio: float, both_ends: bool = False):
-    """Read-only nodes and weights on [0, 1] of an ``order``-point
-    Gauss-Legendre rule on each of ``panels`` panels with edges 0 and
-    geomspace(ratio, 1, panels), so the panels shrink geometrically toward
-    0.  With ``both_ends`` that rule is put on [0, 1/2] and mirrored onto
-    [1/2, 1], grading toward both ends."""
+def _panel_rule(edges, order: int):
+    """Nodes and weights of an ``order``-point Gauss-Legendre rule on each
+    panel [edges[k], edges[k+1]], panel after panel."""
     x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.concatenate([[0.0], np.geomspace(ratio, 1.0, panels)])
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * np.diff(edges)[:, None]
-    nodes = (mid + half * x).ravel()
-    weights = (half * w).ravel()
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+@functools.lru_cache(maxsize=8)
+def _graded_rule(panels: int, order: int, ratio: float, both_ends: bool = False):
+    """Read-only nodes and weights on [0, 1] of ``_panel_rule`` with edges
+    0 and geomspace(ratio, 1, panels), so the panels shrink geometrically
+    toward 0.  With ``both_ends`` that rule is put on [0, 1/2] and mirrored
+    onto [1/2, 1], grading toward both ends."""
+    nodes, weights = _panel_rule(
+        np.concatenate([[0.0], np.geomspace(ratio, 1.0, panels)]), order)
     if both_ends:
         nodes = np.concatenate([0.5 * nodes, 1.0 - 0.5 * nodes[::-1]])
         weights = np.concatenate([0.5 * weights, 0.5 * weights[::-1]])

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fbmlab.bounds import lemma_a1_mc
 from fbmlab.cli import CliError, parse_and_dispatch, parse_config
 from fbmlab.fbm import GridSpec, sample_fft_batch
 from fbmlab.localtime import binning_estimates, default_bin_width, sign_change_estimates
@@ -214,7 +215,9 @@ def test_rate_rejects_bad_pair(tmp_path, capsys, pair):
                                    "reference = fine_riemann\n",
                                    "fine_factor = 1\n", "n_values = 16,48,64\n",
                                    "t = 0\n", "t = -1\n", "t = nan\n",
-                                   "reference = bogus\n"])
+                                   "reference = bogus\n", "replicates = 1.5\n",
+                                   "H = abc\n", "t = one\n", "seed = x\n",
+                                   "n_values = 16,a,64\n"])
 def test_rate_rejects_bad_config_values(tmp_path, capsys, extra):
     rc = run(["rate", "--config", _rate_cfg(tmp_path, extra)])
     assert rc == 1
@@ -258,8 +261,18 @@ def test_verify_bounds_lemmas(capsys):
     rc = run(["verify-bounds", "--suite", "lemmas", "--samples", "100000"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "lemma_a1_mc" in out
+    # the MC rows draw --samples normals
+    assert f"lemma_a1_mc,0.5,0.75,{lemma_a1_mc(0.5, 100_000, 0):.17g}" in out
     assert "lemma_a2_pass" in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-5", "99999"])
+def test_verify_bounds_lemmas_rejects_too_few_samples(capsys, samples):
+    rc = run(["verify-bounds", "--suite", "lemmas", "--samples", samples])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --samples must be >= 100000")
+    assert captured.out == ""
 
 
 def test_verify_bounds_cov(capsys):
@@ -348,9 +361,21 @@ def test_oracle_unconverged_exits_1(capsys):
     assert captured.err.startswith("error: quadrature achieved relative tolerance")
 
 
-def test_invalid_arguments_exit_code():
+def test_invalid_arguments_exit_code(capsys):
     assert run(["simulate", "--H", "1.5", "--n", "8"]) == 1
     assert run(["nonsense"]) == 1
+    # each names the argument it rejects
+    moments = ["oracle", "--lemma", "moments"]
+    for argv, name in ((["simulate", "--H", "0.75", "--n", "0"], "--n"),
+                       (moments + ["--t", "inf"], "t"),
+                       (moments + ["--t", "nan"], "t"),
+                       (moments + ["--a", "nan"], "a"),
+                       (moments + ["--a", "inf", "--p", "2"], "a")):
+        capsys.readouterr()
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {name} "), (argv, captured.err)
+        assert captured.out == ""
 
 
 SUBCOMMANDS = ("simulate", "localtime", "rate", "verify-bounds", "oracle")

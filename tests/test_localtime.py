@@ -61,14 +61,23 @@ def _first_moment_closed_form(h, t, a):
     return c * (gamma(s + 1) * gammaincc(s + 1, x) - x**s * np.exp(-x)) / s
 
 
-# near H = 1 the substituted variable u = w^{1/(1-H)} underflows to 0 at small
-# w, where the integrand's limit is exp(-inf) = 0
+# near H = 1 the integrand's inner power r^{2H/(1-H)} underflows to 0 at small
+# r, where its limit is exp(-inf) = 0
 @pytest.mark.parametrize("a", [0.5, 1.0, -2.0])
 @pytest.mark.parametrize("t", [1.0, 0.83])
 @pytest.mark.parametrize("h", [0.98, 0.99])
 def test_first_moment_near_one_matches_incomplete_gamma(h, t, a):
     assert moment_oracle(h, t, a, p=1) == pytest.approx(
         _first_moment_closed_form(h, t, a), rel=1e-10)
+
+
+# at small |a| the integrand rises from 0 to 1 within r < |a|^{(1-H)/H} << 1
+@pytest.mark.parametrize("a", [1e-6, -1e-6, 1e-3])
+@pytest.mark.parametrize("t", [0.1, 1.0, 2.0, 10.0])
+@pytest.mark.parametrize("h", [0.51, 0.55, 0.6, 0.75])
+def test_first_moment_small_level_matches_incomplete_gamma(h, t, a):
+    assert moment_oracle(h, t, a, p=1) == pytest.approx(
+        _first_moment_closed_form(h, t, a), rel=1e-8)
 
 
 def test_second_moment_brownian_unit():
@@ -130,6 +139,11 @@ def test_moment_oracle_validation():
         moment_oracle(0.7, 1.0, 0.0, p=3)
     with pytest.raises(ValueError):
         moment_oracle(0.7, -1.0, 0.0)
+    for t, a, name in ((np.inf, 0.0, "t"), (np.nan, 0.0, "t"),
+                       (1.0, np.nan, "a"), (1.0, -np.inf, "a")):
+        for p in (1, 2):
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                moment_oracle(0.7, t, a, p)
 
 
 # ---------------------------------------------------------------------------
