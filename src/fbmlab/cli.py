@@ -106,6 +106,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _float_list(flag: str, text: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise CliError(f"{flag} must be a comma-separated list of numbers, "
+                       f"got {text!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -129,15 +137,17 @@ def _cmd_simulate(args):
 
 def _cmd_localtime(args):
     started = time.monotonic()
-    levels = [float(x) for x in args.levels.split(",")]
+    levels = _float_list("--levels", args.levels)
     if not np.all(np.isfinite(levels)):
-        raise CliError("levels must be finite")
+        raise CliError("--levels must be finite")
+    if args.n < 1:
+        raise CliError(f"--n must be >= 1, got {args.n}")
     grid = GridSpec(args.t, args.n)
     eps = default_bin_width(args.H, args.n) if args.eps is None else args.eps
-    if eps <= 0:
-        raise CliError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise CliError(f"--eps must be positive and finite, got {eps}")
     if args.replicates < 1:
-        raise CliError("replicates must be >= 1")
+        raise CliError(f"--replicates must be >= 1, got {args.replicates}")
     paths = sample_fft_batch(args.H, grid, args.seed, args.replicates, 1)[:, 0]
     rows = []
     for a in levels:
@@ -212,7 +222,7 @@ def _cmd_verify_bounds(args):
     from . import bounds, covariance
 
     started = time.monotonic()
-    h_grid = [float(x) for x in args.h_grid.split(",")] if args.h_grid else \
+    h_grid = _float_list("--h-grid", args.h_grid) if args.h_grid else \
         [2.0**-k for k in range(3, 10)]
     rows = []
     inconclusive = False

@@ -17,11 +17,14 @@ transform output go through three buffers of at most ``BLOCK_VALUES``
 values.  :func:`sample_fft_batch` runs the same generator with its output
 array as the block buffer, so its memory is the output plus a few MB.
 
-Both are deterministic given ``(seed, replicate, component)``; substreams
-are derived with :func:`substream` so results do not depend on execution
-order.  Every row is computed on its own, so a path is bit-identical
-whatever batch or block it is drawn in; one path is row ``[0]`` of a batch
-of one.  The partial step's conditional mean is a pairwise sum per row, not
+Both are deterministic given ``(seed, replicate, component)``: a path
+draws from the stream of :func:`substream` for its key, so results do not
+depend on execution order.  A sampler call hashes all of its keys at once
+with SeedSequence's algorithm and re-keys one PCG64 generator per path,
+which gives the same streams bit for bit without a SeedSequence and a
+Generator per path; replicate ids stay below 2^32.  Every row is computed
+on its own, so a path is bit-identical whatever batch or block it is drawn
+in; one path is row ``[0]`` of a batch of one.  The partial step's conditional mean is a pairwise sum per row, not
 a BLAS dot product, so paths do not depend on the BLAS thread count either.
 """
 
@@ -176,6 +179,96 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
+# SeedSequence's hash constants and PCG64's multiplier: fixed algorithms under
+# numpy's stream-compatibility policy (NEP 19)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _mix(x, y):
+    out = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return out ^ out >> 16
+
+
+def _hash_chain(init: int, mult: int):
+    """SeedSequence's running hash: each call xors a word with the current
+    constant, steps the constant, multiplies and folds.  A word is a Python
+    int or a uint32 array, whose products wrap."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _keyed_streams(master_seed: int, first_replicate: int, count: int,
+                   components: int):
+    """``key(r, c)``: the generator of ``substream(master_seed,
+    first_replicate + r, c)`` for r < count, c < components.
+
+    All keys are hashed up front with SeedSequence's algorithm, the seed's
+    words as Python ints and the replicate and component words as uint32
+    arrays, into the 4 uint64 words that PCG64 draws from each key's
+    SeedSequence.  ``key`` sets the state PCG64 seeds from them on one
+    Generator, so the generator it returns is valid until the next call.
+    """
+    seed = int(master_seed)
+    if seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {seed}")
+    if first_replicate < 0 or first_replicate + count > 2**32:
+        # SeedSequence encodes a spawn key >= 2^32 in two words
+        raise ValueError(f"first_replicate must be >= 0 with first_replicate "
+                         f"+ count <= 2^32, got {first_replicate} + {count}")
+    seed_words = [seed & _MASK32]
+    while seed >> 32 * len(seed_words):
+        seed_words.append(seed >> 32 * len(seed_words) & _MASK32)
+    # a spawn key pads the seed to the pool size of 4 words
+    seed_words += [0] * (4 - len(seed_words))
+    hashmix = _hash_chain(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in seed_words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    replicates = np.arange(first_replicate, first_replicate + count,
+                           dtype=np.uint32)[:, None]
+    for word in seed_words[4:] + [replicates,
+                                  np.arange(components, dtype=np.uint32)]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64): 8 uint32 words cycling through the pool,
+    # paired little-endian into uint64 words
+    draw = _hash_chain(_INIT_B, _MULT_B)
+    state = np.empty((count, components, 8), dtype=np.uint32)
+    for i in range(8):
+        state[..., i] = draw(pool[i % 4])
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+
+    def key(r: int, c: int) -> np.random.Generator:
+        # PCG64 seeding: inc = 2 w[2:4] + 1, then two LCG steps from 0 that
+        # add w[0:2] in between
+        s_hi, s_lo, i_hi, i_lo = words[r, c].tolist()
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+        pcg = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": pcg, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+        return rng
+
+    return key
+
+
 # ---------------------------------------------------------------------------
 # exact (Cholesky) sampling
 # ---------------------------------------------------------------------------
@@ -221,10 +314,11 @@ def sample_exact_batch(
         )
     ts = grid.nodes()[1:]
     chol = _grid_cholesky(h.value, tuple(ts.tolist()))
+    key = _keyed_streams(master_seed, first_replicate, count, components)
     z = np.empty((count, components, len(ts)))
     for r in range(count):
         for c in range(components):
-            substream(master_seed, first_replicate + r, c).standard_normal(out=z[r, c])
+            key(r, c).standard_normal(out=z[r, c])
     out = np.zeros((count, components, grid.num_nodes))
     out[:, :, 1:] = z @ chol.T
     return out
@@ -347,21 +441,21 @@ def fft_blocks(
         spec = np.empty((sub_rows, m // 2 + 1), dtype=complex)
         incr = np.empty((sub_rows, m))
         extra = np.empty(sub_rows)
+    key = _keyed_streams(master_seed, first_replicate, count, components)
     for start in range(0, count, step):
         rows = min(step, count - start)
         block = out[:rows] if reuse else out[start : start + rows]
-        first = first_replicate + start
         if k == 0:
             for r in range(rows):
                 for c in range(components):
-                    rng = substream(master_seed, first + r, c)
+                    rng = key(start + r, c)
                     block[r, c, 1] = grid.t_end ** h.value * rng.standard_normal()
         else:
             for sub in row_blocks(rows, m):
                 nb = sub.stop - sub.start
                 for c in range(components):
                     for r in range(nb):
-                        rng = substream(master_seed, first + sub.start + r, c)
+                        rng = key(start + sub.start + r, c)
                         rng.standard_normal(out=zeta[r])
                         if partial:
                             extra[r] = rng.standard_normal()

@@ -52,8 +52,8 @@ def binning_estimates(h, values: np.ndarray, grid: GridSpec, a: float,
     The time integral uses the left-point piecewise-constant rule on the
     path grid, with the terminal partial step weighted by its length.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     dt_typ = grid.points_per_unit ** (-as_hurst(h).value)
     if eps < 4 * dt_typ:
         warnings.warn(
@@ -157,8 +157,11 @@ def moment_oracle(h, t: float, a: float, p: int = 1) -> float:
         moment(hv, t, a, _graded_rule(panels, order, 1e-5, both_ends=p == 2))
         for panels, order in ((24, 8), (40, 10)))
     err = max(err, abs(val - coarse))
+    if not np.isfinite(val):
+        raise RuntimeError(f"quadrature value is not finite ({val}) at H={hv}, "
+                           f"t={t}, a={a}, p={p}")
     rel = err / abs(val) if val != 0 else err
-    if not (np.isfinite(val) and rel <= 1e-6):
+    if not rel <= 1e-6:
         raise RuntimeError(
             f"quadrature achieved relative tolerance {rel:.2e} > 1e-6"
         )

@@ -12,6 +12,7 @@ from fbmlab.fbm import (
     EXACT_NODE_CAP,
     _embedding_amplitude,
     _fgn_from_normals,
+    _keyed_streams,
     _partial_step_weights,
     GridSpec,
     GridSizeError,
@@ -145,6 +146,41 @@ def test_substream_reproducible_and_distinct():
     c = substream(7, 4, 0).standard_normal(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 + 5, 2**70 + 3,
+                                  2**130 + 9])
+def test_keyed_streams_match_substream(seed):
+    # seeds of one to five 32-bit words, replicate ids at both ends of the
+    # one-word range; every key re-keys the same generator, so each draw
+    # must also be independent of the keys drawn before it
+    for first, count in ((0, 2), (1000, 1), (2**32 - 3, 3)):
+        key = _keyed_streams(seed, first, count, 2)
+        for r in range(count):
+            for c in range(2):
+                rng = key(r, c)
+                got = (rng.standard_normal(8), rng.standard_normal())
+                want = substream(seed, first + r, c)
+                np.testing.assert_array_equal(got[0], want.standard_normal(8))
+                assert got[1] == want.standard_normal()
+
+
+def test_samplers_reject_negative_seed():
+    grid = GridSpec(1.0, 8)
+    for sampler in (sample_fft_batch, sample_exact_batch):
+        with pytest.raises(ValueError, match="master_seed"):
+            sampler(0.7, grid, -1, 1)
+
+
+def test_samplers_reject_two_word_replicate_ids():
+    # SeedSequence encodes an id >= 2^32 in two words, so such a key would
+    # name a different stream than the one-word hash computes
+    grid = GridSpec(0.5, 8)
+    for sampler in (sample_fft_batch, sample_exact_batch):
+        sampler(0.7, grid, 0, 2, first_replicate=2**32 - 2)
+        for first in (2**32 - 1, -1):
+            with pytest.raises(ValueError, match="first_replicate"):
+                sampler(0.7, grid, 0, 2, first_replicate=first)
 
 
 def test_batch_equals_concatenated_singles():

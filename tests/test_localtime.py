@@ -99,9 +99,11 @@ def test_second_moment_exceeds_first_squared():
 
 def test_second_moment_raises_when_unconverged():
     # at H = 0.99 the substitution u = r^{1/(1-H)} = r^100 underflows near
-    # r = 0 and the integrand turns NaN: the oracle raises, never returns NaN
-    with pytest.raises(RuntimeError, match="quadrature achieved relative tolerance"):
-        moment_oracle(0.99, 1.0, 0.0, p=2)
+    # r = 0 and the integrand turns NaN: the oracle raises, never returns NaN,
+    # and says so rather than quoting a NaN tolerance
+    for a in (0.0, 0.5):
+        with pytest.raises(RuntimeError, match="quadrature value is not finite"):
+            moment_oracle(0.99, 1.0, a, p=2)
 
 
 def _brownian_second_moment(a):
@@ -170,8 +172,10 @@ def test_binning_warns_below_resolution():
 def test_binning_rejects_nonpositive_eps():
     grid = GridSpec(1.0, 16)
     b = sample_fft_batch(0.75, grid, 0, 1)[0, 0]
-    with pytest.raises(ValueError):
-        binning_estimates(0.75, b, grid, 0.0, eps=0.0)
+    # nan would give nan estimates, and inf estimates of 0
+    for eps in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            binning_estimates(0.75, b, grid, 0.0, eps=eps)
 
 
 def test_sign_change_estimator_requires_rough_regime():
