@@ -106,6 +106,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _positive_finite(flag: str, value: float) -> float:
+    if not 0.0 < value < np.inf:  # NaN fails the comparison too
+        raise CliError(f"{flag} must be positive and finite, got {value}")
+    return value
+
+
 def _float_list(flag: str, text: str) -> list[float]:
     try:
         return [float(x) for x in text.split(",")]
@@ -122,7 +128,9 @@ def _cmd_simulate(args):
     started = time.monotonic()
     if args.n < 1:
         raise CliError(f"--n must be >= 1, got {args.n}")
-    grid = GridSpec(args.T if args.t is None else args.t, args.n)
+    _positive_finite("--T", args.T)
+    t_end = args.T if args.t is None else _positive_finite("--t", args.t)
+    grid = GridSpec(t_end, args.n)
     if not grid.t_end <= args.T:
         raise CliError(f"--t ({grid.t_end}) must not exceed --T ({args.T})")
     sampler = sample_fft_batch if args.method == "fft" else sample_exact_batch
@@ -142,13 +150,20 @@ def _cmd_localtime(args):
         raise CliError("--levels must be finite")
     if args.n < 1:
         raise CliError(f"--n must be >= 1, got {args.n}")
-    grid = GridSpec(args.t, args.n)
+    grid = GridSpec(_positive_finite("--t", args.t), args.n)
     eps = default_bin_width(args.H, args.n) if args.eps is None else args.eps
-    if not (np.isfinite(eps) and eps > 0):
-        raise CliError(f"--eps must be positive and finite, got {eps}")
+    _positive_finite("--eps", eps)
     if args.replicates < 1:
         raise CliError(f"--replicates must be >= 1, got {args.replicates}")
-    paths = sample_fft_batch(args.H, grid, args.seed, args.replicates, 1)[:, 0]
+    # the sampler's threads default is the CPU count, as --threads's is;
+    # benchmarks/tracing.py sizes this call by the 0.1.0 signature, which
+    # has no threads, so it is passed only when given
+    opts = {} if args.threads is None else {"threads": args.threads}
+    paths = sample_fft_batch(args.H, grid, args.seed, args.replicates, 1,
+                             **opts)[:, 0]
+    # the estimators run here, not on the sampler's workers, whose
+    # per-thread malloc arenas would keep their temporaries and raise the
+    # peak memory
     rows = []
     for a in levels:
         if args.estimator == "sign":
@@ -359,6 +374,8 @@ def parse_and_dispatch(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        if args.threads is not None and args.threads < 1:
+            raise CliError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)

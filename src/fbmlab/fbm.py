@@ -17,19 +17,34 @@ transform output go through three buffers of at most ``BLOCK_VALUES``
 values.  :func:`sample_fft_batch` runs the same generator with its output
 array as the block buffer, so its memory is the output plus a few MB.
 
-Both are deterministic given ``(seed, replicate, component)``: a path
-draws from the stream of :func:`substream` for its key, so results do not
-depend on execution order.  A sampler call hashes all of its keys at once
-with SeedSequence's algorithm and re-keys one PCG64 generator per path,
-which gives the same streams bit for bit without a SeedSequence and a
-Generator per path; replicate ids stay below 2^32.  Every row is computed
-on its own, so a path is bit-identical whatever batch or block it is drawn
-in; one path is row ``[0]`` of a batch of one.  The partial step's conditional mean is a pairwise sum per row, not
-a BLAS dot product, so paths do not depend on the BLAS thread count either.
+:func:`fft_ranges` is the one worker-range dispatch: it cuts a replicate
+range into ``RANGES_PER_WORKER`` contiguous ranges per worker thread
+(``threads``, default the CPU count), and each worker takes the next
+range when it finishes one.  The rate experiments and
+:func:`sample_fft_batch` draw their paths through it.  Normal
+generation releases the interpreter lock; the transforms and
+``np.cumsum`` hold it, so :func:`sample_fft_batch` sums the increments
+into paths after its workers finish.  The workers split
+the synthesis budget, ``BLOCK_VALUES // workers`` values each (at least
+one row), so a call's buffers add up to those of one worker.
+
+Both samplers are deterministic given ``(seed, replicate, component)``:
+a path draws from the stream of :func:`substream` for its key, so results
+do not depend on execution order.  A sampler call, or each worker range of
+one, hashes all of its keys at once with SeedSequence's algorithm and
+re-keys one PCG64 generator per path, which gives the same streams bit for
+bit without a SeedSequence and a Generator per path; replicate ids stay
+below 2^32.  Every row is computed on its own, so a path is bit-identical
+whatever batch, block or worker it is drawn in; one path is row ``[0]`` of
+a batch of one.  The partial step's conditional mean is a pairwise sum
+per row, not a BLAS dot product, so paths do not depend on the BLAS thread
+count either.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,7 +59,9 @@ __all__ = [
     "fbm_covariance",
     "fgn_autocovariance",
     "substream",
+    "resolve_threads",
     "sample_exact_batch",
+    "fft_ranges",
     "fft_blocks",
     "sample_fft_batch",
     "path_to_csv",
@@ -59,6 +76,9 @@ BLOCK_VALUES = 2**18
 # hands the interpreter lock between worker threads, so a block spans several
 # synthesis blocks
 GROUP_VALUES = 4 * BLOCK_VALUES
+# replicate ranges per worker thread of fft_ranges; each range sets up its
+# own keys and buffers, so a few are enough to rebalance a slowed worker
+RANGES_PER_WORKER = 3
 
 # grid arithmetic tolerance for deciding whether n * t_end is an integer
 _GRID_EPS = 1e-9
@@ -163,10 +183,11 @@ def fgn_autocovariance(h, lags, dt: float = 1.0) -> np.ndarray:
     return gamma * dt**two_h
 
 
-def row_blocks(rows: int, row_len: int):
+def row_blocks(rows: int, row_len: int, share: int = 1):
     """Consecutive slices covering ``range(rows)``, each of as many rows of
-    ``row_len`` values as fit in ``BLOCK_VALUES`` (at least one row)."""
-    step = max(1, BLOCK_VALUES // max(row_len, 1))
+    ``row_len`` values as fit in ``BLOCK_VALUES // share`` (at least one
+    row)."""
+    step = max(1, BLOCK_VALUES // share // max(row_len, 1))
     return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
 
 
@@ -210,6 +231,19 @@ def _hash_chain(init: int, mult: int):
     return hashmix
 
 
+def _check_keys(master_seed: int, first_replicate: int, count: int) -> int:
+    """The seed as an int; raises unless every key (master_seed,
+    first_replicate + r, c) with r < count is a one-word spawn key."""
+    seed = int(master_seed)
+    if seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {seed}")
+    if first_replicate < 0 or first_replicate + count > 2**32:
+        # SeedSequence encodes a spawn key >= 2^32 in two words
+        raise ValueError(f"first_replicate must be >= 0 with first_replicate "
+                         f"+ count <= 2^32, got {first_replicate} + {count}")
+    return seed
+
+
 def _keyed_streams(master_seed: int, first_replicate: int, count: int,
                    components: int):
     """``key(r, c)``: the generator of ``substream(master_seed,
@@ -221,13 +255,7 @@ def _keyed_streams(master_seed: int, first_replicate: int, count: int,
     SeedSequence.  ``key`` sets the state PCG64 seeds from them on one
     Generator, so the generator it returns is valid until the next call.
     """
-    seed = int(master_seed)
-    if seed < 0:
-        raise ValueError(f"master_seed must be >= 0, got {seed}")
-    if first_replicate < 0 or first_replicate + count > 2**32:
-        # SeedSequence encodes a spawn key >= 2^32 in two words
-        raise ValueError(f"first_replicate must be >= 0 with first_replicate "
-                         f"+ count <= 2^32, got {first_replicate} + {count}")
+    seed = _check_keys(master_seed, first_replicate, count)
     seed_words = [seed & _MASK32]
     while seed >> 32 * len(seed_words):
         seed_words.append(seed >> 32 * len(seed_words) & _MASK32)
@@ -360,14 +388,15 @@ def _fgn_from_normals(amp: np.ndarray, zeta: np.ndarray, spec: np.ndarray,
     fGn in ``out`` (rows, m); the first n_incr columns of a row are its
     increments.  ``spec`` (rows, m/2 + 1) is the complex half-spectrum
     buffer: modes 0 and m/2 are real, mode j in (0, m/2) is
-    zeta[j] + i zeta[m/2 + j], and the real inverse transform implies the
-    conjugate modes m - j.  Returns ``out``."""
+    amp[j] (zeta[j] + i zeta[m/2 + j]), and the real inverse transform
+    implies the conjugate modes m - j.  Returns ``out``."""
     half = amp.shape[0] - 1
-    spec.real = zeta[..., : half + 1]
+    # products straight into the real and imaginary parts: no copy of the
+    # normals and no complex multiply
+    np.multiply(zeta[..., : half + 1], amp, out=spec.real)
+    np.multiply(zeta[..., half + 1 :], amp[1:half], out=spec.imag[..., 1:half])
     spec.imag[..., 0] = 0.0
     spec.imag[..., half] = 0.0
-    spec.imag[..., 1:half] = zeta[..., half + 1 :]
-    spec *= amp
     return np.fft.irfft(spec, n=2 * half, axis=-1, out=out)
 
 
@@ -400,6 +429,48 @@ def _partial_step_weights(h: HurstIndex, grid: GridSpec):
     return w, np.sqrt(max(cond_var, 0.0))
 
 
+def resolve_threads(threads=None) -> int:
+    """Worker cap: ``threads``, or the CPU count when None; at least 1."""
+    if threads is None:
+        threads = os.cpu_count() or 1
+    return max(1, int(threads))
+
+
+def fft_ranges(h, grid: GridSpec, first: int, total: int, threads, work) -> None:
+    """Run ``work(a, b, workers)`` on contiguous replicate ranges [a, b)
+    that cover [first, total), on ``workers`` threads, at most
+    ``resolve_threads(threads)`` of them; ``workers`` is passed on to
+    :func:`fft_blocks`.  One worker runs the whole range in the calling
+    thread.
+
+    More workers share ``RANGES_PER_WORKER`` ranges each: a worker takes
+    the next range when it finishes one, so a worker whose CPU is taken
+    by other load leaves its later ranges to the others, and the call
+    does not wait for a fixed half at the slower CPU's pace.
+
+    The workers draw Davies-Harte paths on ``grid`` and share its cached
+    embedding spectrum and partial-step law, so those are computed here
+    first: two workers that missed the cache together would each run the
+    O(k^2) Toeplitz solve.
+    """
+    workers = min(resolve_threads(threads), total - first)
+    if workers <= 1:
+        if total > first:
+            work(first, total, 1)
+        return
+    parts = workers * RANGES_PER_WORKER
+    cuts = [first + (total - first) * p // parts for p in range(parts + 1)]
+    ranges = [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+    h = as_hurst(h)
+    if grid.full_steps > 0:
+        _embedding_amplitude(h.value, grid.full_steps)
+        if grid.has_partial_step:
+            _partial_step_weights(h, grid)
+    # the pool's queue hands the ranges out in order as workers free up
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(lambda r: work(*r, workers), ranges))
+
+
 def fft_blocks(
     h,
     grid: GridSpec,
@@ -408,6 +479,8 @@ def fft_blocks(
     components: int = 1,
     first_replicate: int = 0,
     out: np.ndarray | None = None,
+    workers: int = 1,
+    increments: bool = False,
 ):
     """Circulant-embedding paths of replicates ``first_replicate`` to
     ``first_replicate + count - 1``, in blocks of consecutive replicates.
@@ -419,8 +492,12 @@ def fft_blocks(
     asks for the next.  With ``out`` (shape (count, components, num_nodes),
     zero in column 0) the blocks are consecutive rows of ``out``, and
     draining the generator fills it.  Each block is synthesised in
-    sub-blocks of at most ``BLOCK_VALUES`` embedding values through three
-    buffers allocated once per call.
+    sub-blocks of at most ``BLOCK_VALUES // workers`` embedding values (at
+    least one row) through three buffers allocated once per call, so the
+    ``workers`` generators that :func:`fft_ranges` runs at once hold what
+    one alone would.  With ``increments`` a block holds each path's
+    increments B(t_j) - B(t_{j-1}) in column j, and a cumulative sum along
+    the last axis turns it into the paths, bit for bit.
     """
     h = as_hurst(h)
     n = grid.points_per_unit
@@ -435,7 +512,7 @@ def fft_blocks(
         if partial:
             w, cond_std = _partial_step_weights(h, grid)
         m = 2 * (amp.shape[0] - 1)
-        subs = row_blocks(min(step, count), m)
+        subs = row_blocks(min(step, count), m, workers)
         sub_rows = subs[0].stop if subs else 0
         zeta = np.empty((sub_rows, m))
         spec = np.empty((sub_rows, m // 2 + 1), dtype=complex)
@@ -451,7 +528,7 @@ def fft_blocks(
                     rng = key(start + r, c)
                     block[r, c, 1] = grid.t_end ** h.value * rng.standard_normal()
         else:
-            for sub in row_blocks(rows, m):
+            for sub in row_blocks(rows, m, workers):
                 nb = sub.stop - sub.start
                 for c in range(components):
                     for r in range(nb):
@@ -461,13 +538,17 @@ def fft_blocks(
                             extra[r] = rng.standard_normal()
                     fgn = _fgn_from_normals(amp, zeta[:nb], spec[:nb], incr[:nb])[:, :k]
                     dest = block[sub, c]
-                    np.cumsum(fgn, axis=-1, out=dest[:, 1 : k + 1])
+                    if increments:
+                        dest[:, 1 : k + 1] = fgn
+                    else:
+                        np.cumsum(fgn, axis=-1, out=dest[:, 1 : k + 1])
                     if partial:
                         # one pairwise sum per row, so no result depends on
                         # the block, and no BLAS dot, whose threads would
                         # split a long row
                         mean = (fgn * w).sum(axis=-1)
-                        dest[:, k + 1] = dest[:, k] + (mean + cond_std * extra[:nb])
+                        last = mean + cond_std * extra[:nb]
+                        dest[:, k + 1] = last if increments else dest[:, k] + last
         yield rows, block
 
 
@@ -478,18 +559,31 @@ def sample_fft_batch(
     count: int,
     components: int = 1,
     first_replicate: int = 0,
+    threads=None,
 ) -> np.ndarray:
     """Batch of circulant-embedding paths, shape (count, components, N).
 
     Same distribution and substream contract as :func:`sample_exact_batch`.
     The terminal partial increment (when present) is drawn exactly from its
     conditional law given the uniform increments.  The paths are those of
-    :func:`fft_blocks`, synthesised straight into the returned array.
+    :func:`fft_blocks`, synthesised straight into the returned array: the
+    worker threads of :func:`fft_ranges` (at most ``threads``, default the
+    CPU count) fill its rows with increments, the calling thread sums
+    them, and the result does not depend on ``threads``.
     """
+    _check_keys(master_seed, first_replicate, count)
     out = np.zeros((count, components, grid.num_nodes))
-    for _ in fft_blocks(h, grid, master_seed, count, components,
-                        first_replicate, out=out):
-        pass
+
+    def fill(a, b, workers):
+        for _ in fft_blocks(h, grid, master_seed, b - a, components,
+                            first_replicate + a, out=out[a:b], workers=workers,
+                            increments=True):
+            pass
+
+    fft_ranges(h, grid, 0, count, threads, fill)
+    # np.cumsum holds the interpreter lock, so the workers leave it to here
+    # rather than stall each other's normal draws with it
+    np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
     return out
 
 

@@ -1,28 +1,26 @@
 """Monte Carlo orchestration: discretisation-error experiments and rate fits.
 
-Each worker thread takes one contiguous range of replicates and streams
-its fine-grid paths from ``fbm.fft_blocks``, one block of consecutive
-replicates at a time through one reused buffer, so no batch of all the
-range's paths is ever held and a worker's memory does not grow with the
-replicate count.  The crossing and Riemann kernels of ``integrals``
-evaluate the normalised discretisation error S_n on every coarse
-resolution n from the same block (common random numbers), for all of the
-block's replicates at once, together with the local-time limit functional
-from the fine grid.  L2 errors per (H, n) cell are reduced in a fixed
-order and substreams are keyed by absolute replicate id, so results are
-bit-identical for any worker count.
+Each worker thread of ``fbm.fft_ranges`` takes contiguous ranges of
+replicates, a few per worker, and streams each range's fine-grid paths
+from ``fbm.fft_blocks``, one block of consecutive replicates at a time
+through one reused buffer, so no batch of all the range's paths is ever
+held and a worker's memory does not grow with the replicate count.  The crossing and Riemann kernels of
+``integrals`` evaluate the normalised discretisation error S_n on every
+coarse resolution n from the same block (common random numbers), for all
+of the block's replicates at once, together with the local-time limit
+functional from the fine grid.  L2 errors per (H, n) cell are reduced in
+a fixed order and substreams are keyed by absolute replicate id, so
+results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import GridSpec, as_hurst, fft_blocks
+from .fbm import GridSpec, as_hurst, fft_blocks, fft_ranges
 from .integrals import SignedMeasure, crossing_sums, riemann_sums
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "fit_rate",
     "run_rate_experiment",
     "default_fine_factor",
-    "resolve_threads",
 ]
 
 PILOT_REPLICATES = 200
@@ -58,12 +55,6 @@ def default_fine_factor(h, component_pair) -> int:
     while f < need and f < 256:
         f *= 2
     return f
-
-
-def resolve_threads(threads=None) -> int:
-    if threads is None:
-        threads = os.cpu_count() or 1
-    return max(1, int(threads))
 
 
 @dataclass(frozen=True)
@@ -215,40 +206,37 @@ def _path_errors(plan: ExperimentPlan, fine: GridSpec, bi: np.ndarray,
     return errs
 
 
-def _replicate_errors(plan: ExperimentPlan, first: int, count: int) -> np.ndarray:
+def _replicate_errors(plan: ExperimentPlan, first: int, count: int,
+                      workers: int = 1) -> np.ndarray:
     """Errors S_n - delta_ij * limit for replicates [first, first+count),
-    shape (len(n_values), count), from paths streamed block by block."""
+    shape (len(n_values), count), from paths streamed block by block;
+    ``workers`` goes to ``fft_blocks``."""
     fine = GridSpec(plan.t, plan.fine_n)
     i, j = plan.component_pair
     errs = np.empty((len(plan.n_values), count))
     done = 0
     for rows, block in fft_blocks(plan.hurst, fine, plan.master_seed, count,
-                                  plan.components, first_replicate=first):
+                                  plan.components, first_replicate=first,
+                                  workers=workers):
         errs[:, done:done + rows] = _path_errors(plan, fine, block[:, i - 1],
                                                  block[:, j - 1])
         done += rows
     return errs
 
 
-def _collect(plan: ExperimentPlan, first: int, total: int, threads: int) -> np.ndarray:
+def _collect(plan: ExperimentPlan, first: int, total: int, threads) -> np.ndarray:
     """Errors of replicates [first, total), shape (len(n_values), total - first).
 
-    Each worker takes one contiguous range, so it allocates its block
-    buffers once whatever the replicate count."""
+    The workers take ``fbm.RANGES_PER_WORKER`` contiguous ranges each, so
+    they allocate block buffers a fixed number of times whatever the
+    replicate count."""
     out = np.empty((len(plan.n_values), total - first))
-    cuts = [first + (total - first) * w // threads for w in range(threads + 1)]
-    ranges = [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
 
-    def work(rng):
-        a, b = rng
-        out[:, a - first:b - first] = _replicate_errors(plan, a, b - a)
+    def work(a, b, workers):
+        out[:, a - first:b - first] = _replicate_errors(plan, a, b - a, workers)
 
-    if len(ranges) <= 1:
-        for r in ranges:
-            work(r)
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            list(pool.map(work, ranges))
+    fft_ranges(plan.hurst, GridSpec(plan.t, plan.fine_n), first, total,
+               threads, work)
     return out
 
 
@@ -268,7 +256,6 @@ def run_rate_experiment(plan: ExperimentPlan, threads=None) -> RateReport:
     fit the log-log rate; passes when slope <= -(1-H)/2 + 0.2 (the bound
     is one-sided, so faster decay also passes)."""
     start = time.monotonic()
-    threads = resolve_threads(threads)
     hv = as_hurst(plan.hurst).value
 
     if plan.replicates > 0:

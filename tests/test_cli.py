@@ -147,9 +147,13 @@ def test_localtime_rejects_zero_replicates(capsys):
 
 
 def test_simulate_rejects_zero_t(capsys):
-    rc = run(["simulate", "--H", "0.75", "--n", "8", "--t", "0"])
-    assert rc == 1
-    assert "t_end" in capsys.readouterr().err
+    for flag in ("--t", "--T"):
+        rc = run(["simulate", "--H", "0.75", "--n", "8", flag, "0"])
+        assert rc == 1, flag
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {flag} must be positive and finite, got 0.0"), flag
+        assert captured.out == ""
 
 
 def test_simulate_rejects_t_beyond_T(capsys):
@@ -258,6 +262,21 @@ def test_rate_determinism_across_threads(tmp_path):
                   "rate", "--config", str(cfg)])
         assert rc == 0
         outs.append((d / "rate.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("estimator", ["sign", "bin"])
+def test_localtime_determinism_across_threads(tmp_path, estimator):
+    # 7 replicates on an off-grid t: ranges of 7, and of 2, 2 and 3
+    outs = []
+    for threads in ("1", "3"):
+        d = tmp_path / threads
+        rc = run(["--output-dir", str(d), "--quiet", "--threads", threads,
+                  "localtime", "--H", "0.75", "--n", "64", "--t", "0.83",
+                  "--levels", "-0.2,0,0.3", "--estimator", estimator,
+                  "--replicates", "7", "--seed", "4"])
+        assert rc == 0
+        outs.append((d / "localtime.csv").read_bytes())
     assert outs[0] == outs[1]
 
 
@@ -381,7 +400,15 @@ def test_invalid_arguments_exit_code(capsys):
                        (["localtime", "--H", "0.75", "--n", "8", "--levels",
                          "abc"], "--levels"),
                        (["verify-bounds", "--suite", "cov", "--h-grid", "abc"],
-                        "--h-grid")):
+                        "--h-grid"),
+                       (["simulate", "--H", "0.75", "--n", "8", "--T", "nan"],
+                        "--T"),
+                       (["simulate", "--H", "0.75", "--n", "8", "--t", "inf"],
+                        "--t"),
+                       *((["localtime", "--H", "0.75", "--n", "8", "--t", t,
+                           "--levels", "0"], "--t") for t in ("0", "nan", "inf")),
+                       *((["--threads", k, "simulate", "--H", "0.75", "--n",
+                           "8"], "--threads") for k in ("0", "-3"))):
         capsys.readouterr()
         assert run(argv) == 1, argv
         captured = capsys.readouterr()

@@ -1,6 +1,7 @@
 """Unit tests for path generation: covariance formulas, grids, samplers."""
 
 import io
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fbmlab.fbm import (
     BLOCK_VALUES,
     EXACT_NODE_CAP,
+    RANGES_PER_WORKER,
     _embedding_amplitude,
     _fgn_from_normals,
     _keyed_streams,
@@ -19,6 +21,8 @@ from fbmlab.fbm import (
     HurstIndex,
     as_hurst,
     fbm_covariance,
+    fft_blocks,
+    fft_ranges,
     fgn_autocovariance,
     path_to_csv,
     sample_exact_batch,
@@ -184,17 +188,73 @@ def test_samplers_reject_two_word_replicate_ids():
 
 
 def test_batch_equals_concatenated_singles():
-    # the second grid embeds in m = 2^17, so a synthesis block holds two
-    # rows: three replicates span a two-row and a one-row block, and the
-    # partial step (t = 0.83) is drawn in both
+    # the second grid embeds in m = 2^17, so a synthesis block of one worker
+    # holds two rows: three replicates span a two-row and a one-row block,
+    # and the partial step (t = 0.83) is drawn in both
     assert BLOCK_VALUES // 2**17 == 2
     for grid, components in ((GridSpec(1.0, 16), 1),
                              (GridSpec(0.83, 2**16), 2)):
-        batch = sample_fft_batch(0.7, grid, 5, 3, components)
+        batch = sample_fft_batch(0.7, grid, 5, 3, components, threads=1)
         for r in range(3):
             single = sample_fft_batch(0.7, grid, 5, 1, components,
                                       first_replicate=r)
             np.testing.assert_array_equal(batch[r], single[0])
+
+
+@pytest.mark.parametrize("grid, components, count", [
+    (GridSpec(1.0, 64), 1, 9),
+    (GridSpec(0.83, 64), 2, 9),   # off-grid t: the partial step's weights
+    (GridSpec(0.83, 64), 2, 2),   # fewer replicates than workers
+    (GridSpec(0.01, 64), 2, 5),   # t < 1/n: no synthesis
+])
+def test_fft_batch_does_not_depend_on_threads(grid, components, count):
+    ref = sample_fft_batch(0.7, grid, 3, count, components, first_replicate=4,
+                           threads=1)
+    for threads in (2, 3):
+        got = sample_fft_batch(0.7, grid, 3, count, components,
+                               first_replicate=4, threads=threads)
+        assert got.tobytes() == ref.tobytes(), threads
+
+
+def test_partial_step_solved_once_under_two_workers():
+    # the dispatch fills the cache before its workers start, so they never
+    # both miss it
+    grid = GridSpec(0.83, 4096)
+    _partial_step_weights.cache_clear()
+    sample_fft_batch(0.7, grid, 1, 4, threads=2)
+    assert _partial_step_weights.cache_info().misses == 1
+
+
+def test_stalled_worker_leaves_its_later_ranges_to_the_others():
+    # ranges go to whichever worker is free: while the worker holding the
+    # first range waits, the other one draws all the rest
+    parts = 2 * RANGES_PER_WORKER
+    done = []
+    rest_done = threading.Event()
+
+    def work(a, b, workers):
+        assert workers == 2
+        if a == 0:
+            assert rest_done.wait(30)
+            return
+        done.append((a, b))
+        if len(done) == parts - 1:
+            rest_done.set()
+
+    fft_ranges(0.7, GridSpec(1.0, 16), 0, 10 * parts, 2, work)
+    assert sorted(done) == [(10 * p, 10 * p + 10) for p in range(1, parts)]
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1.0, 64), GridSpec(0.83, 64),
+                                  GridSpec(0.01, 64)])
+def test_fft_block_increments_sum_to_the_paths(grid):
+    paths = np.zeros((5, 2, grid.num_nodes))
+    steps = np.zeros_like(paths)
+    for out, increments in ((paths, False), (steps, True)):
+        for _ in fft_blocks(0.7, grid, 3, 5, 2, out=out, increments=increments):
+            pass
+    np.cumsum(steps[..., 1:], axis=-1, out=steps[..., 1:])
+    assert steps.tobytes() == paths.tobytes()
 
 
 def test_exact_batch_offset_contract():
@@ -324,13 +384,14 @@ def test_fft_partial_node_marginal_variance():
 
 
 def test_fft_sampler_memory_is_output_plus_block_buffers():
-    # 32 x 2 paths of 131073 nodes (m = 2^18): beyond its output the sampler
-    # holds block buffers only, never a (count, m) temporary
+    # 32 x 2 paths of 131073 nodes (m = 2^18) on two workers: beyond its
+    # output the sampler holds their one-row block buffers only, never a
+    # (count, m) temporary
     grid = GridSpec(1.0, 2**17)
     sample_fft_batch(0.75, grid, 1, 1)  # fill the embedding cache untraced
     tracemalloc.start()
     try:
-        out = sample_fft_batch(0.75, grid, 1, 32, 2)
+        out = sample_fft_batch(0.75, grid, 1, 32, 2, threads=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fbmlab.fbm import GridSpec, sample_fft_batch
+from fbmlab.fbm import GridSpec, resolve_threads, sample_fft_batch
 from fbmlab.harness import (
     ExperimentPlan,
     PILOT_REPLICATES,
@@ -15,7 +15,6 @@ from fbmlab.harness import (
     _replicate_errors,
     default_fine_factor,
     fit_rate,
-    resolve_threads,
     run_rate_experiment,
 )
 from fbmlab.integrals import (
@@ -146,9 +145,13 @@ def test_rate_experiment_chunking_invariance(monkeypatch):
             # synthesis blocks of 2 rows inside streamed blocks of 7
             patch.setattr(fmod, "BLOCK_VALUES", 2 * m)
             patch.setattr(fmod, "GROUP_VALUES", 7 * plan.components * fine.num_nodes)
-            # worker ranges of 50; 25 and 25; 16, 17 and 17 replicates
-            for threads, sizes in ((1, [7] * 7 + [1]), (2, [7] * 6 + [4, 4]),
-                                   (3, [7] * 6 + [3, 3, 2])):
+            # one worker range of 50 replicates; with RANGES_PER_WORKER = 3,
+            # six ranges of 8, 8, 9, 8, 8 and 9 under two workers and nine
+            # of 5 and 6 under three
+            assert fmod.RANGES_PER_WORKER == 3
+            for threads, sizes in ((1, [7] * 7 + [1]),
+                                   (2, [7, 1] * 4 + [7, 2] * 2),
+                                   (3, [5, 6] * 4 + [6])):
                 blocks.clear()
                 alt = run_rate_experiment(plan, threads=threads)
                 assert sorted(blocks) == sorted(sizes)
