@@ -243,14 +243,20 @@ def lemma_a2_check(theta1: float, theta2: float, samples: int = 100_000,
 # joint-density shift decay (quadrature, no MC)
 # ---------------------------------------------------------------------------
 
-def _phi_pair(hv: float, u, v, a: float):
+def _phi_pair(hv: float, u, v, a: float, s22=None):
+    """Density of (B_u, B_v) at (a, a); ``s22`` is v^{2H} when the caller
+    already has it.  At a = 0 the exponential is exactly 1 and is skipped."""
     two_h = 2 * hv
     s11 = u**two_h
-    s22 = v**two_h
+    if s22 is None:
+        s22 = v**two_h
     s12 = 0.5 * (s11 + s22 - np.abs(v - u) ** two_h)
     det = s11 * s22 - s12**2
+    norm = 2 * np.pi * np.sqrt(det)
+    if a == 0:
+        return 1.0 / norm
     qf = a * a * (s11 + s22 - 2 * s12) / det
-    return np.exp(-0.5 * qf) / (2 * np.pi * np.sqrt(det))
+    return np.exp(-0.5 * qf) / norm
 
 
 def density_shift_integral(h, n: int, a: float = 0.0) -> float:
@@ -271,7 +277,8 @@ def density_shift_integral(h, n: int, a: float = 0.0) -> float:
     rule = _graded_rule(24, 6, 1e-4)
 
     def shift(u, un, v):
-        return np.abs(_phi_pair(hv, u, v, a) - _phi_pair(hv, un, v, a))
+        s22 = v ** (2 * hv)  # shared by both densities
+        return np.abs(_phi_pair(hv, u, v, a, s22) - _phi_pair(hv, un, v, a, s22))
 
     total = 0.0
     gap = 2.0 / n

@@ -147,8 +147,9 @@ def covariance_increment_bound_check(h, trials: int, rng_seed: int):
     beta = increment_level_bound_constant(h)
     rng = substream(rng_seed, 0)
     t = rng.uniform(0, 1, trials)
-    uv = np.sort(rng.uniform(0, 1, (trials, 2)), axis=1)
-    u, v = uv[:, 0], uv[:, 1]
+    pair = rng.uniform(0, 1, (trials, 2))
+    u = np.minimum(pair[:, 0], pair[:, 1])
+    v = np.maximum(pair[:, 0], pair[:, 1])
     lhs = np.abs(fbm_covariance(h, v, t) - fbm_covariance(h, u, t))
     scale = t ** (2 * h.value - 1) * (v - u)
     bad = lhs > beta * scale + 1e-12

@@ -406,7 +406,9 @@ def _partial_step_weights(h: HurstIndex, grid: GridSpec):
     increments: returns (w, cond_std) with mean = increments @ w.  The
     Toeplitz solve is O(k^2), so results are cached; ``w`` is read-only
     (shared).  Only grids whose t_end is off the grid reach this, so scipy
-    is imported here rather than with the module."""
+    is imported here rather than with the module.  Raises RuntimeError when
+    the conditional variance comes out below -1e-12 tail^{2H}, tail the
+    partial step's length."""
     from scipy.linalg import solve_toeplitz
 
     n = grid.points_per_unit
@@ -425,7 +427,16 @@ def _partial_step_weights(h: HurstIndex, grid: GridSpec):
     )
     w = solve_toeplitz(gamma, c)
     w.flags.writeable = False
-    cond_var = tail ** (2 * h.value) - float((c * w).sum())
+    var = tail ** (2 * h.value)
+    cond_var = var - float((c * w).sum())
+    # the exact value is a positive share of var (above 4% of it for every
+    # H <= 0.99 and n <= 8192 tried), so only a negative of rounding size,
+    # at or above -1e-12 var, is clamped to 0; below that the solve failed
+    if cond_var < -1e-12 * var:
+        raise RuntimeError(
+            f"partial-step conditional variance {cond_var:.3e} is negative "
+            f"beyond rounding (unconditional {var:.3e}) at H={h.value}, "
+            f"n={n}, t_end={grid.t_end}")
     return w, np.sqrt(max(cond_var, 0.0))
 
 

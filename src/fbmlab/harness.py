@@ -131,7 +131,8 @@ class RateReport:
     replicates: int
     slope: float
     half_width: float
-    target_slope: float
+    paper_slope: float  # the proved rate -(1-H)/2
+    gate_slope: float  # the pass gate: slope <= paper_slope + 0.2
     passed: bool
     unusable: tuple = ()  # cells excluded from the fit (stderr > l2)
     wall_time: float = 0.0
@@ -283,15 +284,16 @@ def run_rate_experiment(plan: ExperimentPlan, threads=None) -> RateReport:
               if l2_c > 0 and se_c <= l2_c]
     unusable = tuple(n for n, l2_c, se_c in zip(plan.n_values, l2, se)
                      if not (l2_c > 0 and se_c <= l2_c))
+    paper = -(1 - hv) / 2
     if all(l2_c == 0 for l2_c in l2):
         # degenerate plan (e.g. empty measure): flag rather than fit
         return RateReport(hv, plan.n_values, tuple(l2), tuple(se),
-                          errs.shape[1], 0.0, 0.0, 0.0, True, unusable,
+                          errs.shape[1], 0.0, 0.0, paper, 0.0, True, unusable,
                           time.monotonic() - start)
     fit = fit_rate(usable)
-    target = -(1 - hv) / 2 + 0.2
+    gate = paper + 0.2
     return RateReport(
         hv, plan.n_values, tuple(l2), tuple(se), errs.shape[1],
-        fit["slope"], fit["half_width"], target,
-        bool(fit["slope"] <= target), unusable, time.monotonic() - start,
+        fit["slope"], fit["half_width"], paper, gate,
+        bool(fit["slope"] <= gate), unusable, time.monotonic() - start,
     )

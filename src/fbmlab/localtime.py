@@ -138,10 +138,13 @@ def moment_oracle(h, t: float, a: float, p: int = 1) -> float:
     u^{-H} endpoint singularity, leaving a bounded integrand for
     ``_first_moment`` (a != 0; a = 0 has a closed form) or
     ``_second_moment``, integrated by a graded Gauss-Legendre rule at
-    (panels, order) = (24, 8) and (40, 10).  The error estimate is the
-    larger of their gap and the second moment's own.  Raises ValueError on
-    a non-positive or non-finite t or a non-finite a, and RuntimeError when
-    the estimated relative error exceeds 1e-6 or the result is not finite.
+    (panels, order) = (24, 8) and (40, 10).  The second moment takes both
+    orientations of the simplex from one pass over the rule's nodes (one
+    orientation at a = 0, where they agree exactly), and their gap is its
+    own error estimate.  The error estimate is the larger of that and the
+    gap between the two rules.  Raises ValueError on a non-positive or
+    non-finite t or a non-finite a, and RuntimeError when the estimated
+    relative error exceeds 1e-6 or the result is not finite.
     """
     hv = as_hurst(h).value
     if p not in (1, 2):
@@ -188,8 +191,9 @@ def _first_moment(hv: float, t: float, a: float, rule) -> tuple[float, float]:
 
 def _pair_integrand(hv: float, a: float, r, s):
     """phi_{u,u+w}(a, a) (u w)^H / (1-H)^2 at u = r^{1/(1-H)} and
-    w = s^{1/(1-H)}: the density of (B_u, B_{u+w}) at (a, a) times the
-    Jacobian of the substitution, which cancels its (u w)^{-H} singularity.
+    w = s^{1/(1-H)}, in both orientations: the density of (B_u, B_{u+w})
+    at (a, a) times the Jacobian of the substitution, which cancels its
+    (u w)^{-H} singularity, and the same with u and w swapped.
 
     With kappa the correlation of B_u and B_{u+w} - B_u, the density is
     exp(-a^2 / (2 u^{2H} rho)) / (2 pi (u w)^H sqrt(rho)), rho = 1 - kappa^2.
@@ -199,6 +203,12 @@ def _pair_integrand(hv: float, a: float, r, s):
     difference of nearly equal numbers when w << u, where the
     covariance-determinant form rho = (s11 s22 - s12^2) / (s11 w^{2H})
     cancels catastrophically.
+
+    Only the exponent tells the orientations apart, so x, kappa, rho and
+    the normalisation 2 pi sqrt(rho) (1-H)^2 are evaluated once and the
+    pair (exp(-a^2 / (2 u^{2H} rho)), exp(-a^2 / (2 w^{2H} rho))) / norm
+    is returned.  At a = 0 both exponentials are exactly 1 and the one
+    array 1 / norm is returned instead.
     """
     one_mh = 1.0 - hv
     u = r ** (1.0 / one_mh)
@@ -206,8 +216,11 @@ def _pair_integrand(hv: float, a: float, r, s):
     x = np.minimum(w / u, u / w)
     kappa = (np.expm1(2 * hv * np.log1p(x)) - x ** (2 * hv)) / (2 * x**hv)
     rho = (1.0 - kappa) * (1.0 + kappa)
-    return np.exp(-0.5 * a * a / (u ** (2 * hv) * rho)) / (
-        2 * np.pi * np.sqrt(rho) * one_mh**2)
+    norm = 2 * np.pi * np.sqrt(rho) * one_mh**2
+    if a == 0:
+        return 1.0 / norm
+    return (np.exp(-0.5 * a * a / (u ** (2 * hv) * rho)) / norm,
+            np.exp(-0.5 * a * a / (w ** (2 * hv) * rho)) / norm)
 
 
 def _second_moment(hv: float, t: float, a: float, rule) -> tuple[float, float]:
@@ -216,18 +229,21 @@ def _second_moment(hv: float, t: float, a: float, rule) -> tuple[float, float]:
     E[L^2] = 2 * integral over 0 < u, 0 < w, u + w < t of
     phi_{u,u+w}(a, a); in r = u^{1-H}, s = w^{1-H} the integrand is
     ``_pair_integrand`` over 0 < r < t^{1-H}, 0 < s < (t - u)^{1-H}.  The
-    tensor rule, graded toward both ends of r and of s, is applied once
-    per orientation (u on the outer axis, then w), which gives the factor
-    2; at a = 0 the integrand is symmetric in (r, s) and the orientations
-    agree exactly.
+    tensor rule, graded toward both ends of r and of s, is applied to
+    both orientations (u on the outer axis, then w) in one pass, since
+    ``_pair_integrand`` returns the two together, and their sum gives the
+    factor 2.  At a = 0 the integrand is symmetric in (r, s), the
+    orientations agree exactly, and the one integral is doubled with a
+    gap of 0.
     """
     one_mh = 1.0 - hv
     r_end = t**one_mh
-    orientations = (lambda r, s: _pair_integrand(hv, a, r, s),
-                    lambda r, s: _pair_integrand(hv, a, s, r))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = r_end * rule[0]
         s_end = (t - r ** (1.0 / one_mh)) ** one_mh
-        f1, f2 = (_iterated_integral(f, (r,), r_end * rule[1], np.zeros_like(r),
-                                     s_end, rule) for f in orientations)
+        f = _iterated_integral(lambda r, s: _pair_integrand(hv, a, r, s), (r,),
+                               r_end * rule[1], np.zeros_like(r), s_end, rule)
+    if a == 0:
+        return 2 * f, 0.0
+    f1, f2 = f
     return f1 + f2, abs(f1 - f2)

@@ -152,7 +152,8 @@ def test_criterion_04_rate_equal_components(h):
     _budget(4, started, 1800)
     _verdict(4, report.passed,
              f"H={h}: slope={report.slope:.3f} +/- {report.half_width:.3f} "
-             f"vs target <= {report.target_slope:.3f} "
+             f"vs paper {report.paper_slope:.3f}, "
+             f"gate <= {report.gate_slope:.3f} "
              f"(M={report.replicates})")
 
 

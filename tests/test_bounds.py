@@ -168,6 +168,29 @@ def _density_shift_loop(hv, n, a):
     return total
 
 
+def _phi_pair_both_powers(hv, u, v, a, s22=None):
+    # the density before v^{2H} was shared and the a = 0 exponential
+    # skipped: every call computes both powers and the exponential
+    two_h = 2 * hv
+    s11 = u**two_h
+    s22 = v**two_h
+    s12 = 0.5 * (s11 + s22 - np.abs(v - u) ** two_h)
+    det = s11 * s22 - s12**2
+    qf = a * a * (s11 + s22 - 2 * s12) / det
+    return np.exp(-0.5 * qf) / (2 * np.pi * np.sqrt(det))
+
+
+@pytest.mark.parametrize("h, n, a", [
+    (0.55, 16, 0.0), (0.6, 64, -0.0), (0.75, 64, 0.3), (0.9, 256, -1.0)])
+def test_density_shift_integral_is_bit_identical_to_unshared_powers(
+        monkeypatch, h, n, a):
+    from fbmlab import bounds
+
+    got = density_shift_integral(h, n, a)
+    monkeypatch.setattr(bounds, "_phi_pair", _phi_pair_both_powers)
+    assert got.hex() == density_shift_integral(h, n, a).hex()
+
+
 @pytest.mark.parametrize("a", [0.0, 2.0])
 def test_density_shift_integral_matches_strip_loop(a):
     assert density_shift_integral(0.7, 64, a=a) == pytest.approx(

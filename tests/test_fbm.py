@@ -225,6 +225,34 @@ def test_partial_step_solved_once_under_two_workers():
     assert _partial_step_weights.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("excess, raises", [(1e-14, False), (1e-10, True)])
+def test_partial_step_negative_variance_raises_beyond_rounding(
+        monkeypatch, excess, raises):
+    # a solve whose weights explain (1 + excess) of the tail's variance
+    # leaves a conditional variance of about -excess * tail^{2H}: a
+    # rounding-size negative is clamped to 0, a larger one raises
+    import scipy.linalg
+
+    h, grid = as_hurst(0.7), GridSpec(0.83, 16)
+    var = (grid.t_end - grid.full_steps / 16) ** (2 * h.value)
+    solve = scipy.linalg.solve_toeplitz
+
+    def overshoot(gamma, c):
+        w = solve(gamma, c)
+        return w * (var * (1 + excess) / float((c * w).sum()))
+
+    monkeypatch.setattr(scipy.linalg, "solve_toeplitz", overshoot)
+    _partial_step_weights.cache_clear()
+    try:
+        if raises:
+            with pytest.raises(RuntimeError, match="negative beyond rounding"):
+                _partial_step_weights(h, grid)
+        else:
+            assert _partial_step_weights(h, grid)[1] == 0.0
+    finally:
+        _partial_step_weights.cache_clear()
+
+
 def test_stalled_worker_leaves_its_later_ranges_to_the_others():
     # ranges go to whichever worker is free: while the worker holding the
     # first range waits, the other one draws all the rest

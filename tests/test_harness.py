@@ -252,6 +252,10 @@ def test_rate_report_rows():
     assert len(rows) == 4
     assert rows[0]["H"] == 0.75
     assert {"n", "l2_error", "stderr", "slope", "pass"} <= set(rows[0])
+    # the paper's rate -(1-H)/2 is reported beside the gate 0.2 above it
+    assert report.paper_slope == -0.125
+    assert report.gate_slope == pytest.approx(0.075, abs=1e-15)
+    assert report.passed == (report.slope <= report.gate_slope)
 
 
 def test_degenerate_empty_measure():

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.special import gamma, gammaincc
 from scipy.stats import norm
 
+from fbmlab import localtime
 from fbmlab.fbm import GridSpec, sample_fft_batch
 from fbmlab.localtime import (
     ResolutionWarning,
@@ -21,6 +22,7 @@ from fbmlab.localtime import (
     moment_oracle,
     sign_change_estimates,
 )
+from fbmlab.quadrature import _graded_rule, _iterated_integral
 
 # independently computed E[L_1(a)] values (raw-coordinate adaptive quadrature)
 FIRST_MOMENT_REFERENCE = {
@@ -104,6 +106,64 @@ def test_second_moment_raises_when_unconverged():
     for a in (0.0, 0.5):
         with pytest.raises(RuntimeError, match="quadrature value is not finite"):
             moment_oracle(0.99, 1.0, a, p=2)
+
+
+def _pair_integrand_one_orientation(hv, a, r, s):
+    # the integrand before it returned both orientations: one per call
+    one_mh = 1.0 - hv
+    u = r ** (1.0 / one_mh)
+    w = s ** (1.0 / one_mh)
+    x = np.minimum(w / u, u / w)
+    kappa = (np.expm1(2 * hv * np.log1p(x)) - x ** (2 * hv)) / (2 * x**hv)
+    rho = (1.0 - kappa) * (1.0 + kappa)
+    return np.exp(-0.5 * a * a / (u ** (2 * hv) * rho)) / (
+        2 * np.pi * np.sqrt(rho) * one_mh**2)
+
+
+def _two_pass_second_moment(hv, t, a, rule):
+    # reference: one quadrature pass per orientation, as before the
+    # single pass
+    one_mh = 1.0 - hv
+    r_end = t**one_mh
+    orientations = (lambda r, s: _pair_integrand_one_orientation(hv, a, r, s),
+                    lambda r, s: _pair_integrand_one_orientation(hv, a, s, r))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = r_end * rule[0]
+        s_end = (t - r ** (1.0 / one_mh)) ** one_mh
+        f1, f2 = (_iterated_integral(f, (r,), r_end * rule[1], np.zeros_like(r),
+                                     s_end, rule) for f in orientations)
+    return f1 + f2, abs(f1 - f2)
+
+
+def _oracle_outcome(h, t, a):
+    try:
+        return moment_oracle(h, t, a, p=2).hex()
+    except RuntimeError as exc:
+        return str(exc)
+
+
+# (0.98, 1, 0.5) raises as not finite in both
+@pytest.mark.parametrize("h, t, a", [
+    (0.5, 1.0, 0.0), (0.6, 1.0, -0.0), (0.55, 0.3, 0.5), (0.75, 1.0, 0.5),
+    (0.75, 2.5, -0.5), (0.9, 1.0, 0.0), (0.98, 1.0, 0.5)])
+def test_second_moment_single_pass_is_bit_identical(monkeypatch, h, t, a):
+    got = _oracle_outcome(h, t, a)
+    monkeypatch.setattr(localtime, "_second_moment", _two_pass_second_moment)
+    assert got == _oracle_outcome(h, t, a)
+
+
+def test_tuple_integrand_totals_equal_separate_calls():
+    # several integrands sharing one evaluation are each accumulated as a
+    # lone integrand would be; 400 outer nodes span several blocks
+    rule = _graded_rule(40, 10, 1e-5, both_ends=True)
+    r = rule[0]
+    fs = (lambda r, s: np.exp(-s / r), lambda r, s: np.sqrt(r + s) * s,
+          lambda r, s: np.cos(r * s))
+    args = ((r,), rule[1], np.zeros_like(r), 1.0 - r, rule)
+    got = _iterated_integral(lambda r, s: tuple(f(r, s) for f in fs), *args)
+    assert isinstance(got, tuple)
+    assert got == tuple(_iterated_integral(f, *args) for f in fs)
+    assert isinstance(_iterated_integral(fs[0], *args), float)
 
 
 def _brownian_second_moment(a):
