@@ -22,8 +22,8 @@ range into ``RANGES_PER_WORKER`` contiguous ranges per worker thread
 (``threads``, default the CPU count), and each worker takes the next
 range when it finishes one.  The rate experiments and
 :func:`sample_fft_batch` draw their paths through it.  Normal
-generation releases the interpreter lock; the transforms and
-``np.cumsum`` hold it, so :func:`sample_fft_batch` sums the increments
+generation and ``np.fft.irfft`` release the interpreter lock;
+``np.cumsum`` holds it, so :func:`sample_fft_batch` sums the increments
 into paths after its workers finish.  The workers split
 the synthesis budget, ``BLOCK_VALUES // workers`` values each (at least
 one row), so a call's buffers add up to those of one worker.

@@ -11,7 +11,8 @@ Two estimators of the local time L_t(a):
 
 Exact first and second moments of L_t(a) are computed by graded
 Gauss-Legendre quadrature after an endpoint substitution that removes
-the u^{-H} singularity.  They serve as independent oracles for the
+the u^{-H} singularity; at a = 0 self-similarity reduces the second
+moment to one 1-D integral.  They serve as independent oracles for the
 estimators.
 """
 
@@ -50,7 +51,9 @@ def binning_estimates(h, values: np.ndarray, grid: GridSpec, a: float,
     each row of ``values`` (shape (..., nodes) on ``grid``); shape (...).
 
     The time integral uses the left-point piecewise-constant rule on the
-    path grid, with the terminal partial step weighted by its length.
+    path grid: the full steps inside are counted and the count divided by
+    n, and the terminal partial step adds its length t - k/n when it is
+    inside, so a row's estimate does not depend on the batch it is in.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -61,9 +64,12 @@ def binning_estimates(h, values: np.ndarray, grid: GridSpec, a: float,
             "estimate may be grid-resolution limited",
             ResolutionWarning,
         )
-    w = np.diff(np.minimum(grid.nodes(), grid.t_end))
+    n, k = grid.points_per_unit, grid.full_steps
     inside = np.abs(values[..., :-1] - a) <= eps
-    return (inside @ w) / (2 * eps)
+    occupation = np.count_nonzero(inside[..., :k], axis=-1) / n
+    if grid.has_partial_step:
+        occupation = occupation + inside[..., k] * (grid.t_end - k / n)
+    return occupation / (2 * eps)
 
 
 @functools.lru_cache(maxsize=16)
@@ -136,15 +142,17 @@ def moment_oracle(h, t: float, a: float, p: int = 1) -> float:
 
     The substitution u = r^{1/(1-H)} (per time variable) removes the
     u^{-H} endpoint singularity, leaving a bounded integrand for
-    ``_first_moment`` (a != 0; a = 0 has a closed form) or
-    ``_second_moment``, integrated by a graded Gauss-Legendre rule at
-    (panels, order) = (24, 8) and (40, 10).  The second moment takes both
-    orientations of the simplex from one pass over the rule's nodes (one
-    orientation at a = 0, where they agree exactly), and their gap is its
-    own error estimate.  The error estimate is the larger of that and the
-    gap between the two rules.  Raises ValueError on a non-positive or
-    non-finite t or a non-finite a, and RuntimeError when the estimated
-    relative error exceeds 1e-6 or the result is not finite.
+    ``_first_moment`` (a != 0; a = 0 has a closed form),
+    ``_second_moment_at_level_zero`` (a = 0, one 1-D integral) or
+    ``_second_moment`` (a != 0, a 2-D tensor rule), integrated by a graded
+    Gauss-Legendre rule at (panels, order) = (24, 8) and (40, 10).  The
+    2-D second moment takes both orientations of the simplex from one
+    pass over the rule's nodes, and their gap is its own error estimate.
+    The error estimate is the larger of that and the gap between the two
+    rules.  Raises ValueError on a non-positive or non-finite t or a
+    non-finite a, and RuntimeError when the estimated relative error
+    exceeds 1e-6 or the result is not finite (the second moment near
+    H = 1, where the substitution underflows: above H = 0.9775 at a = 0).
     """
     hv = as_hurst(h).value
     if p not in (1, 2):
@@ -155,7 +163,8 @@ def moment_oracle(h, t: float, a: float, p: int = 1) -> float:
         raise ValueError(f"a must be finite, got {a}")
     if p == 1 and a == 0:
         return t ** (1.0 - hv) / ((1.0 - hv) * np.sqrt(2 * np.pi))
-    moment = _first_moment if p == 1 else _second_moment
+    moment = (_first_moment if p == 1 else
+              _second_moment_at_level_zero if a == 0 else _second_moment)
     (coarse, _), (val, err) = (
         moment(hv, t, a, _graded_rule(panels, order, 1e-5, both_ends=p == 2))
         for panels, order in ((24, 8), (40, 10)))
@@ -189,36 +198,37 @@ def _first_moment(hv: float, t: float, a: float, rule) -> tuple[float, float]:
     return val / (one_mh * np.sqrt(2 * np.pi)), 0.0
 
 
+def _correlation_gap(hv: float, x):
+    """rho = 1 - kappa^2, with kappa the correlation of B_u and
+    B_{u+w} - B_u at x = min(w/u, u/w) <= 1 (kappa is symmetric in (u, w)).
+
+    kappa = ((1+x)^{2H} - 1 - x^{2H}) / (2 x^H), with (1+x)^{2H} - 1 taken
+    through expm1, and rho = (1 - kappa)(1 + kappa): neither forms a
+    difference of nearly equal numbers when x << 1, where the
+    covariance-determinant form rho = (s11 s22 - s12^2) / (s11 w^{2H})
+    cancels catastrophically.
+    """
+    kappa = (np.expm1(2 * hv * np.log1p(x)) - x ** (2 * hv)) / (2 * x**hv)
+    return (1.0 - kappa) * (1.0 + kappa)
+
+
 def _pair_integrand(hv: float, a: float, r, s):
     """phi_{u,u+w}(a, a) (u w)^H / (1-H)^2 at u = r^{1/(1-H)} and
     w = s^{1/(1-H)}, in both orientations: the density of (B_u, B_{u+w})
     at (a, a) times the Jacobian of the substitution, which cancels its
     (u w)^{-H} singularity, and the same with u and w swapped.
 
-    With kappa the correlation of B_u and B_{u+w} - B_u, the density is
-    exp(-a^2 / (2 u^{2H} rho)) / (2 pi (u w)^H sqrt(rho)), rho = 1 - kappa^2.
-    kappa is symmetric in (u, w), so it is evaluated at x = min(w/u, u/w)
-    <= 1 as ((1+x)^{2H} - 1 - x^{2H}) / (2 x^H), with (1+x)^{2H} - 1 taken
-    through expm1, and rho as (1 - kappa)(1 + kappa): neither forms a
-    difference of nearly equal numbers when w << u, where the
-    covariance-determinant form rho = (s11 s22 - s12^2) / (s11 w^{2H})
-    cancels catastrophically.
-
-    Only the exponent tells the orientations apart, so x, kappa, rho and
-    the normalisation 2 pi sqrt(rho) (1-H)^2 are evaluated once and the
-    pair (exp(-a^2 / (2 u^{2H} rho)), exp(-a^2 / (2 w^{2H} rho))) / norm
-    is returned.  At a = 0 both exponentials are exactly 1 and the one
-    array 1 / norm is returned instead.
+    The density is exp(-a^2 / (2 u^{2H} rho)) / (2 pi (u w)^H sqrt(rho)),
+    with rho from ``_correlation_gap``.  Only the exponent tells the
+    orientations apart, so rho and the normalisation 2 pi sqrt(rho) (1-H)^2
+    are evaluated once and the pair (exp(-a^2 / (2 u^{2H} rho)),
+    exp(-a^2 / (2 w^{2H} rho))) / norm is returned.
     """
     one_mh = 1.0 - hv
     u = r ** (1.0 / one_mh)
     w = s ** (1.0 / one_mh)
-    x = np.minimum(w / u, u / w)
-    kappa = (np.expm1(2 * hv * np.log1p(x)) - x ** (2 * hv)) / (2 * x**hv)
-    rho = (1.0 - kappa) * (1.0 + kappa)
+    rho = _correlation_gap(hv, np.minimum(w / u, u / w))
     norm = 2 * np.pi * np.sqrt(rho) * one_mh**2
-    if a == 0:
-        return 1.0 / norm
     return (np.exp(-0.5 * a * a / (u ** (2 * hv) * rho)) / norm,
             np.exp(-0.5 * a * a / (w ** (2 * hv) * rho)) / norm)
 
@@ -232,18 +242,46 @@ def _second_moment(hv: float, t: float, a: float, rule) -> tuple[float, float]:
     tensor rule, graded toward both ends of r and of s, is applied to
     both orientations (u on the outer axis, then w) in one pass, since
     ``_pair_integrand`` returns the two together, and their sum gives the
-    factor 2.  At a = 0 the integrand is symmetric in (r, s), the
-    orientations agree exactly, and the one integral is doubled with a
-    gap of 0.
+    factor 2.
     """
     one_mh = 1.0 - hv
     r_end = t**one_mh
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = r_end * rule[0]
         s_end = (t - r ** (1.0 / one_mh)) ** one_mh
-        f = _iterated_integral(lambda r, s: _pair_integrand(hv, a, r, s), (r,),
-                               r_end * rule[1], np.zeros_like(r), s_end, rule)
-    if a == 0:
-        return 2 * f, 0.0
-    f1, f2 = f
+        f1, f2 = _iterated_integral(
+            lambda r, s: _pair_integrand(hv, a, r, s), (r,), r_end * rule[1],
+            np.zeros_like(r), s_end, rule)
     return f1 + f2, abs(f1 - f2)
+
+
+def _second_moment_at_level_zero(hv: float, t: float, a: float,
+                                 rule) -> tuple[float, float]:
+    """E[L_t(a)^2] at a = 0 by ``rule`` (with no error estimate of its own),
+    from one 1-D integral.
+
+    At a = 0 the density phi_{u,u+w}(0, 0) = 1 / (2 pi (u w)^H sqrt(rho))
+    depends on w only through tau = w/u, so with w = tau u the u-integral
+    over u < t / (1 + tau) is exact, (t / (1 + tau))^{2-2H} / (2 - 2H),
+    and tau -> 1/tau maps tau > 1 onto tau < 1 with the same integrand:
+
+        E[L_t(0)^2] = t^{2-2H} I / (pi (1-H)),
+        I = integral over 0 < x < 1 of (1+x)^{2H-2} x^{-H} rho(x)^{-1/2}.
+
+    x = r^{1/(1-H)} removes the x^{-H} singularity, leaving
+    (1+x)^{2H-2} rho^{-1/2} / (1-H) over 0 < r < 1, with rho from
+    ``_correlation_gap``; at H = 1/2, rho = 1 and I = pi/2.  x rises
+    steeply near r = 1 as H nears 1, so the rule is graded toward both
+    ends.  At H above about 0.9775, r^{1/(1-H)} underflows to 0 at the first
+    nodes and the value is NaN.
+    """
+    one_mh = 1.0 - hv
+
+    def integrand(r):
+        x = r ** (1.0 / one_mh)
+        return (1.0 + x) ** (2 * hv - 2) / np.sqrt(_correlation_gap(hv, x))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        i = _iterated_integral(integrand, (), np.ones(1), np.zeros(1),
+                               np.ones(1), rule)
+    return t ** (2 * one_mh) * i / (np.pi * one_mh**2), 0.0

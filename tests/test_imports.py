@@ -93,8 +93,9 @@ def test_unused_import_is_reported():
 
 
 # Runs in a fresh interpreter: imports the package and runs an on-grid rate
-# experiment, the exact sampler, the first-moment oracle at a != 0 and three
-# CLI commands, none of which needs scipy.
+# experiment, the exact sampler, the first-moment oracle at a != 0, the
+# second-moment oracle at a = 0 and a != 0 and three CLI commands, none of
+# which needs scipy.
 _NUMPY_ONLY_SCRIPT = """
 import contextlib, io, sys
 import fbmlab, fbmlab.bounds, fbmlab.cli
@@ -106,6 +107,8 @@ plan = ExperimentPlan(0.75, (8, 16, 32), indicator_measure(0.0), replicates=8,
 run_rate_experiment(plan, threads=2)
 sample_exact_batch(0.75, GridSpec(1.0, 16), 1, 4, 2)
 assert moment_oracle(0.75, 1.0, 0.5, 1) > 0
+assert moment_oracle(0.75, 1.0, 0.0, 2) > 0
+assert moment_oracle(0.75, 1.0, 0.5, 2) > 0
 for argv in (["simulate", "--H", "0.75", "--n", "64"],
              ["verify-bounds", "--suite", "cov", "--samples", "1000"]):
     assert fbmlab.cli.parse_and_dispatch(["--quiet", "--output-dir", sys.argv[1]] + argv) == 0

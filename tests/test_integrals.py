@@ -143,6 +143,15 @@ def test_single_path_is_a_batch_row(name, t):
             whole = fn(walk, fine, grid)
             rows = [fn(walk[r], fine, grid) for r in range(6)]
             np.testing.assert_array_equal(rows, whole)
+    if name == "binning_estimates":
+        # n = 1000: the step lengths are not powers of two, so a row's
+        # estimate must not come from a sum whose order depends on the batch;
+        # n = 256 at t = 0.83 ends on a partial step
+        for fine in (GridSpec(t, 1000), GridSpec(t, 256)):
+            batch = sample_fft_batch(0.75, fine, 9, 200)[:, 0]
+            whole = fn(batch, fine, fine)
+            np.testing.assert_array_equal(
+                [fn(row, fine, fine) for row in batch], whole)
 
 
 def _coarse_values_fancy(values, fine, grid):

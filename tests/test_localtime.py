@@ -108,6 +108,58 @@ def test_second_moment_raises_when_unconverged():
             moment_oracle(0.99, 1.0, a, p=2)
 
 
+def _level_zero_reference(mp, h):
+    # E[L_1(0)^2] = I / (pi (1-H)) with I in x = r^{1/(1-H)}, at 30 digits
+    with mp.workdps(30):
+        h = mp.mpf(h)
+
+        def f(r):
+            x = r ** (1 / (1 - h))
+            kappa = (mp.expm1(2 * h * mp.log1p(x)) - x ** (2 * h)) / (2 * x**h)
+            return (1 + x) ** (2 * h - 2) / mp.sqrt((1 - kappa) * (1 + kappa))
+
+        return float(mp.quad(f, [0, 1]) / (mp.pi * (1 - h) ** 2))
+
+
+@pytest.mark.parametrize("h", [0.51, 0.6, 0.75, 0.9, 0.95])
+def test_second_moment_at_level_zero_matches_30_digit_reference(h):
+    mp = pytest.importorskip("mpmath")
+    assert moment_oracle(h, 1.0, 0.0, p=2) == pytest.approx(
+        _level_zero_reference(mp, h), rel=1e-13)
+
+
+def test_second_moment_at_level_zero_brownian_is_exact():
+    # at H = 1/2, kappa = 0 and I = pi/2
+    assert moment_oracle(0.5, 1.0, 0.0, p=2) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("h", [0.6, 0.75, 0.9])
+def test_second_moment_at_level_zero_time_scaling(h):
+    # E[L_t(0)^2] = t^{2-2H} E[L_1(0)^2]
+    for t in (0.1, 0.83, 2.5, 10.0):
+        assert moment_oracle(h, t, 0.0, p=2) == pytest.approx(
+            t ** (2 - 2 * h) * moment_oracle(h, 1.0, 0.0, p=2), rel=1e-14)
+
+
+@pytest.mark.parametrize("h", [0.51, 0.6, 0.75, 0.9, 0.95])
+def test_second_moment_at_level_zero_matches_tensor_rule(h):
+    # the 2-D route, which a = 0 no longer takes, still integrates there
+    want, _ = localtime._second_moment(
+        h, 1.0, 0.0, _graded_rule(40, 10, 1e-5, both_ends=True))
+    assert moment_oracle(h, 1.0, 0.0, p=2) == pytest.approx(want, rel=1e-9)
+
+
+def test_second_moment_at_signed_zeros_takes_the_1d_route(monkeypatch):
+    want = moment_oracle(0.75, 1.0, 0.0, p=2)
+
+    def tensor_route(*args):
+        raise AssertionError("a = 0 took the 2-D route")
+
+    monkeypatch.setattr(localtime, "_second_moment", tensor_route)
+    for a in (0.0, -0.0):
+        assert moment_oracle(0.75, 1.0, a, p=2) == want
+
+
 def _pair_integrand_one_orientation(hv, a, r, s):
     # the integrand before it returned both orientations: one per call
     one_mh = 1.0 - hv
