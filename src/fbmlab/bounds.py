@@ -142,13 +142,17 @@ def decoupling_scaling(hurst: float, h_levels, a: float = 0.0,
     is within 3 standard errors of zero are excluded as noise-dominated.
     Status is PASS when the slope meets the h^{2-2H} envelope (one-sided:
     steeper decay also passes), FAIL only with adequate power
-    (>= ``MIN_USABLE`` usable cells), and INCONCLUSIVE otherwise.
+    (>= ``MIN_USABLE`` usable cells), and INCONCLUSIVE otherwise.  Raises
+    ValueError on fewer than 5 levels, a level outside (0, 1) or a
+    non-finite ``a``.
     """
     h_levels = sorted(float(h) for h in h_levels)
     if len(h_levels) < 5:
         raise ValueError("need at least 5 h levels")
     if not all(0 < h < 1 for h in h_levels):
         raise ValueError("every h must lie in (0, 1)")
+    if not np.isfinite(a):
+        raise ValueError(f"a must be finite, got {a}")
     hu = as_hurst(hurst)
     hu.require_rough_regime()
     if mc_samples < 1000:
@@ -187,9 +191,13 @@ def factorisation_scaling(hurst: float, h_levels):
     times = {0, 1, 1+h, 2+h} with the middle increment small.
 
     Deterministic (dense linear algebra only); the factorisation error
-    theta1 vanishes like h^{2-2H}.
+    theta1 vanishes like h^{2-2H}.  Raises ValueError unless ``h_levels``
+    holds at least 2 distinct values.
     """
     h_levels = sorted(float(h) for h in h_levels)
+    if len(set(h_levels)) < 2:
+        raise ValueError(f"a slope needs at least 2 distinct h levels, got "
+                         f"{h_levels}")
     theta1 = [factorisation_error(hurst, h) for h in h_levels]
     x = np.log2(h_levels)
     y = np.log2(np.abs(theta1))
@@ -204,8 +212,8 @@ def factorisation_scaling(hurst: float, h_levels):
 def lemma_a1_oracle(theta: float) -> float:
     """Exact value theta^2 / 2 of the expected crossing-kernel integral
     E[int |y + X - alpha| 1{sgn(y + X - alpha) != sgn(y - alpha)} dy]."""
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
+    if not (np.isfinite(theta) and theta >= 0):
+        raise ValueError(f"theta must be finite and nonnegative, got {theta}")
     return theta * theta / 2.0
 
 

@@ -8,25 +8,24 @@ returning an array of shape (replicates, components, nodes):
 * :func:`sample_fft_batch` -- circulant embedding of the stationary
   increment process (Davies-Harte), O(N log N).
 
-The circulant-embedding synthesis itself is :func:`fft_blocks`, which
-yields the paths in blocks of consecutive replicates of about
-``GROUP_VALUES`` values through one reused block buffer, so a consumer
-that needs each block only once (the rate experiments) holds a few MB
-whatever the replicate count.  Within a block, normals, half spectrum and
-transform output go through three buffers of at most ``BLOCK_VALUES``
-values.  :func:`sample_fft_batch` runs the same generator with its output
-array as the block buffer, so its memory is the output plus a few MB.
+The circulant-embedding synthesis itself is :func:`fft_increments`, a
+plain function that writes the increments of consecutive replicates into
+rows the caller owns; a cumulative sum along each row turns them into
+paths.  Normals, half spectrum and transform output go through three
+buffers of at most ``BLOCK_VALUES`` values.  :func:`sample_fft_batch`
+writes into its output array, so its memory is the output plus a few MB;
+the rate experiments write one block of replicates at a time into one
+reused buffer of their own (``harness.GROUP_VALUES``).
 
 :func:`fft_ranges` is the one worker-range dispatch: it cuts a replicate
 range into ``RANGES_PER_WORKER`` contiguous ranges per worker thread
 (``threads``, default the CPU count), and each worker takes the next
 range when it finishes one.  The rate experiments and
-:func:`sample_fft_batch` draw their paths through it.  Normal
-generation and ``np.fft.irfft`` release the interpreter lock;
-``np.cumsum`` holds it, so :func:`sample_fft_batch` sums the increments
-into paths after its workers finish.  The workers split
-the synthesis budget, ``BLOCK_VALUES // workers`` values each (at least
-one row), so a call's buffers add up to those of one worker.
+:func:`sample_fft_batch` draw their paths through it.  ``np.cumsum``
+holds the interpreter lock, so :func:`sample_fft_batch` sums the
+increments into paths after its workers finish.  The workers split the
+synthesis budget, ``BLOCK_VALUES // workers`` values each (at least one
+row), so a call's buffers add up to those of one worker.
 
 Both samplers are deterministic given ``(seed, replicate, component)``:
 a path draws from the stream of :func:`substream` for its key, so results
@@ -62,7 +61,7 @@ __all__ = [
     "resolve_threads",
     "sample_exact_batch",
     "fft_ranges",
-    "fft_blocks",
+    "fft_increments",
     "sample_fft_batch",
     "path_to_csv",
 ]
@@ -72,10 +71,6 @@ EXACT_NODE_CAP = 4096
 # values per row block of the FFT sampler and the Riemann kernel: a block's
 # float64 buffers (2 MB each) stay within a 4 MB L2 cache
 BLOCK_VALUES = 2**18
-# path values per block that fft_blocks yields: every kernel call on a block
-# hands the interpreter lock between worker threads, so a block spans several
-# synthesis blocks
-GROUP_VALUES = 4 * BLOCK_VALUES
 # replicate ranges per worker thread of fft_ranges; each range sets up its
 # own keys and buffers, so a few are enough to rebalance a slowed worker
 RANGES_PER_WORKER = 3
@@ -451,7 +446,7 @@ def fft_ranges(h, grid: GridSpec, first: int, total: int, threads, work) -> None
     """Run ``work(a, b, workers)`` on contiguous replicate ranges [a, b)
     that cover [first, total), on ``workers`` threads, at most
     ``resolve_threads(threads)`` of them; ``workers`` is passed on to
-    :func:`fft_blocks`.  One worker runs the whole range in the calling
+    :func:`fft_increments`.  One worker runs the whole range in the calling
     thread.
 
     More workers share ``RANGES_PER_WORKER`` ranges each: a worker takes
@@ -482,85 +477,55 @@ def fft_ranges(h, grid: GridSpec, first: int, total: int, threads, work) -> None
         list(pool.map(lambda r: work(*r, workers), ranges))
 
 
-def fft_blocks(
-    h,
-    grid: GridSpec,
-    master_seed: int,
-    count: int,
-    components: int = 1,
-    first_replicate: int = 0,
-    out: np.ndarray | None = None,
-    workers: int = 1,
-    increments: bool = False,
-):
-    """Circulant-embedding paths of replicates ``first_replicate`` to
-    ``first_replicate + count - 1``, in blocks of consecutive replicates.
+def fft_increments(h, grid: GridSpec, master_seed: int, first_replicate: int,
+                   out: np.ndarray, workers: int = 1) -> None:
+    """Circulant-embedding increments of replicates ``first_replicate``
+    onwards, one per row of ``out`` (shape (count, components, num_nodes)):
+    column j gets B(t_j) - B(t_{j-1}) and column 0 is left alone, so a
+    cumulative sum along the last axis of rows that are zero in column 0
+    gives the paths.
 
-    Yields ``(rows, block)`` with ``block`` of shape
-    (rows, components, num_nodes).  Without ``out``, every block is a view
-    of one buffer of about ``GROUP_VALUES`` values (at least one row) that
-    the next block overwrites, so a consumer must use a block before it
-    asks for the next.  With ``out`` (shape (count, components, num_nodes),
-    zero in column 0) the blocks are consecutive rows of ``out``, and
-    draining the generator fills it.  Each block is synthesised in
-    sub-blocks of at most ``BLOCK_VALUES // workers`` embedding values (at
-    least one row) through three buffers allocated once per call, so the
-    ``workers`` generators that :func:`fft_ranges` runs at once hold what
-    one alone would.  With ``increments`` a block holds each path's
-    increments B(t_j) - B(t_{j-1}) in column j, and a cumulative sum along
-    the last axis turns it into the paths, bit for bit.
+    The rows are synthesised in sub-blocks of at most
+    ``BLOCK_VALUES // workers`` embedding values (at least one row) through
+    three buffers allocated once per call, so the ``workers`` calls that
+    :func:`fft_ranges` runs at once hold what one alone would.
     """
     h = as_hurst(h)
-    n = grid.points_per_unit
-    k = grid.full_steps
-    partial = grid.has_partial_step
-    step = max(1, GROUP_VALUES // (components * grid.num_nodes))
-    reuse = out is None
-    if reuse:
-        out = np.zeros((min(step, count), components, grid.num_nodes))
-    if k > 0:
-        amp = _embedding_amplitude(h.value, k) * n ** (-h.value)
-        if partial:
-            w, cond_std = _partial_step_weights(h, grid)
-        m = 2 * (amp.shape[0] - 1)
-        subs = row_blocks(min(step, count), m, workers)
-        sub_rows = subs[0].stop if subs else 0
-        zeta = np.empty((sub_rows, m))
-        spec = np.empty((sub_rows, m // 2 + 1), dtype=complex)
-        incr = np.empty((sub_rows, m))
-        extra = np.empty(sub_rows)
+    count, components = out.shape[:2]
     key = _keyed_streams(master_seed, first_replicate, count, components)
-    for start in range(0, count, step):
-        rows = min(step, count - start)
-        block = out[:rows] if reuse else out[start : start + rows]
-        if k == 0:
-            for r in range(rows):
-                for c in range(components):
-                    rng = key(start + r, c)
-                    block[r, c, 1] = grid.t_end ** h.value * rng.standard_normal()
-        else:
-            for sub in row_blocks(rows, m, workers):
-                nb = sub.stop - sub.start
-                for c in range(components):
-                    for r in range(nb):
-                        rng = key(start + sub.start + r, c)
-                        rng.standard_normal(out=zeta[r])
-                        if partial:
-                            extra[r] = rng.standard_normal()
-                    fgn = _fgn_from_normals(amp, zeta[:nb], spec[:nb], incr[:nb])[:, :k]
-                    dest = block[sub, c]
-                    if increments:
-                        dest[:, 1 : k + 1] = fgn
-                    else:
-                        np.cumsum(fgn, axis=-1, out=dest[:, 1 : k + 1])
-                    if partial:
-                        # one pairwise sum per row, so no result depends on
-                        # the block, and no BLAS dot, whose threads would
-                        # split a long row
-                        mean = (fgn * w).sum(axis=-1)
-                        last = mean + cond_std * extra[:nb]
-                        dest[:, k + 1] = last if increments else dest[:, k] + last
-        yield rows, block
+    k = grid.full_steps
+    if k == 0:
+        scale = grid.t_end ** h.value
+        for r in range(count):
+            for c in range(components):
+                out[r, c, 1] = scale * key(r, c).standard_normal()
+        return
+    partial = grid.has_partial_step
+    if partial:
+        w, cond_std = _partial_step_weights(h, grid)
+    amp = _embedding_amplitude(h.value, k) * grid.points_per_unit ** (-h.value)
+    m = 2 * (amp.shape[0] - 1)
+    subs = row_blocks(count, m, workers)
+    sub_rows = subs[0].stop if subs else 0
+    zeta = np.empty((sub_rows, m))
+    spec = np.empty((sub_rows, m // 2 + 1), dtype=complex)
+    incr = np.empty((sub_rows, m))
+    extra = np.empty(sub_rows)
+    for sub in subs:
+        nb = sub.stop - sub.start
+        for c in range(components):
+            for r in range(nb):
+                rng = key(sub.start + r, c)
+                rng.standard_normal(out=zeta[r])
+                if partial:
+                    extra[r] = rng.standard_normal()
+            fgn = _fgn_from_normals(amp, zeta[:nb], spec[:nb], incr[:nb])[:, :k]
+            out[sub, c, 1 : k + 1] = fgn
+            if partial:
+                # one pairwise sum per row, so no result depends on the
+                # block, and no BLAS dot, whose threads would split a long row
+                mean = (fgn * w).sum(axis=-1)
+                out[sub, c, k + 1] = mean + cond_std * extra[:nb]
 
 
 def sample_fft_batch(
@@ -576,20 +541,18 @@ def sample_fft_batch(
 
     Same distribution and substream contract as :func:`sample_exact_batch`.
     The terminal partial increment (when present) is drawn exactly from its
-    conditional law given the uniform increments.  The paths are those of
-    :func:`fft_blocks`, synthesised straight into the returned array: the
-    worker threads of :func:`fft_ranges` (at most ``threads``, default the
-    CPU count) fill its rows with increments, the calling thread sums
-    them, and the result does not depend on ``threads``.
+    conditional law given the uniform increments.  The worker threads of
+    :func:`fft_ranges` (at most ``threads``, default the CPU count) write
+    the increments of :func:`fft_increments` straight into the returned
+    array, the calling thread sums them, and the result does not depend on
+    ``threads``.
     """
     _check_keys(master_seed, first_replicate, count)
     out = np.zeros((count, components, grid.num_nodes))
 
     def fill(a, b, workers):
-        for _ in fft_blocks(h, grid, master_seed, b - a, components,
-                            first_replicate + a, out=out[a:b], workers=workers,
-                            increments=True):
-            pass
+        fft_increments(h, grid, master_seed, first_replicate + a, out[a:b],
+                       workers)
 
     fft_ranges(h, grid, 0, count, threads, fill)
     # np.cumsum holds the interpreter lock, so the workers leave it to here

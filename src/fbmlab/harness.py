@@ -1,16 +1,18 @@
 """Monte Carlo orchestration: discretisation-error experiments and rate fits.
 
 Each worker thread of ``fbm.fft_ranges`` takes contiguous ranges of
-replicates, a few per worker, and streams each range's fine-grid paths
-from ``fbm.fft_blocks``, one block of consecutive replicates at a time
-through one reused buffer, so no batch of all the range's paths is ever
-held and a worker's memory does not grow with the replicate count.  The crossing and Riemann kernels of
-``integrals`` evaluate the normalised discretisation error S_n on every
-coarse resolution n from the same block (common random numbers), for all
-of the block's replicates at once, together with the local-time limit
-functional from the fine grid.  L2 errors per (H, n) cell are reduced in
-a fixed order and substreams are keyed by absolute replicate id, so
-results are bit-identical for any worker count.
+replicates and works through each range in blocks of consecutive
+replicates of about ``GROUP_VALUES`` path values.  ``fbm.fft_increments``
+writes a block's increments into one reused buffer and an in-place
+cumulative sum turns them into paths, so no batch of all the range's
+paths is ever held and a worker's memory does not grow with the replicate
+count.  The crossing and Riemann kernels of ``integrals`` evaluate the
+normalised discretisation error S_n on every coarse resolution n from the
+same block (common random numbers), for all of the block's replicates at
+once, together with the local-time limit functional from the fine grid.
+L2 errors per (H, n) cell are reduced in a fixed order and substreams are
+keyed by absolute replicate id, so results are bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import GridSpec, as_hurst, fft_blocks, fft_ranges
+from .fbm import BLOCK_VALUES, GridSpec, as_hurst, fft_increments, fft_ranges
 from .integrals import SignedMeasure, crossing_sums, riemann_sums
 
 __all__ = [
@@ -36,6 +38,10 @@ PILOT_REPLICATES = 200
 REPLICATE_CAP = 10_000
 # cap on replicates x fine-grid nodes to keep runs desk-scale
 BUDGET_VALUES = 2e10
+# path values per block of replicates: every kernel call on a block hands the
+# interpreter lock between worker threads, so a block spans several synthesis
+# blocks
+GROUP_VALUES = 4 * BLOCK_VALUES
 
 
 class PlanError(ValueError):
@@ -210,18 +216,21 @@ def _path_errors(plan: ExperimentPlan, fine: GridSpec, bi: np.ndarray,
 def _replicate_errors(plan: ExperimentPlan, first: int, count: int,
                       workers: int = 1) -> np.ndarray:
     """Errors S_n - delta_ij * limit for replicates [first, first+count),
-    shape (len(n_values), count), from paths streamed block by block;
-    ``workers`` goes to ``fft_blocks``."""
+    shape (len(n_values), count), from blocks of about ``GROUP_VALUES``
+    path values drawn in turn into one reused buffer; ``workers`` goes to
+    ``fft_increments``."""
     fine = GridSpec(plan.t, plan.fine_n)
     i, j = plan.component_pair
+    step = max(1, GROUP_VALUES // (plan.components * fine.num_nodes))
+    paths = np.zeros((min(step, count), plan.components, fine.num_nodes))
     errs = np.empty((len(plan.n_values), count))
-    done = 0
-    for rows, block in fft_blocks(plan.hurst, fine, plan.master_seed, count,
-                                  plan.components, first_replicate=first,
-                                  workers=workers):
-        errs[:, done:done + rows] = _path_errors(plan, fine, block[:, i - 1],
-                                                 block[:, j - 1])
-        done += rows
+    for start in range(0, count, step):
+        block = paths[:count - start]
+        fft_increments(plan.hurst, fine, plan.master_seed, first + start,
+                       block, workers)
+        np.cumsum(block[..., 1:], axis=-1, out=block[..., 1:])
+        errs[:, start:start + len(block)] = _path_errors(
+            plan, fine, block[:, i - 1], block[:, j - 1])
     return errs
 
 
@@ -229,8 +238,9 @@ def _collect(plan: ExperimentPlan, first: int, total: int, threads) -> np.ndarra
     """Errors of replicates [first, total), shape (len(n_values), total - first).
 
     The workers take ``fbm.RANGES_PER_WORKER`` contiguous ranges each, so
-    they allocate block buffers a fixed number of times whatever the
-    replicate count."""
+    they allocate path buffers a fixed number of times whatever the
+    replicate count; ``fbm.fft_increments`` allocates its synthesis
+    buffers once per block."""
     out = np.empty((len(plan.n_values), total - first))
 
     def work(a, b, workers):

@@ -38,6 +38,13 @@ def test_experiment_validation():
     for bad in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError):
             decoupling_scaling(0.75, H_LEVELS[:4] + [bad], mc_samples=1000)
+    for a in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="a must be finite"):
+            decoupling_scaling(0.75, H_LEVELS, a=a, mc_samples=1000)
+    # a slope through one point is no slope
+    for levels in ([0.5], [0.5, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="2 distinct h levels"):
+            factorisation_scaling(0.75, levels)
 
 
 def test_step2_inner_matches_scipy_normal_tail():
@@ -113,8 +120,9 @@ def test_factorisation_slope_matches_exponent(h):
 def test_lemma_a1_oracle_values():
     assert lemma_a1_oracle(0.0) == 0.0
     assert lemma_a1_oracle(2.0) == 2.0
-    with pytest.raises(ValueError):
-        lemma_a1_oracle(-1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            lemma_a1_oracle(bad)
 
 
 def test_lemma_a1_mc_close():

@@ -332,6 +332,27 @@ def test_verify_bounds_accepts_tiny_ratios(capsys):
     assert "decoupling_discrepancy,9.9999999999999995e-07," in out
 
 
+@pytest.mark.parametrize("h_grid", ["0.5", "0.5,0.5,0.5"])
+def test_verify_bounds_cov_rejects_a_single_h_level(capsys, h_grid):
+    # one distinct level gives no slope to report
+    rc = run(["verify-bounds", "--suite", "cov", "--samples", "1000",
+              "--h-grid", h_grid])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: a slope needs at least 2 distinct")
+    assert captured.out == ""
+
+
+def test_verify_bounds_decoupling_rejects_nonfinite_level(capsys):
+    # a validation error, not an INCONCLUSIVE verdict (exit 2)
+    rc = run(["verify-bounds", "--suite", "decoupling", "--samples", "1000",
+              "--a", "nan"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: a must be finite")
+    assert captured.out == ""
+
+
 def test_verify_bounds_ill_conditioned_sigma_exits_1(capsys):
     rc = run(["verify-bounds", "--suite", "cov", "--samples", "1000",
               "--h-grid", "0.0009765625,9.5367431640625e-07,9.313225746154785e-10"])
@@ -395,6 +416,8 @@ def test_invalid_arguments_exit_code(capsys):
                        (moments + ["--t", "nan"], "t"),
                        (moments + ["--a", "nan"], "a"),
                        (moments + ["--a", "inf", "--p", "2"], "a"),
+                       *((["oracle", "--lemma", "a1", "--theta", theta],
+                          "theta") for theta in ("nan", "inf", "-1")),
                        (["localtime", "--H", "0.75", "--n", "0", "--levels",
                          "0"], "--n"),
                        (["localtime", "--H", "0.75", "--n", "8", "--levels",

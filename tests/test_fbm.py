@@ -21,7 +21,7 @@ from fbmlab.fbm import (
     HurstIndex,
     as_hurst,
     fbm_covariance,
-    fft_blocks,
+    fft_increments,
     fft_ranges,
     fgn_autocovariance,
     path_to_csv,
@@ -276,12 +276,13 @@ def test_stalled_worker_leaves_its_later_ranges_to_the_others():
 @pytest.mark.parametrize("grid", [GridSpec(1.0, 64), GridSpec(0.83, 64),
                                   GridSpec(0.01, 64)])
 def test_fft_block_increments_sum_to_the_paths(grid):
-    paths = np.zeros((5, 2, grid.num_nodes))
-    steps = np.zeros_like(paths)
-    for out, increments in ((paths, False), (steps, True)):
-        for _ in fft_blocks(0.7, grid, 3, 5, 2, out=out, increments=increments):
-            pass
+    # column 0 is the caller's: the increments go to columns 1 onwards
+    steps = np.full((5, 2, grid.num_nodes), np.nan)
+    fft_increments(0.7, grid, 3, 4, steps)
+    assert np.isnan(steps[..., 0]).all()
+    steps[..., 0] = 0.0
     np.cumsum(steps[..., 1:], axis=-1, out=steps[..., 1:])
+    paths = sample_fft_batch(0.7, grid, 3, 5, 2, first_replicate=4)
     assert steps.tobytes() == paths.tobytes()
 
 

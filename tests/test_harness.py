@@ -128,14 +128,13 @@ def test_rate_experiment_chunking_invariance(monkeypatch):
     import fbmlab.harness as hmod
 
     blocks = []
-    stream = hmod.fft_blocks
+    synth = hmod.fft_increments
 
-    def spy(*args, **kwargs):
-        for rows, block in stream(*args, **kwargs):
-            blocks.append(rows)
-            yield rows, block
+    def spy(h, grid, master_seed, first_replicate, out, workers=1):
+        blocks.append(out.shape[0])
+        synth(h, grid, master_seed, first_replicate, out, workers)
 
-    monkeypatch.setattr(hmod, "fft_blocks", spy)
+    monkeypatch.setattr(hmod, "fft_increments", spy)
     for plan in (make_plan(replicates=50),
                  make_plan(replicates=50, component_pair=(1, 2), t=0.83)):
         ref = run_rate_experiment(plan, threads=1)
@@ -144,7 +143,7 @@ def test_rate_experiment_chunking_invariance(monkeypatch):
         with monkeypatch.context() as patch:
             # synthesis blocks of 2 rows inside streamed blocks of 7
             patch.setattr(fmod, "BLOCK_VALUES", 2 * m)
-            patch.setattr(fmod, "GROUP_VALUES", 7 * plan.components * fine.num_nodes)
+            patch.setattr(hmod, "GROUP_VALUES", 7 * plan.components * fine.num_nodes)
             # one worker range of 50 replicates; with RANGES_PER_WORKER = 3,
             # six ranges of 8, 8, 9, 8, 8 and 9 under two workers and nine
             # of 5 and 6 under three
@@ -160,7 +159,7 @@ def test_rate_experiment_chunking_invariance(monkeypatch):
 
 
 def test_streamed_errors_equal_materialised_batch(monkeypatch):
-    import fbmlab.fbm as fmod
+    import fbmlab.harness as hmod
 
     mu = SignedMeasure(((-0.3, 0.5), (0.4, 1.0)), base_constant=0.2)
     for pair in ((2, 2), (2, 1)):
@@ -172,7 +171,7 @@ def test_streamed_errors_equal_materialised_batch(monkeypatch):
         i, j = pair
         want = _path_errors(plan, fine, batch[:, i - 1], batch[:, j - 1])
         # streamed in blocks of 5, 5 and 2 replicates
-        monkeypatch.setattr(fmod, "GROUP_VALUES", 5 * 2 * fine.num_nodes)
+        monkeypatch.setattr(hmod, "GROUP_VALUES", 5 * 2 * fine.num_nodes)
         np.testing.assert_array_equal(_replicate_errors(plan, 5, 12), want)
 
 

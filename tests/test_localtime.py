@@ -17,6 +17,7 @@ from fbmlab import localtime
 from fbmlab.fbm import GridSpec, sample_fft_batch
 from fbmlab.localtime import (
     ResolutionWarning,
+    _second_moment,
     binning_estimates,
     default_bin_width,
     moment_oracle,
@@ -29,8 +30,9 @@ FIRST_MOMENT_REFERENCE = {
     (0.6, 0.5): 0.382903118663079,
     (0.75, 1.0): 0.134239460611043,
 }
-# independently computed E[L_1(0)^2] (graded Gauss-Legendre, 600 nodes)
-SECOND_MOMENT_REFERENCE_H06 = 1.6926228
+# E[L_1(0)^2] at H = 0.6 to 15 digits (the 30-digit level-zero integral of
+# _level_zero_reference below)
+SECOND_MOMENT_REFERENCE_H06 = 1.69262770817236
 
 
 def test_first_moment_closed_form_at_zero():
@@ -89,7 +91,11 @@ def test_second_moment_brownian_unit():
 
 def test_second_moment_independent_reference():
     assert moment_oracle(0.6, 1.0, 0.0, p=2) == pytest.approx(
-        SECOND_MOMENT_REFERENCE_H06, rel=1e-5)
+        SECOND_MOMENT_REFERENCE_H06, rel=1e-9)
+    # the 2-D route, which moment_oracle takes only at a != 0, meets it too
+    rule = _graded_rule(40, 10, 1e-5, both_ends=True)
+    assert _second_moment(0.6, 1.0, 0.0, rule)[0] == pytest.approx(
+        SECOND_MOMENT_REFERENCE_H06, rel=1e-9)
 
 
 def test_second_moment_exceeds_first_squared():
