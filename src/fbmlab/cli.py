@@ -237,6 +237,9 @@ def _cmd_verify_bounds(args):
     from . import bounds, covariance
 
     started = time.monotonic()
+    # every suite writes H into its rows and manifest
+    if not 0.0 < args.H < 1.0:  # NaN fails the comparison too
+        raise CliError(f"--H must lie in (0, 1), got {args.H}")
     h_grid = _float_list("--h-grid", args.h_grid) if args.h_grid else \
         [2.0**-k for k in range(3, 10)]
     rows = []

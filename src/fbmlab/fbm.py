@@ -38,6 +38,12 @@ whatever batch, block or worker it is drawn in; one path is row ``[0]`` of
 a batch of one.  The partial step's conditional mean is a pairwise sum
 per row, not a BLAS dot product, so paths do not depend on the BLAS thread
 count either.
+
+An off-grid ``t_end`` ends in a partial step, drawn exactly from its
+conditional law given the grid increments.  Its weights solve a Toeplitz
+system of order k = ``full_steps`` by FFT-preconditioned conjugate
+gradients (:func:`_toeplitz_solve`), O(k log k) per iteration and about a
+second at k = 10^5, with numpy alone.
 """
 
 from __future__ import annotations
@@ -74,6 +80,11 @@ BLOCK_VALUES = 2**18
 # replicate ranges per worker thread of fft_ranges; each range sets up its
 # own keys and buffers, so a few are enough to rebalance a slowed worker
 RANGES_PER_WORKER = 3
+
+# iteration cap of the partial step's Toeplitz solve: it took 7-44
+# iterations at every H in [0.005, 0.999] and k up to 435159 tried, and 253
+# at H = 1e-4
+_TOEPLITZ_MAX_ITER = 500
 
 # grid arithmetic tolerance for deciding whether n * t_end is an integer
 _GRID_EPS = 1e-9
@@ -122,6 +133,9 @@ class GridSpec:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.points_per_unit < 1:
             raise ValueError("points_per_unit must be >= 1")
+        if not np.isfinite(self.points_per_unit * self.t_end):
+            raise ValueError(f"points_per_unit * t_end must be finite, got "
+                             f"{self.points_per_unit} * {self.t_end}")
 
     @property
     def full_steps(self) -> int:
@@ -395,17 +409,58 @@ def _fgn_from_normals(amp: np.ndarray, zeta: np.ndarray, spec: np.ndarray,
     return np.fft.irfft(spec, n=2 * half, axis=-1, out=out)
 
 
+def _toeplitz_solve(gamma: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Solve T x = c for the symmetric Toeplitz T with first column
+    ``gamma`` by conjugate gradients preconditioned with T. Chan's optimal
+    circulant (R. Chan & Ng, SIAM Review 38, 1996), O(k log k) per
+    iteration.  Returns once the residual is at most 1e-14 |c|; raises
+    RuntimeError when an iteration finds p'Tp <= 0 (T is not positive
+    definite) or after ``_TOEPLITZ_MAX_ITER`` iterations.  Inner products
+    are pairwise sums, not BLAS dots, so x does not depend on the BLAS
+    thread count."""
+    k = len(gamma)
+    reverse = gamma[:0:-1]  # gamma_{k-1}, ..., gamma_1
+    # T p is the head of a circular convolution with T's power-of-two
+    # circulant embedding
+    size = 1 << (2 * k - 1).bit_length()
+    col = np.zeros(size)
+    col[:k] = gamma
+    col[size - k + 1 :] = reverse
+    embedding = np.fft.rfft(col).real
+    # Chan's circulant c_j = ((k - j) gamma_j + j gamma_{k-j}) / k
+    j = np.arange(k)
+    chan = ((k - j) * gamma + j * np.concatenate(([0.0], reverse))) / k
+    chan_eigs = np.fft.rfft(chan).real
+    x = np.zeros(k)
+    p = np.zeros(k)
+    r = c.astype(float)
+    rz = 1.0
+    tol = 1e-28 * (r * r).sum()
+    for _ in range(_TOEPLITZ_MAX_ITER):
+        if (r * r).sum() <= tol:
+            return x
+        z = np.fft.irfft(np.fft.rfft(r) / chan_eigs, k)
+        rz_old, rz = rz, (r * z).sum()
+        p = z + (rz / rz_old) * p
+        q = np.fft.irfft(embedding * np.fft.rfft(p, size), size)[:k]
+        pq = (p * q).sum()
+        if not pq > 0:  # NaN fails the comparison too
+            raise RuntimeError(f"Toeplitz matrix of order {k} is not positive "
+                               f"definite (p'Tp = {pq:.3e})")
+        x += (rz / pq) * p
+        r -= (rz / pq) * q
+    raise RuntimeError(f"Toeplitz conjugate gradients did not converge in "
+                       f"{_TOEPLITZ_MAX_ITER} iterations (order {k})")
+
+
 @lru_cache(maxsize=32)
 def _partial_step_weights(h: HurstIndex, grid: GridSpec):
     """Conditional law of the terminal partial increment given the uniform
     increments: returns (w, cond_std) with mean = increments @ w.  The
-    Toeplitz solve is O(k^2), so results are cached; ``w`` is read-only
-    (shared).  Only grids whose t_end is off the grid reach this, so scipy
-    is imported here rather than with the module.  Raises RuntimeError when
-    the conditional variance comes out below -1e-12 tail^{2H}, tail the
-    partial step's length."""
-    from scipy.linalg import solve_toeplitz
-
+    Toeplitz solve (:func:`_toeplitz_solve`) takes about a second at
+    k = 10^5, so results are cached; ``w`` is read-only (shared).  Raises RuntimeError when the solve fails or the conditional
+    variance comes out below -1e-12 tail^{2H}, tail the partial step's
+    length."""
     n = grid.points_per_unit
     k = grid.full_steps
     tail = grid.t_end - k / n
@@ -420,7 +475,7 @@ def _partial_step_weights(h: HurstIndex, grid: GridSpec):
         - fbm_covariance(h, k / n, ks)
         + fbm_covariance(h, k / n, ks - 1.0 / n)
     )
-    w = solve_toeplitz(gamma, c)
+    w = _toeplitz_solve(gamma, c)
     w.flags.writeable = False
     var = tail ** (2 * h.value)
     cond_var = var - float((c * w).sum())
@@ -457,7 +512,7 @@ def fft_ranges(h, grid: GridSpec, first: int, total: int, threads, work) -> None
     The workers draw Davies-Harte paths on ``grid`` and share its cached
     embedding spectrum and partial-step law, so those are computed here
     first: two workers that missed the cache together would each run the
-    O(k^2) Toeplitz solve.
+    partial step's Toeplitz solve.
     """
     workers = min(resolve_threads(threads), total - first)
     if workers <= 1:

@@ -431,11 +431,24 @@ def test_invalid_arguments_exit_code(capsys):
                        *((["localtime", "--H", "0.75", "--n", "8", "--t", t,
                            "--levels", "0"], "--t") for t in ("0", "nan", "inf")),
                        *((["--threads", k, "simulate", "--H", "0.75", "--n",
-                           "8"], "--threads") for k in ("0", "-3"))):
+                           "8"], "--threads") for k in ("0", "-3")),
+                       *((["verify-bounds", "--suite", suite, "--H", h], "--H")
+                         for suite in ("cov", "decoupling", "lemmas")
+                         for h in ("7", "nan", "0"))):
         capsys.readouterr()
         assert run(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {name} "), (argv, captured.err)
+        assert captured.out == ""
+    # a finite horizon whose node count overflows a float
+    for argv in (["simulate", "--H", "0.75", "--n", "64", "--T", "1e308",
+                  "--t", "1e308"],
+                 ["localtime", "--H", "0.75", "--n", "64", "--t", "1e308",
+                  "--levels", "0"]):
+        capsys.readouterr()
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), (argv, captured.err)
         assert captured.out == ""
 
 

@@ -7,7 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_toeplitz
 
+from fbmlab import fbm
 from fbmlab.fbm import (
     BLOCK_VALUES,
     EXACT_NODE_CAP,
@@ -138,6 +140,9 @@ def test_grid_validation():
             GridSpec(t_end, 8)
     with pytest.raises(ValueError):
         GridSpec(1.0, 0)
+    # a finite t_end whose node count overflows a float
+    with pytest.raises(ValueError, match="must be finite"):
+        GridSpec(1e308, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +230,64 @@ def test_partial_step_solved_once_under_two_workers():
     assert _partial_step_weights.cache_info().misses == 1
 
 
+_ORDERS = [GridSpec(1.5, 1), GridSpec(1.3, 2), GridSpec(0.83, 64),
+           GridSpec(0.83, 4096)]  # k = 1, 2, 53, 3399
+
+
+@pytest.mark.parametrize("h, grid", [
+    *[(h, grid) for h in (0.1, 0.55, 0.75, 0.9, 0.99) for grid in _ORDERS],
+    (0.9, GridSpec(1 + 2**-16, 2**15)),  # k = 2^15
+])
+def test_toeplitz_solve_matches_scipy(h, grid):
+    # scipy's Levinson solve is the independent reference for the weights
+    # and the conditional variance
+    h, n, k = as_hurst(h), grid.points_per_unit, grid.full_steps
+    gamma = fgn_autocovariance(h, np.arange(k), dt=1.0 / n)
+    ks = np.arange(1, k + 1) / n
+    c = (fbm_covariance(h, grid.t_end, ks) - fbm_covariance(h, grid.t_end, ks - 1 / n)
+         - fbm_covariance(h, k / n, ks) + fbm_covariance(h, k / n, ks - 1 / n))
+    want = solve_toeplitz(gamma, c)
+    want_var = (grid.t_end - k / n) ** (2 * h.value) - (c * want).sum()
+    w, cond_std = _partial_step_weights(h, grid)
+    _assert_close_rel(w, want, rel=1e-12)
+    assert cond_std**2 == pytest.approx(want_var, rel=1e-12)
+
+
+@pytest.mark.parametrize("gamma, c", [
+    ([1.0, 2.0], [1.0, 0.0]),            # eigenvalues 3 and -1
+    ([1.0, 0.0, 1.5], [1.0, 0.0, -1.0]),  # c is T's eigenvector for -0.5
+])
+def test_toeplitz_solve_rejects_indefinite_matrix(gamma, c):
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        fbm._toeplitz_solve(np.array(gamma), np.array(c))
+
+
+def test_toeplitz_solve_raises_unless_it_converges(monkeypatch):
+    gamma = fgn_autocovariance(0.75, np.arange(53))
+    # a zero right-hand side (the partial step at H = 1/2) returns before
+    # its first update
+    monkeypatch.setattr(fbm, "_TOEPLITZ_MAX_ITER", 1)
+    assert not fbm._toeplitz_solve(gamma, np.zeros(53)).any()
+    monkeypatch.setattr(fbm, "_TOEPLITZ_MAX_ITER", 2)
+    with pytest.raises(RuntimeError, match="did not converge in 2 iterations"):
+        fbm._toeplitz_solve(gamma, gamma[::-1].copy())
+
+
 @pytest.mark.parametrize("excess, raises", [(1e-14, False), (1e-10, True)])
 def test_partial_step_negative_variance_raises_beyond_rounding(
         monkeypatch, excess, raises):
     # a solve whose weights explain (1 + excess) of the tail's variance
     # leaves a conditional variance of about -excess * tail^{2H}: a
     # rounding-size negative is clamped to 0, a larger one raises
-    import scipy.linalg
-
     h, grid = as_hurst(0.7), GridSpec(0.83, 16)
     var = (grid.t_end - grid.full_steps / 16) ** (2 * h.value)
-    solve = scipy.linalg.solve_toeplitz
+    solve = fbm._toeplitz_solve
 
     def overshoot(gamma, c):
         w = solve(gamma, c)
         return w * (var * (1 + excess) / float((c * w).sum()))
 
-    monkeypatch.setattr(scipy.linalg, "solve_toeplitz", overshoot)
+    monkeypatch.setattr(fbm, "_toeplitz_solve", overshoot)
     _partial_step_weights.cache_clear()
     try:
         if raises:

@@ -1,6 +1,6 @@
 """Every module of the package and every test file uses every name it
-imports, every module defines every name it exports, and the package's
-numpy-only paths never import scipy."""
+imports, every module defines every name it exports, and the package never
+imports scipy."""
 
 import ast
 import os
@@ -92,31 +92,32 @@ def test_unused_import_is_reported():
     assert unused_imports(source) == ["as_hurst (line 1)"]
 
 
-# Runs in a fresh interpreter: imports the package and runs an on-grid rate
-# experiment, the exact sampler, the first-moment oracle at a != 0, the
-# second-moment oracle at a = 0 and a != 0 and three CLI commands, none of
-# which needs scipy.
+# Runs in a fresh interpreter: imports the package and runs an on-grid and
+# an off-grid rate experiment, the exact sampler, the first-moment oracle at
+# a != 0, the second-moment oracle at a = 0 and a != 0 and four CLI commands,
+# one of them an off-grid simulate; no scipy module may load.
 _NUMPY_ONLY_SCRIPT = """
 import contextlib, io, sys
 import fbmlab, fbmlab.bounds, fbmlab.cli
 from fbmlab import ExperimentPlan, GridSpec, indicator_measure, run_rate_experiment
 from fbmlab import moment_oracle, sample_exact_batch
 
-plan = ExperimentPlan(0.75, (8, 16, 32), indicator_measure(0.0), replicates=8,
-                      master_seed=1)
-run_rate_experiment(plan, threads=2)
+for t in (1.0, 0.83):
+    plan = ExperimentPlan(0.75, (8, 16, 32), indicator_measure(0.0), t=t,
+                          replicates=8, master_seed=1)
+    run_rate_experiment(plan, threads=2)
 sample_exact_batch(0.75, GridSpec(1.0, 16), 1, 4, 2)
 assert moment_oracle(0.75, 1.0, 0.5, 1) > 0
 assert moment_oracle(0.75, 1.0, 0.0, 2) > 0
 assert moment_oracle(0.75, 1.0, 0.5, 2) > 0
 for argv in (["simulate", "--H", "0.75", "--n", "64"],
+             ["simulate", "--H", "0.75", "--n", "64", "--t", "0.83"],
              ["verify-bounds", "--suite", "cov", "--samples", "1000"]):
     assert fbmlab.cli.parse_and_dispatch(["--quiet", "--output-dir", sys.argv[1]] + argv) == 0
 with contextlib.redirect_stdout(io.StringIO()) as out:
     assert fbmlab.cli.parse_and_dispatch(["oracle", "--lemma", "moments", "--a", "0.5"]) == 0
 assert float(out.getvalue()) > 0
-print(",".join(m for m in ("scipy.linalg", "scipy.integrate", "scipy.stats",
-                           "scipy.special") if m in sys.modules))
+print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
