@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .fbm import GridSpec, path_to_csv, sample_exact_batch, sample_fft_batch
+from .fbm import GridSpec, sample_exact_batch, sample_fft_batch
 from .integrals import indicator_measure
 from .harness import ExperimentPlan, run_rate_experiment
 from .localtime import (
@@ -135,11 +135,11 @@ def _cmd_simulate(args):
         raise CliError(f"--t ({grid.t_end}) must not exceed --T ({args.T})")
     sampler = sample_fft_batch if args.method == "fft" else sample_exact_batch
     values = sampler(args.H, grid, args.seed, 1, args.components)[0]
-    buf = io.StringIO()
-    path_to_csv(grid, values, buf)
+    header = ["t"] + [f"B{c + 1}" for c in range(len(values))]
+    text = _csv(header, zip(grid.nodes(), *values))
     cfg = {"H": args.H, "n": args.n, "T": args.T, "t": grid.t_end,
            "components": args.components, "method": args.method}
-    _emit(args, "path.csv", buf.getvalue(), _manifest(args, cfg, started))
+    _emit(args, "path.csv", text, _manifest(args, cfg, started))
     return 0
 
 

@@ -8,24 +8,24 @@ returning an array of shape (replicates, components, nodes):
 * :func:`sample_fft_batch` -- circulant embedding of the stationary
   increment process (Davies-Harte), O(N log N).
 
-The circulant-embedding synthesis itself is :func:`fft_increments`, a
-plain function that writes the increments of consecutive replicates into
-rows the caller owns; a cumulative sum along each row turns them into
-paths.  Normals, half spectrum and transform output go through three
-buffers of at most ``BLOCK_VALUES`` values.  :func:`sample_fft_batch`
-writes into its output array, so its memory is the output plus a few MB;
-the rate experiments write one block of replicates at a time into one
-reused buffer of their own (``harness.GROUP_VALUES``).
+The circulant-embedding synthesis itself is :func:`fft_paths`, a plain
+function that writes the paths of consecutive replicates into rows the
+caller owns; it is the one place where increments are summed into paths.
+The normals go through two buffers of at most ``BLOCK_VALUES`` values: the
+inverse transform writes over the normals, and each sub-block's increments
+are summed into the caller's rows while they are still in cache.
+:func:`sample_fft_batch` writes into its output array, so its memory is
+the output plus a few MB; the rate experiments write one block of
+replicates at a time into one reused buffer of their own
+(``harness.GROUP_VALUES``).
 
 :func:`fft_ranges` is the one worker-range dispatch: it cuts a replicate
 range into ``RANGES_PER_WORKER`` contiguous ranges per worker thread
 (``threads``, default the CPU count), and each worker takes the next
 range when it finishes one.  The rate experiments and
-:func:`sample_fft_batch` draw their paths through it.  ``np.cumsum``
-holds the interpreter lock, so :func:`sample_fft_batch` sums the
-increments into paths after its workers finish.  The workers split the
-synthesis budget, ``BLOCK_VALUES // workers`` values each (at least one
-row), so a call's buffers add up to those of one worker.
+:func:`sample_fft_batch` draw their paths through it.  The workers split
+the synthesis budget, ``BLOCK_VALUES // workers`` values each (at least
+one row), so a call's buffers add up to those of one worker.
 
 Both samplers are deterministic given ``(seed, replicate, component)``:
 a path draws from the stream of :func:`substream` for its key, so results
@@ -48,6 +48,7 @@ second at k = 10^5, with numpy alone.
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -67,9 +68,8 @@ __all__ = [
     "resolve_threads",
     "sample_exact_batch",
     "fft_ranges",
-    "fft_increments",
+    "fft_paths",
     "sample_fft_batch",
-    "path_to_csv",
 ]
 
 EXACT_NODE_CAP = 4096
@@ -241,9 +241,10 @@ def _hash_chain(init: int, mult: int):
 
 
 def _check_keys(master_seed: int, first_replicate: int, count: int) -> int:
-    """The seed as an int; raises unless every key (master_seed,
-    first_replicate + r, c) with r < count is a one-word spawn key."""
-    seed = int(master_seed)
+    """The seed as an int; raises TypeError unless it is an integer, and
+    ValueError unless every key (master_seed, first_replicate + r, c) with
+    r < count is a one-word spawn key."""
+    seed = operator.index(master_seed)
     if seed < 0:
         raise ValueError(f"master_seed must be >= 0, got {seed}")
     if first_replicate < 0 or first_replicate + count > 2**32:
@@ -325,9 +326,9 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _grid_cholesky(h_value: float, nodes_key: tuple) -> np.ndarray:
-    ts = np.asarray(nodes_key)
-    cov = fbm_covariance(h_value, ts[:, None], ts[None, :])
+def _grid_cholesky(h: HurstIndex, grid: GridSpec) -> np.ndarray:
+    ts = grid.nodes()[1:]
+    cov = fbm_covariance(h, ts[:, None], ts[None, :])
     return _cholesky_with_jitter(cov)
 
 
@@ -349,10 +350,9 @@ def sample_exact_batch(
         raise GridSizeError(
             f"{grid.num_nodes} nodes exceeds exact-sampler cap {EXACT_NODE_CAP}"
         )
-    ts = grid.nodes()[1:]
-    chol = _grid_cholesky(h.value, tuple(ts.tolist()))
+    chol = _grid_cholesky(h, grid)
     key = _keyed_streams(master_seed, first_replicate, count, components)
-    z = np.empty((count, components, len(ts)))
+    z = np.empty((count, components, len(chol)))
     for r in range(count):
         for c in range(components):
             key(r, c).standard_normal(out=z[r, c])
@@ -391,14 +391,14 @@ def _embedding_amplitude(h_value: float, n_increments: int) -> np.ndarray:
     return amp
 
 
-def _fgn_from_normals(amp: np.ndarray, zeta: np.ndarray, spec: np.ndarray,
-                      out: np.ndarray) -> np.ndarray:
+def _fgn_from_normals(amp: np.ndarray, zeta: np.ndarray,
+                      spec: np.ndarray) -> np.ndarray:
     """Map one block of iid standard normals ``zeta`` (rows, m) to unit-lag
-    fGn in ``out`` (rows, m); the first n_incr columns of a row are its
-    increments.  ``spec`` (rows, m/2 + 1) is the complex half-spectrum
-    buffer: modes 0 and m/2 are real, mode j in (0, m/2) is
-    amp[j] (zeta[j] + i zeta[m/2 + j]), and the real inverse transform
-    implies the conjugate modes m - j.  Returns ``out``."""
+    fGn in place; the first n_incr columns of a row are its increments.
+    ``spec`` (rows, m/2 + 1) is the complex half-spectrum buffer: modes 0
+    and m/2 are real, mode j in (0, m/2) is amp[j] (zeta[j] + i zeta[m/2 +
+    j]), and the real inverse transform implies the conjugate modes m - j.
+    Returns ``zeta``."""
     half = amp.shape[0] - 1
     # products straight into the real and imaginary parts: no copy of the
     # normals and no complex multiply
@@ -406,7 +406,7 @@ def _fgn_from_normals(amp: np.ndarray, zeta: np.ndarray, spec: np.ndarray,
     np.multiply(zeta[..., half + 1 :], amp[1:half], out=spec.imag[..., 1:half])
     spec.imag[..., 0] = 0.0
     spec.imag[..., half] = 0.0
-    return np.fft.irfft(spec, n=2 * half, axis=-1, out=out)
+    return np.fft.irfft(spec, n=2 * half, axis=-1, out=zeta)
 
 
 def _toeplitz_solve(gamma: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -501,7 +501,7 @@ def fft_ranges(h, grid: GridSpec, first: int, total: int, threads, work) -> None
     """Run ``work(a, b, workers)`` on contiguous replicate ranges [a, b)
     that cover [first, total), on ``workers`` threads, at most
     ``resolve_threads(threads)`` of them; ``workers`` is passed on to
-    :func:`fft_increments`.  One worker runs the whole range in the calling
+    :func:`fft_paths`.  One worker runs the whole range in the calling
     thread.
 
     More workers share ``RANGES_PER_WORKER`` ranges each: a worker takes
@@ -532,22 +532,24 @@ def fft_ranges(h, grid: GridSpec, first: int, total: int, threads, work) -> None
         list(pool.map(lambda r: work(*r, workers), ranges))
 
 
-def fft_increments(h, grid: GridSpec, master_seed: int, first_replicate: int,
-                   out: np.ndarray, workers: int = 1) -> None:
-    """Circulant-embedding increments of replicates ``first_replicate``
-    onwards, one per row of ``out`` (shape (count, components, num_nodes)):
-    column j gets B(t_j) - B(t_{j-1}) and column 0 is left alone, so a
-    cumulative sum along the last axis of rows that are zero in column 0
-    gives the paths.
+def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
+              out: np.ndarray, workers: int = 1) -> None:
+    """Circulant-embedding paths of replicates ``first_replicate`` onwards,
+    one per row of ``out`` (shape (count, components, num_nodes)), column 0
+    (the origin, 0.0) included.
 
     The rows are synthesised in sub-blocks of at most
     ``BLOCK_VALUES // workers`` embedding values (at least one row) through
-    three buffers allocated once per call, so the ``workers`` calls that
-    :func:`fft_ranges` runs at once hold what one alone would.
+    two buffers allocated once per call, the normals, which the transform
+    overwrites, and their half spectrum; each sub-block's increments are
+    summed into its rows straight from the transform output.  So the
+    ``workers`` calls that :func:`fft_ranges` runs at once hold what one
+    alone would.
     """
     h = as_hurst(h)
     count, components = out.shape[:2]
     key = _keyed_streams(master_seed, first_replicate, count, components)
+    out[..., 0] = 0.0
     k = grid.full_steps
     if k == 0:
         scale = grid.t_end ** h.value
@@ -564,7 +566,6 @@ def fft_increments(h, grid: GridSpec, master_seed: int, first_replicate: int,
     sub_rows = subs[0].stop if subs else 0
     zeta = np.empty((sub_rows, m))
     spec = np.empty((sub_rows, m // 2 + 1), dtype=complex)
-    incr = np.empty((sub_rows, m))
     extra = np.empty(sub_rows)
     for sub in subs:
         nb = sub.stop - sub.start
@@ -574,13 +575,13 @@ def fft_increments(h, grid: GridSpec, master_seed: int, first_replicate: int,
                 rng.standard_normal(out=zeta[r])
                 if partial:
                     extra[r] = rng.standard_normal()
-            fgn = _fgn_from_normals(amp, zeta[:nb], spec[:nb], incr[:nb])[:, :k]
-            out[sub, c, 1 : k + 1] = fgn
+            fgn = _fgn_from_normals(amp, zeta[:nb], spec[:nb])[:, :k]
+            np.cumsum(fgn, axis=-1, out=out[sub, c, 1 : k + 1])
             if partial:
                 # one pairwise sum per row, so no result depends on the
                 # block, and no BLAS dot, whose threads would split a long row
-                mean = (fgn * w).sum(axis=-1)
-                out[sub, c, k + 1] = mean + cond_std * extra[:nb]
+                step = (fgn * w).sum(axis=-1) + cond_std * extra[:nb]
+                out[sub, c, k + 1] = out[sub, c, k] + step
 
 
 def sample_fft_batch(
@@ -598,29 +599,15 @@ def sample_fft_batch(
     The terminal partial increment (when present) is drawn exactly from its
     conditional law given the uniform increments.  The worker threads of
     :func:`fft_ranges` (at most ``threads``, default the CPU count) write
-    the increments of :func:`fft_increments` straight into the returned
-    array, the calling thread sums them, and the result does not depend on
-    ``threads``.
+    the paths of :func:`fft_paths` straight into the returned array, and
+    the result does not depend on ``threads``.
     """
     _check_keys(master_seed, first_replicate, count)
-    out = np.zeros((count, components, grid.num_nodes))
+    out = np.empty((count, components, grid.num_nodes))
 
     def fill(a, b, workers):
-        fft_increments(h, grid, master_seed, first_replicate + a, out[a:b],
-                       workers)
+        fft_paths(h, grid, master_seed, first_replicate + a, out[a:b], workers)
 
     fft_ranges(h, grid, 0, count, threads, fill)
-    # np.cumsum holds the interpreter lock, so the workers leave it to here
-    # rather than stall each other's normal draws with it
-    np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
     return out
 
-
-def path_to_csv(grid: GridSpec, values: np.ndarray, stream) -> None:
-    """Write ``t,B1[,B2]`` rows at full double precision; ``values`` has
-    shape (components, num_nodes) on ``grid``."""
-    cols = ["t"] + [f"B{i + 1}" for i in range(values.shape[0])]
-    stream.write(",".join(cols) + "\n")
-    for t, row in zip(grid.nodes(), values.T):
-        fields = [f"{t:.17g}"] + [f"{v:.17g}" for v in row]
-        stream.write(",".join(fields) + "\n")

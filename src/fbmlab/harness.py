@@ -2,14 +2,14 @@
 
 Each worker thread of ``fbm.fft_ranges`` takes contiguous ranges of
 replicates and works through each range in blocks of consecutive
-replicates of about ``GROUP_VALUES`` path values.  ``fbm.fft_increments``
-writes a block's increments into one reused buffer and an in-place
-cumulative sum turns them into paths, so no batch of all the range's
-paths is ever held and a worker's memory does not grow with the replicate
-count.  The crossing and Riemann kernels of ``integrals`` evaluate the
-normalised discretisation error S_n on every coarse resolution n from the
-same block (common random numbers), for all of the block's replicates at
-once, together with the local-time limit functional from the fine grid.
+replicates of about ``GROUP_VALUES`` path values.  ``fbm.fft_paths``
+writes a block's paths into one reused buffer, so no batch of all the
+range's paths is ever held and a worker's memory does not grow with the
+replicate count.  The crossing and Riemann kernels of ``integrals``
+evaluate the normalised discretisation error S_n on every coarse
+resolution n from the same block (common random numbers), for all of the
+block's replicates at once, together with the local-time limit functional
+from the fine grid.
 L2 errors per (H, n) cell are reduced in a fixed order and substreams are
 keyed by absolute replicate id, so results are bit-identical for any
 worker count.
@@ -17,12 +17,13 @@ worker count.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import BLOCK_VALUES, GridSpec, as_hurst, fft_increments, fft_ranges
+from .fbm import BLOCK_VALUES, GridSpec, as_hurst, fft_paths, fft_ranges
 from .integrals import SignedMeasure, crossing_sums, riemann_sums
 
 __all__ = [
@@ -100,6 +101,14 @@ class ExperimentPlan:
             # at 1 the reference would be the n_max grid itself
             raise PlanError("fine_factor must be 0 (default for the component "
                             f"pair) or >= 2, got {self.fine_factor}")
+        try:
+            seed = operator.index(self.master_seed)
+        except TypeError:
+            seed = None
+        if seed is None or seed < 0:
+            raise PlanError(f"master_seed must be a nonnegative integer, got "
+                            f"{self.master_seed!r}")
+        object.__setattr__(self, "master_seed", seed)
         if self.fine_factor == 0:
             object.__setattr__(self, "fine_factor",
                                default_fine_factor(self.hurst, pair))
@@ -218,17 +227,16 @@ def _replicate_errors(plan: ExperimentPlan, first: int, count: int,
     """Errors S_n - delta_ij * limit for replicates [first, first+count),
     shape (len(n_values), count), from blocks of about ``GROUP_VALUES``
     path values drawn in turn into one reused buffer; ``workers`` goes to
-    ``fft_increments``."""
+    ``fft_paths``."""
     fine = GridSpec(plan.t, plan.fine_n)
     i, j = plan.component_pair
     step = max(1, GROUP_VALUES // (plan.components * fine.num_nodes))
-    paths = np.zeros((min(step, count), plan.components, fine.num_nodes))
+    paths = np.empty((min(step, count), plan.components, fine.num_nodes))
     errs = np.empty((len(plan.n_values), count))
     for start in range(0, count, step):
         block = paths[:count - start]
-        fft_increments(plan.hurst, fine, plan.master_seed, first + start,
-                       block, workers)
-        np.cumsum(block[..., 1:], axis=-1, out=block[..., 1:])
+        fft_paths(plan.hurst, fine, plan.master_seed, first + start, block,
+                  workers)
         errs[:, start:start + len(block)] = _path_errors(
             plan, fine, block[:, i - 1], block[:, j - 1])
     return errs
@@ -239,8 +247,8 @@ def _collect(plan: ExperimentPlan, first: int, total: int, threads) -> np.ndarra
 
     The workers take ``fbm.RANGES_PER_WORKER`` contiguous ranges each, so
     they allocate path buffers a fixed number of times whatever the
-    replicate count; ``fbm.fft_increments`` allocates its synthesis
-    buffers once per block."""
+    replicate count; ``fbm.fft_paths`` allocates its synthesis buffers once
+    per block."""
     out = np.empty((len(plan.n_values), total - first))
 
     def work(a, b, workers):

@@ -58,6 +58,20 @@ def test_simulate_output_dir_and_manifest(tmp_path):
     assert "version" in man
 
 
+def test_simulate_csv_roundtrip(capsys):
+    # the nodes and both components at full double precision, off-grid too
+    grid = GridSpec(0.83, 4)
+    values = sample_fft_batch(0.6, grid, 3, 1, components=2)[0]
+    assert run(["simulate", "--H", "0.6", "--n", "4", "--t", "0.83",
+                "--components", "2", "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "t,B1,B2"
+    assert len(lines) == grid.num_nodes + 1
+    back = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    np.testing.assert_array_equal(back[:, 0], grid.nodes())
+    np.testing.assert_array_equal(back[:, 1:].T, values)
+
+
 def test_simulate_methods_agree_in_law_not_samples(capsys):
     run(["simulate", "--H", "0.75", "--n", "8", "--seed", "1", "--method", "exact"])
     exact = capsys.readouterr().out

@@ -1,6 +1,5 @@
 """Unit tests for path generation: covariance formulas, grids, samplers."""
 
-import io
 import threading
 import tracemalloc
 
@@ -23,10 +22,9 @@ from fbmlab.fbm import (
     HurstIndex,
     as_hurst,
     fbm_covariance,
-    fft_increments,
+    fft_paths,
     fft_ranges,
     fgn_autocovariance,
-    path_to_csv,
     sample_exact_batch,
     sample_fft_batch,
     substream,
@@ -181,6 +179,19 @@ def test_samplers_reject_negative_seed():
             sampler(0.7, grid, -1, 1)
 
 
+def test_samplers_take_integer_seeds_only():
+    # a float seed is not truncated to another seed's streams, as
+    # substream refuses it too; a numpy integer is the same seed
+    grid = GridSpec(0.83, 8)
+    for sampler in (sample_fft_batch, sample_exact_batch):
+        with pytest.raises(TypeError):
+            sampler(0.75, grid, 1.7, 1)
+        want = sampler(0.75, grid, 3, 2, 2)
+        assert sampler(0.75, grid, np.int64(3), 2, 2).tobytes() == want.tobytes()
+    with pytest.raises(TypeError):
+        substream(1.7, 0, 0)
+
+
 def test_samplers_reject_two_word_replicate_ids():
     # SeedSequence encodes an id >= 2^32 in two words, so such a key would
     # name a different stream than the one-word hash computes
@@ -321,15 +332,30 @@ def test_stalled_worker_leaves_its_later_ranges_to_the_others():
 
 @pytest.mark.parametrize("grid", [GridSpec(1.0, 64), GridSpec(0.83, 64),
                                   GridSpec(0.01, 64)])
-def test_fft_block_increments_sum_to_the_paths(grid):
-    # column 0 is the caller's: the increments go to columns 1 onwards
-    steps = np.full((5, 2, grid.num_nodes), np.nan)
-    fft_increments(0.7, grid, 3, 4, steps)
-    assert np.isnan(steps[..., 0]).all()
-    steps[..., 0] = 0.0
-    np.cumsum(steps[..., 1:], axis=-1, out=steps[..., 1:])
+def test_fft_paths_fill_whole_rows(grid):
+    # every column is written, the origin too, whatever the rows held
+    rows = np.full((5, 2, grid.num_nodes), np.nan)
+    fft_paths(0.7, grid, 3, 4, rows)
+    assert (rows[..., 0] == 0.0).all()
     paths = sample_fft_batch(0.7, grid, 3, 5, 2, first_replicate=4)
-    assert steps.tobytes() == paths.tobytes()
+    assert rows.tobytes() == paths.tobytes()
+
+
+def test_fft_paths_hold_two_sub_block_buffers():
+    # the normals, transformed in place, and their half spectrum: no third
+    # buffer for the transform output
+    grid = GridSpec(1.0, 2**16)
+    m = 2**17  # the embedding of 2^16 steps
+    rows = max(1, BLOCK_VALUES // m)
+    out = np.empty((4 * rows, 1, grid.num_nodes))
+    fft_paths(0.75, grid, 1, 0, out)  # fill the embedding cache untraced
+    tracemalloc.start()
+    try:
+        fft_paths(0.75, grid, 1, 0, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * rows * m * 8, peak / (rows * m * 8)
 
 
 def test_exact_batch_offset_contract():
@@ -385,10 +411,12 @@ def test_half_spectrum_synthesis_matches_complex_ifft(h, n_incr, m):
     amp = _embedding_amplitude(h, n_incr)
     assert amp.shape == (m // 2 + 1,)
     zeta = substream(11, m).standard_normal((4, m))
+    want = _reference_fgn(h, zeta, n_incr)
     # stale buffer contents must not leak into the transform
     spec = np.full((4, m // 2 + 1), complex(np.nan, np.nan))
-    got = _fgn_from_normals(amp, zeta, spec, np.full((4, m), np.nan))
-    _assert_close_rel(got[:, :n_incr], _reference_fgn(h, zeta, n_incr))
+    got = _fgn_from_normals(amp, zeta, spec)
+    assert got is zeta  # transformed in place
+    _assert_close_rel(got[:, :n_incr], want)
 
 
 def test_fft_batch_matches_complex_ifft_on_partial_grid():
@@ -485,19 +513,6 @@ def test_components_are_independent_streams():
     assert not np.array_equal(values[0], values[1])
     corr = np.corrcoef(np.diff(values[0]), np.diff(values[1]))
     assert abs(corr[0, 1]) < 0.6  # single path, loose sanity bound
-
-
-def test_path_to_csv_roundtrip():
-    grid = GridSpec(1.0, 4)
-    values = sample_fft_batch(0.6, grid, 3, 1, components=2)[0]
-    buf = io.StringIO()
-    path_to_csv(grid, values, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "t,B1,B2"
-    assert len(lines) == grid.num_nodes + 1
-    back = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
-    np.testing.assert_array_equal(back[:, 0], grid.nodes())
-    np.testing.assert_array_equal(back[:, 1:].T, values)
 
 
 def test_as_hurst_passthrough():

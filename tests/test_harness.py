@@ -68,6 +68,18 @@ def test_plan_rejects_n_values_off_the_reference_grid():
     assert make_plan(n_values=(16, 48, 64), fine_factor=3).fine_n == 192
 
 
+def test_plan_takes_nonnegative_integer_seeds_only():
+    # refused when the plan is built, before any worker samples a path
+    for seed in (1.7, 1.9, -1, "3"):
+        with pytest.raises(PlanError, match="master_seed"):
+            make_plan(master_seed=seed)
+    plan = make_plan(master_seed=np.int64(3), replicates=20)
+    assert type(plan.master_seed) is int
+    want = run_rate_experiment(make_plan(master_seed=3, replicates=20), threads=1)
+    got = run_rate_experiment(plan, threads=1)
+    assert (got.l2_error, got.stderr) == (want.l2_error, want.stderr)
+
+
 def test_plan_samples_the_highest_named_component():
     assert [make_plan(component_pair=p).components
             for p in ((1, 1), (1, 2), (2, 1), (2, 2))] == [1, 2, 2, 2]
@@ -128,13 +140,13 @@ def test_rate_experiment_chunking_invariance(monkeypatch):
     import fbmlab.harness as hmod
 
     blocks = []
-    synth = hmod.fft_increments
+    synth = hmod.fft_paths
 
     def spy(h, grid, master_seed, first_replicate, out, workers=1):
         blocks.append(out.shape[0])
         synth(h, grid, master_seed, first_replicate, out, workers)
 
-    monkeypatch.setattr(hmod, "fft_increments", spy)
+    monkeypatch.setattr(hmod, "fft_paths", spy)
     for plan in (make_plan(replicates=50),
                  make_plan(replicates=50, component_pair=(1, 2), t=0.83)):
         ref = run_rate_experiment(plan, threads=1)
