@@ -112,6 +112,14 @@ def _positive_finite(flag: str, value: float) -> float:
     return value
 
 
+def _grid(flag: str, t_end: float, n: int) -> GridSpec:
+    """GridSpec(t_end, n), naming ``flag`` when it rejects the horizon."""
+    try:
+        return GridSpec(t_end, n)
+    except ValueError as exc:
+        raise CliError(f"{flag}: {exc}") from None
+
+
 def _float_list(flag: str, text: str) -> list[float]:
     try:
         return [float(x) for x in text.split(",")]
@@ -130,7 +138,7 @@ def _cmd_simulate(args):
         raise CliError(f"--n must be >= 1, got {args.n}")
     _positive_finite("--T", args.T)
     t_end = args.T if args.t is None else _positive_finite("--t", args.t)
-    grid = GridSpec(t_end, args.n)
+    grid = _grid("--T" if args.t is None else "--t", t_end, args.n)
     if not grid.t_end <= args.T:
         raise CliError(f"--t ({grid.t_end}) must not exceed --T ({args.T})")
     sampler = sample_fft_batch if args.method == "fft" else sample_exact_batch
@@ -150,7 +158,7 @@ def _cmd_localtime(args):
         raise CliError("--levels must be finite")
     if args.n < 1:
         raise CliError(f"--n must be >= 1, got {args.n}")
-    grid = GridSpec(_positive_finite("--t", args.t), args.n)
+    grid = _grid("--t", _positive_finite("--t", args.t), args.n)
     eps = default_bin_width(args.H, args.n) if args.eps is None else args.eps
     _positive_finite("--eps", eps)
     if args.replicates < 1:

@@ -136,6 +136,9 @@ class GridSpec:
         if not np.isfinite(self.points_per_unit * self.t_end):
             raise ValueError(f"points_per_unit * t_end must be finite, got "
                              f"{self.points_per_unit} * {self.t_end}")
+        if self.num_nodes < 2:
+            raise ValueError(f"t_end = {self.t_end} is within {_GRID_EPS} of 0 on the "
+                             f"grid with n = {self.points_per_unit}: one node")
 
     @property
     def full_steps(self) -> int:
@@ -366,10 +369,12 @@ def sample_exact_batch(
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def _embedding_amplitude(h_value: float, n_increments: int) -> np.ndarray:
+def _embedding_amplitude(h_value: float, n_increments: int,
+                         points_per_unit: int) -> np.ndarray:
     """Half-spectrum amplitude sqrt(m * eigs[:m/2 + 1]) of the circulant
     embedding of the unit-lag fGn covariance, with the 1/sqrt(2) of the
-    interior modes folded in; m = 2 * (len - 1). Read-only (shared)."""
+    interior modes folded in, scaled to steps of 1/points_per_unit by
+    points_per_unit^{-H}; m = 2 * (len - 1). Read-only (shared)."""
     m = 1
     while m < 2 * n_increments:
         m *= 2
@@ -387,6 +392,7 @@ def _embedding_amplitude(h_value: float, n_increments: int) -> np.ndarray:
         eigs = np.clip(eigs, 0.0, None)
     amp = np.sqrt(eigs[: m // 2 + 1] * m)
     amp[1:-1] /= np.sqrt(2.0)
+    amp *= points_per_unit ** (-h_value)
     amp.flags.writeable = False
     return amp
 
@@ -524,7 +530,7 @@ def fft_ranges(h, grid: GridSpec, first: int, total: int, threads, work) -> None
     ranges = [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
     h = as_hurst(h)
     if grid.full_steps > 0:
-        _embedding_amplitude(h.value, grid.full_steps)
+        _embedding_amplitude(h.value, grid.full_steps, grid.points_per_unit)
         if grid.has_partial_step:
             _partial_step_weights(h, grid)
     # the pool's queue hands the ranges out in order as workers free up
@@ -560,7 +566,8 @@ def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
     partial = grid.has_partial_step
     if partial:
         w, cond_std = _partial_step_weights(h, grid)
-    amp = _embedding_amplitude(h.value, k) * grid.points_per_unit ** (-h.value)
+        weighted = np.empty(k)
+    amp = _embedding_amplitude(h.value, k, grid.points_per_unit)
     m = 2 * (amp.shape[0] - 1)
     subs = row_blocks(count, m, workers)
     sub_rows = subs[0].stop if subs else 0
@@ -578,10 +585,13 @@ def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
             fgn = _fgn_from_normals(amp, zeta[:nb], spec[:nb])[:, :k]
             np.cumsum(fgn, axis=-1, out=out[sub, c, 1 : k + 1])
             if partial:
-                # one pairwise sum per row, so no result depends on the
-                # block, and no BLAS dot, whose threads would split a long row
-                step = (fgn * w).sum(axis=-1) + cond_std * extra[:nb]
-                out[sub, c, k + 1] = out[sub, c, k] + step
+                # one pairwise sum per row, through one reused row buffer,
+                # so no result depends on the block, and no BLAS dot, whose
+                # threads would split a long row
+                for r in range(nb):
+                    extra[r] = (np.multiply(fgn[r], w, out=weighted).sum()
+                                + cond_std * extra[r])
+                out[sub, c, k + 1] = out[sub, c, k] + extra[:nb]
 
 
 def sample_fft_batch(

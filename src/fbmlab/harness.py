@@ -94,6 +94,10 @@ class ExperimentPlan:
                             "from {1, 2}")
         if not 0.0 < self.t < np.inf:
             raise PlanError(f"t must be positive and finite, got {self.t}")
+        try:
+            GridSpec(self.t, ns[0])
+        except ValueError as exc:
+            raise PlanError(str(exc)) from None
         if self.replicates < 0 or self.replicates == 1:
             raise PlanError("replicates must be 0 (auto-scale) or >= 2 (the "
                             f"stderr needs two), got {self.replicates}")

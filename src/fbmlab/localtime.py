@@ -9,16 +9,17 @@ Two estimators of the local time L_t(a):
   first steps leave at a = 0, where the path starts, so the estimate is
   exact in the mean at a = 0 for every n; see ``sign_change_estimates``.
 
-Exact first and second moments of L_t(a) are computed by graded
-Gauss-Legendre quadrature after an endpoint substitution that removes
-the u^{-H} singularity; at a = 0 self-similarity reduces the second
-moment to one 1-D integral.  They serve as independent oracles for the
-estimators.
+Exact first and second moments of L_t(a) serve as independent oracles
+for the estimators.  Each is one 1-D integral, taken by graded
+Gauss-Legendre quadrature after a substitution that removes its endpoint
+singularity; the second moment's integral over time is closed, through
+the generalised exponential integral E_{1/H}.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -140,19 +141,15 @@ def sign_change_estimates(h, values: np.ndarray, fine: GridSpec, a: float,
 def moment_oracle(h, t: float, a: float, p: int = 1) -> float:
     """E[(L_t(a))^p] for p in {1, 2}.
 
-    The substitution u = r^{1/(1-H)} (per time variable) removes the
-    u^{-H} endpoint singularity, leaving a bounded integrand for
-    ``_first_moment`` (a != 0; a = 0 has a closed form),
-    ``_second_moment_at_level_zero`` (a = 0, one 1-D integral) or
-    ``_second_moment`` (a != 0, a 2-D tensor rule), integrated by a graded
-    Gauss-Legendre rule at (panels, order) = (24, 8) and (40, 10).  The
-    2-D second moment takes both orientations of the simplex from one
-    pass over the rule's nodes, and their gap is its own error estimate.
-    The error estimate is the larger of that and the gap between the two
-    rules.  Raises ValueError on a non-positive or non-finite t or a
+    Both moments are 1-D integrals in a variable r whose substitution
+    removes an endpoint singularity: ``_first_moment`` (a != 0; a = 0 has
+    a closed form) and ``_second_moment`` (every a, with the time integral
+    in closed form), integrated by graded Gauss-Legendre rules at
+    (panels, order) = (24, 8) and (40, 10), whose gap is the error
+    estimate.  Raises ValueError on a non-positive or non-finite t or a
     non-finite a, and RuntimeError when the estimated relative error
     exceeds 1e-6 or the result is not finite (the second moment near
-    H = 1, where the substitution underflows: above H = 0.9775 at a = 0).
+    H = 1, where the substitution underflows: above H = 0.9775).
     """
     hv = as_hurst(h).value
     if p not in (1, 2):
@@ -163,12 +160,11 @@ def moment_oracle(h, t: float, a: float, p: int = 1) -> float:
         raise ValueError(f"a must be finite, got {a}")
     if p == 1 and a == 0:
         return t ** (1.0 - hv) / ((1.0 - hv) * np.sqrt(2 * np.pi))
-    moment = (_first_moment if p == 1 else
-              _second_moment_at_level_zero if a == 0 else _second_moment)
-    (coarse, _), (val, err) = (
+    moment = _first_moment if p == 1 else _second_moment
+    coarse, val = (
         moment(hv, t, a, _graded_rule(panels, order, 1e-5, both_ends=p == 2))
         for panels, order in ((24, 8), (40, 10)))
-    err = max(err, abs(val - coarse))
+    err = abs(val - coarse)
     if not np.isfinite(val):
         raise RuntimeError(f"quadrature value is not finite ({val}) at H={hv}, "
                            f"t={t}, a={a}, p={p}")
@@ -180,13 +176,12 @@ def moment_oracle(h, t: float, a: float, p: int = 1) -> float:
     return float(val)
 
 
-def _first_moment(hv: float, t: float, a: float, rule) -> tuple[float, float]:
-    """E[L_t(a)] at a != 0 by ``rule`` (with no error estimate of its own):
-    the integral over 0 < r < t^{1-H} of exp(-a^2 / (2 r^{2H/(1-H)})) /
-    ((1-H) sqrt(2 pi)).  The integrand rises from 0 to 1 near
-    r* = |a|^{(1-H)/H}, the more steeply the nearer H is to 1, so the range
-    is split at r* and each side is integrated with the rule graded toward
-    it."""
+def _first_moment(hv: float, t: float, a: float, rule) -> float:
+    """E[L_t(a)] at a != 0 by ``rule``: the integral over 0 < r < t^{1-H}
+    of exp(-a^2 / (2 r^{2H/(1-H)})) / ((1-H) sqrt(2 pi)).  The integrand
+    rises from 0 to 1 near r* = |a|^{(1-H)/H}, the more steeply the nearer
+    H is to 1, so the range is split at r* and each side is integrated
+    with the rule graded toward it."""
     one_mh = 1.0 - hv
     r_end = t**one_mh
     split = np.full(2, min(abs(a) ** (one_mh / hv), r_end))
@@ -195,7 +190,7 @@ def _first_moment(hv: float, t: float, a: float, rule) -> tuple[float, float]:
         val = _iterated_integral(
             lambda r: np.exp(-0.5 * a * a / r ** (2 * hv / one_mh)), (),
             np.ones(2), split, np.array([0.0, r_end]), rule)
-    return val / (one_mh * np.sqrt(2 * np.pi)), 0.0
+    return val / (one_mh * np.sqrt(2 * np.pi))
 
 
 def _correlation_gap(hv: float, x):
@@ -212,76 +207,92 @@ def _correlation_gap(hv: float, x):
     return (1.0 - kappa) * (1.0 + kappa)
 
 
-def _pair_integrand(hv: float, a: float, r, s):
-    """phi_{u,u+w}(a, a) (u w)^H / (1-H)^2 at u = r^{1/(1-H)} and
-    w = s^{1/(1-H)}, in both orientations: the density of (B_u, B_{u+w})
-    at (a, a) times the Jacobian of the substitution, which cancels its
-    (u w)^{-H} singularity, and the same with u and w swapped.
+def _second_moment(hv: float, t: float, a: float, rule) -> float:
+    """E[L_t(a)^2] by ``rule``, from one 1-D integral.
 
-    The density is exp(-a^2 / (2 u^{2H} rho)) / (2 pi (u w)^H sqrt(rho)),
-    with rho from ``_correlation_gap``.  Only the exponent tells the
-    orientations apart, so rho and the normalisation 2 pi sqrt(rho) (1-H)^2
-    are evaluated once and the pair (exp(-a^2 / (2 u^{2H} rho)),
-    exp(-a^2 / (2 w^{2H} rho))) / norm is returned.
+    E[L^2] = 2 * integral over 0 < u, 0 < w, u + w < t of the density of
+    (B_u, B_{u+w}) at (a, a), exp(-a^2 / (2 u^{2H} rho)) / (2 pi (u w)^H
+    sqrt(rho)) with rho from ``_correlation_gap`` at w/u.  In u = s(1-x),
+    w = s x, rho depends on x only and the integral over s is closed:
+
+        I(c) = int_0^t s^{1-2H} exp(-c s^{-2H}) ds
+             = c^b Gamma(-b, c t^{-2H}) / (2H) = t^{2-2H} E_{1/H}(c t^{-2H}) / (2H),
+
+    with b = (1-H)/H and E_p the generalised exponential integral
+    (``_expint``); I(0) = t^{2-2H} / (2-2H).  Folding x > 1/2 onto 1 - x,
+
+        E[L^2] = int_0^{1/2} (I(c1) + I(c2)) / (pi (x(1-x))^H sqrt(rho)) dx,
+
+    with rho at x/(1-x), c1 = a^2 / (2 rho (1-x)^{2H}) and
+    c2 = a^2 / (2 rho x^{2H}).  x = r^{1/(1-H)} / 2 removes the x^{-H}
+    singularity, leaving an integral over 0 < r < 1; x rises steeply near
+    r = 1 as H nears 1, so the rule is graded toward both ends.  At a = 0,
+    E_{1/H}(0) = H/(1-H) and no special function is evaluated.  Above
+    H = 0.9775, x underflows to 0 at the first nodes and the value is NaN.
     """
     one_mh = 1.0 - hv
-    u = r ** (1.0 / one_mh)
-    w = s ** (1.0 / one_mh)
-    rho = _correlation_gap(hv, np.minimum(w / u, u / w))
-    norm = 2 * np.pi * np.sqrt(rho) * one_mh**2
-    return (np.exp(-0.5 * a * a / (u ** (2 * hv) * rho)) / norm,
-            np.exp(-0.5 * a * a / (w ** (2 * hv) * rho)) / norm)
-
-
-def _second_moment(hv: float, t: float, a: float, rule) -> tuple[float, float]:
-    """E[L_t(a)^2] by ``rule`` and its orientation gap.
-
-    E[L^2] = 2 * integral over 0 < u, 0 < w, u + w < t of
-    phi_{u,u+w}(a, a); in r = u^{1-H}, s = w^{1-H} the integrand is
-    ``_pair_integrand`` over 0 < r < t^{1-H}, 0 < s < (t - u)^{1-H}.  The
-    tensor rule, graded toward both ends of r and of s, is applied to
-    both orientations (u on the outer axis, then w) in one pass, since
-    ``_pair_integrand`` returns the two together, and their sum gives the
-    factor 2.
-    """
-    one_mh = 1.0 - hv
-    r_end = t**one_mh
+    r, weights = rule
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = r_end * rule[0]
-        s_end = (t - r ** (1.0 / one_mh)) ** one_mh
-        f1, f2 = _iterated_integral(
-            lambda r, s: _pair_integrand(hv, a, r, s), (r,), r_end * rule[1],
-            np.zeros_like(r), s_end, rule)
-    return f1 + f2, abs(f1 - f2)
+        x = 0.5 * r ** (1.0 / one_mh)
+        rho = _correlation_gap(hv, x / (1.0 - x))
+        if a * a == 0:
+            pair = 2 * hv / one_mh
+        else:
+            level = 0.5 * a * a / (t ** (2 * hv) * rho)
+            pair = _expint(1.0 / hv, level / np.stack(
+                [(1.0 - x) ** (2 * hv), x ** (2 * hv)])).sum(axis=0)
+        total = weights @ (pair / ((1.0 - x) ** hv * np.sqrt(rho)))
+    return t ** (2 * one_mh) * 2**hv * total / (4 * np.pi * hv * one_mh)
 
 
-def _second_moment_at_level_zero(hv: float, t: float, a: float,
-                                 rule) -> tuple[float, float]:
-    """E[L_t(a)^2] at a = 0 by ``rule`` (with no error estimate of its own),
-    from one 1-D integral.
+_EULER_GAMMA = 0.5772156649015329
+# zeta(2), ..., zeta(8)
+_ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381,
+         1.0369277551433699, 1.0173430619844491, 1.0083492773819228,
+         1.0040773561979443)
 
-    At a = 0 the density phi_{u,u+w}(0, 0) = 1 / (2 pi (u w)^H sqrt(rho))
-    depends on w only through tau = w/u, so with w = tau u the u-integral
-    over u < t / (1 + tau) is exact, (t / (1 + tau))^{2-2H} / (2 - 2H),
-    and tau -> 1/tau maps tau > 1 onto tau < 1 with the same integrand:
 
-        E[L_t(0)^2] = t^{2-2H} I / (pi (1-H)),
-        I = integral over 0 < x < 1 of (1+x)^{2H-2} x^{-H} rho(x)^{-1/2}.
+def _expint(p: float, x):
+    """Generalised exponential integral E_p(x) = int_1^inf e^{-xs} s^{-p} ds
+    = x^{p-1} Gamma(1-p, x) for p >= 1 and an array of x > 0, to about
+    1e-13 relative.
 
-    x = r^{1/(1-H)} removes the x^{-H} singularity, leaving
-    (1+x)^{2H-2} rho^{-1/2} / (1-H) over 0 < r < 1, with rho from
-    ``_correlation_gap``; at H = 1/2, rho = 1 and I = pi/2.  x rises
-    steeply near r = 1 as H nears 1, so the rule is graded toward both
-    ends.  At H above about 0.9775, r^{1/(1-H)} underflows to 0 at the first
-    nodes and the value is NaN.
+    For x >= 1, the continued fraction of DLMF 8.19.17, evaluated from a
+    fixed depth of 80 up.  For x < 1, with p = q + n, n an integer and
+    q = 1 - d in [1/2, 3/2]: the power series (DLMF 8.19.10)
+
+        E_q(x) = x^{-d} g(d) + (x^{-d} - 1)/d - sum_{k>=1} (-x)^k / (k! (k+d)),
+
+    g(d) = (Gamma(1+d) - 1)/d, which is E_1(x) = -gamma - ln x - ... at
+    d = 0, then n steps of the recurrence k E_{k+1} = e^{-x} - x E_k
+    (8.19.12).  For |d| < 0.01, g comes from the series of ln Gamma(1+d)
+    (DLMF 5.7.3), since 1 + d rounds away the low bits of d.
     """
-    one_mh = 1.0 - hv
-
-    def integrand(r):
-        x = r ** (1.0 / one_mh)
-        return (1.0 + x) ** (2 * hv - 2) / np.sqrt(_correlation_gap(hv, x))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        i = _iterated_integral(integrand, (), np.ones(1), np.zeros(1),
-                               np.ones(1), rule)
-    return t ** (2 * one_mh) * i / (np.pi * one_mh**2), 0.0
+    out = np.empty_like(x)
+    big = x >= 1.0
+    xb = x[big]
+    tail = np.zeros_like(xb)
+    for k in range(80, 0, -1):
+        tail = k * (p + k - 1) / (xb + p + 2 * k - tail)
+    out[big] = np.exp(-xb) / (xb + p - tail)
+    xs = x[~big]
+    n = round(p - 1)
+    d = 1.0 + n - p
+    term, series = np.ones_like(xs), np.zeros_like(xs)
+    for k in range(1, 20):
+        term *= -xs / k
+        series += term / (k + d)
+    log_x = np.log(xs)
+    if d == 0:
+        e = -_EULER_GAMMA - log_x - series
+    else:
+        if abs(d) < 0.01:
+            g = math.expm1(-_EULER_GAMMA * d + sum(
+                z * (-d) ** k / k for k, z in enumerate(_ZETA, 2))) / d
+        else:
+            g = (math.gamma(1.0 + d) - 1.0) / d
+        e = np.exp(-d * log_x) * g + np.expm1(-d * log_x) / d - series
+    for k in range(n):
+        e = (np.exp(-xs) - xs * e) / (p - n + k)
+    out[~big] = e
+    return out

@@ -5,9 +5,7 @@ same Gauss-Legendre nodes on each panel of a partition, and
 ``_graded_rule`` on panels shrinking geometrically toward the singular
 end(s) of [0, 1].  ``_iterated_integral`` applies a rule over inner
 intervals that depend on an outer variable (none for a 1-D integral),
-with the integrand evaluated as one array per block of outer nodes, or
-as a tuple of arrays when several integrands share the work of one
-evaluation (the two orientations of the second moment).
+with the integrand evaluated as one array per block of outer nodes.
 """
 
 from __future__ import annotations
@@ -53,26 +51,15 @@ def _iterated_integral(f, rows, row_weights, start, end, rule):
     mapped to start + (end - start) * node, so a one-ended rule is graded
     toward ``start`` (which may exceed ``end``).  ``f(*cols, y)`` receives
     each column of ``rows`` as a (block, 1) array and the inner nodes as a
-    (block, len(nodes)) array, and returns the integrand there: one array,
-    for which the result is a float, or a tuple of arrays, several
-    integrands sharing one evaluation, for which it is a tuple of floats.
-    Each total is accumulated block by block exactly as a lone integrand's
-    would be, so it equals a separate call's bit for bit.
+    (block, len(nodes)) array, and returns the integrand there.
     """
     y, wy = rule
     block = max(1, _BLOCK_ELEMENTS // len(y))
-    totals = None
+    total = 0.0
     for i in range(0, len(row_weights), block):
         sl = slice(i, i + block)
         lo = start[sl, None]
         span = end[sl, None] - lo
         vals = f(*(col[sl, None] for col in rows), lo + span * y)
-        many = isinstance(vals, tuple)
-        if totals is None:
-            totals = [0.0] * (len(vals) if many else 1)
-        rw = row_weights[sl] * np.abs(span[:, 0])
-        for k, v in enumerate(vals if many else (vals,)):
-            totals[k] += float(rw @ (v @ wy))
-    if totals is None:  # no outer nodes
-        return 0.0
-    return tuple(totals) if many else totals[0]
+        total += float(row_weights[sl] * np.abs(span[:, 0]) @ (vals @ wy))
+    return total

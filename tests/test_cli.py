@@ -170,6 +170,17 @@ def test_simulate_rejects_zero_t(capsys):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("cmd", [
+    ["simulate", "--H", "0.7", "--n", "1", "--t", "1e-12"],
+    ["localtime", "--H", "0.7", "--n", "1", "--t", "1e-12", "--levels", "0"]])
+def test_one_node_horizon_is_an_error_line(capsys, cmd):
+    assert run(cmd) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --t: t_end = 1e-12 is within")
+    assert "n = 1: one node" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_rejects_t_beyond_T(capsys):
     rc = run(["simulate", "--H", "0.75", "--n", "8", "--T", "0.5", "--t", "0.8"])
     assert rc == 1

@@ -1,7 +1,8 @@
-"""One worker-range dispatch and one path synthesis: only ``fbm.py`` creates
-a thread pool, so every sampler and experiment splits its replicates the
-same way, and only ``fbm.py`` sums increments into paths, in
-``fbm.fft_paths``."""
+"""One worker-range dispatch, one path synthesis and one rule builder: only
+``fbm.py`` creates a thread pool, so every sampler and experiment splits
+its replicates the same way, only ``fbm.py`` sums increments into paths,
+in ``fbm.fft_paths``, and only ``quadrature.py`` builds Gauss-Legendre
+rules."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,7 @@ def test_cumsum_site_is_reported():
 
 def test_only_fbm_sums_increments_into_paths():
     assert list(package_sites("cumsum")) == ["fbm.py"]
+
+
+def test_only_quadrature_builds_gauss_legendre_rules():
+    assert list(package_sites("leggauss")) == ["quadrature.py"]

@@ -80,6 +80,11 @@ def test_plan_takes_nonnegative_integer_seeds_only():
     assert (got.l2_error, got.stderr) == (want.l2_error, want.stderr)
 
 
+def test_plan_rejects_a_one_node_horizon():
+    with pytest.raises(PlanError, match="t_end = 1e-12 .* n = 16: one node"):
+        make_plan(t=1e-12)
+
+
 def test_plan_samples_the_highest_named_component():
     assert [make_plan(component_pair=p).components
             for p in ((1, 1), (1, 2), (2, 1), (2, 2))] == [1, 2, 2, 2]
@@ -151,7 +156,8 @@ def test_rate_experiment_chunking_invariance(monkeypatch):
                  make_plan(replicates=50, component_pair=(1, 2), t=0.83)):
         ref = run_rate_experiment(plan, threads=1)
         fine = GridSpec(plan.t, plan.fine_n)
-        m = 2 * (fmod._embedding_amplitude(plan.hurst, fine.full_steps).shape[0] - 1)
+        m = 2 * (fmod._embedding_amplitude(plan.hurst, fine.full_steps,
+                                           fine.points_per_unit).shape[0] - 1)
         with monkeypatch.context() as patch:
             # synthesis blocks of 2 rows inside streamed blocks of 7
             patch.setattr(fmod, "BLOCK_VALUES", 2 * m)

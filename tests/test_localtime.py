@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 from scipy.special import gamma, gammaincc
 from scipy.stats import norm
 
@@ -17,13 +17,11 @@ from fbmlab import localtime
 from fbmlab.fbm import GridSpec, sample_fft_batch
 from fbmlab.localtime import (
     ResolutionWarning,
-    _second_moment,
     binning_estimates,
     default_bin_width,
     moment_oracle,
     sign_change_estimates,
 )
-from fbmlab.quadrature import _graded_rule, _iterated_integral
 
 # independently computed E[L_1(a)] values (raw-coordinate adaptive quadrature)
 FIRST_MOMENT_REFERENCE = {
@@ -92,10 +90,6 @@ def test_second_moment_brownian_unit():
 def test_second_moment_independent_reference():
     assert moment_oracle(0.6, 1.0, 0.0, p=2) == pytest.approx(
         SECOND_MOMENT_REFERENCE_H06, rel=1e-9)
-    # the 2-D route, which moment_oracle takes only at a != 0, meets it too
-    rule = _graded_rule(40, 10, 1e-5, both_ends=True)
-    assert _second_moment(0.6, 1.0, 0.0, rule)[0] == pytest.approx(
-        SECOND_MOMENT_REFERENCE_H06, rel=1e-9)
 
 
 def test_second_moment_exceeds_first_squared():
@@ -147,81 +141,159 @@ def test_second_moment_at_level_zero_time_scaling(h):
             t ** (2 - 2 * h) * moment_oracle(h, 1.0, 0.0, p=2), rel=1e-14)
 
 
+# E[L_1(0)^2] of the 2-D tensor rule over the simplex, (40, 10) rule in both
+# orientations, which the oracle used at a != 0 before the time integral was
+# taken in closed form
+TENSOR_RULE_AT_LEVEL_ZERO = {
+    0.51: 1.0493353500324571, 0.6: 1.6926277081886012, 0.75: 4.954158953655844,
+    0.9: 36.82914100056823, 0.95: 160.535436969528,
+}
+
+
 @pytest.mark.parametrize("h", [0.51, 0.6, 0.75, 0.9, 0.95])
 def test_second_moment_at_level_zero_matches_tensor_rule(h):
-    # the 2-D route, which a = 0 no longer takes, still integrates there
-    want, _ = localtime._second_moment(
-        h, 1.0, 0.0, _graded_rule(40, 10, 1e-5, both_ends=True))
-    assert moment_oracle(h, 1.0, 0.0, p=2) == pytest.approx(want, rel=1e-9)
+    assert moment_oracle(h, 1.0, 0.0, p=2) == pytest.approx(
+        TENSOR_RULE_AT_LEVEL_ZERO[h], rel=1e-9)
+
+
+# E[L_1(0)^2] of the level-zero integral in x = w/u over (0, 1), which
+# moment_oracle took at a = 0 before the one 1-D route for every level
+LEVEL_ZERO_ROUTE = {
+    0.5: 1.0, 0.51: 1.0493353500302138, 0.55: 1.2840354877952451,
+    0.6: 1.692627708172359, 0.75: 4.954158953200317, 0.9: 36.829140982864416,
+    0.95: 160.53543687760205,
+}
+
+
+@pytest.mark.parametrize("h", sorted(LEVEL_ZERO_ROUTE))
+def test_second_moment_at_level_zero_matches_the_level_zero_route(h):
+    assert moment_oracle(h, 1.0, 0.0, p=2) == pytest.approx(
+        LEVEL_ZERO_ROUTE[h], rel=4e-16, abs=0)
 
 
 def test_second_moment_at_signed_zeros_takes_the_1d_route(monkeypatch):
+    # at a = +-0 every time integral is I(0): no special function is evaluated
     want = moment_oracle(0.75, 1.0, 0.0, p=2)
 
-    def tensor_route(*args):
-        raise AssertionError("a = 0 took the 2-D route")
+    def expint(*args):
+        raise AssertionError("a = 0 evaluated E_p")
 
-    monkeypatch.setattr(localtime, "_second_moment", tensor_route)
+    monkeypatch.setattr(localtime, "_expint", expint)
     for a in (0.0, -0.0):
         assert moment_oracle(0.75, 1.0, a, p=2) == want
 
 
-def _pair_integrand_one_orientation(hv, a, r, s):
-    # the integrand before it returned both orientations: one per call
-    one_mh = 1.0 - hv
-    u = r ** (1.0 / one_mh)
-    w = s ** (1.0 / one_mh)
-    x = np.minimum(w / u, u / w)
-    kappa = (np.expm1(2 * hv * np.log1p(x)) - x ** (2 * hv)) / (2 * x**hv)
-    rho = (1.0 - kappa) * (1.0 + kappa)
-    return np.exp(-0.5 * a * a / (u ** (2 * hv) * rho)) / (
-        2 * np.pi * np.sqrt(rho) * one_mh**2)
+# E[L_1(a)^2] at 30 digits, from tests/second_moment_references.py
+SECOND_MOMENT_30_DIGITS = {
+    (0.51, 0.1): 0.8814229783534,
+    (0.51, 0.5): 0.42871870242882176,
+    (0.51, 1.0): 0.1531931321749831,
+    (0.51, 2.0): 0.011700774810657627,
+    (0.6, 0.1): 1.2384359124282245,
+    (0.6, 0.5): 0.534871407269237,
+    (0.6, 1.0): 0.18233367342477386,
+    (0.6, 2.0): 0.013609065257970778,
+    (0.75, 0.1): 2.4457886817399106,
+    (0.75, 0.5): 0.8834113144277393,
+    (0.75, 1.0): 0.2810884948176144,
+    (0.75, 2.0): 0.019972119916201563,
+    (0.9, 0.1): 7.48249531674675,
+    (0.9, 0.5): 2.2822966780638145,
+    (0.9, 1.0): 0.6709425952512876,
+    (0.9, 2.0): 0.043440138213078655,
+}
 
 
-def _two_pass_second_moment(hv, t, a, rule):
-    # reference: one quadrature pass per orientation, as before the
-    # single pass
-    one_mh = 1.0 - hv
-    r_end = t**one_mh
-    orientations = (lambda r, s: _pair_integrand_one_orientation(hv, a, r, s),
-                    lambda r, s: _pair_integrand_one_orientation(hv, a, s, r))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = r_end * rule[0]
-        s_end = (t - r ** (1.0 / one_mh)) ** one_mh
-        f1, f2 = (_iterated_integral(f, (r,), r_end * rule[1], np.zeros_like(r),
-                                     s_end, rule) for f in orientations)
-    return f1 + f2, abs(f1 - f2)
+@pytest.mark.parametrize("h, a", sorted(SECOND_MOMENT_30_DIGITS))
+def test_second_moment_matches_30_digit_reference(h, a):
+    assert moment_oracle(h, 1.0, a, p=2) == pytest.approx(
+        SECOND_MOMENT_30_DIGITS[h, a], rel=1e-11)
+    assert moment_oracle(h, 1.0, -a, p=2) == moment_oracle(h, 1.0, a, p=2)
 
 
-def _oracle_outcome(h, t, a):
-    try:
-        return moment_oracle(h, t, a, p=2).hex()
-    except RuntimeError as exc:
-        return str(exc)
+def test_second_moment_reference_table_recomputes():
+    pytest.importorskip("mpmath")
+    from second_moment_references import second_moment_reference
+
+    assert second_moment_reference(0.75, 1.0, 0.5) == pytest.approx(
+        SECOND_MOMENT_30_DIGITS[0.75, 0.5], rel=1e-15)
 
 
-# (0.98, 1, 0.5) raises as not finite in both
+def test_second_moment_matches_2d_integral_of_the_density():
+    # 2 * integral over the simplex u + w < 1 of the density of
+    # (B_u, B_{u+w} - B_u) at (a, 0), from its covariance matrix, in
+    # u = r^{1/(1-H)} and w = s^{1/(1-H)}: an independent check of the
+    # reduction to one integral, not only of its numerics
+    h, a = 0.75, 0.5
+    k = 1 / (1 - h)
+
+    def density(s, r):
+        u, w = r**k, s**k
+        vu, vw = u ** (2 * h), w ** (2 * h)
+        c = 0.5 * ((u + w) ** (2 * h) - vu - vw)
+        det = vu * vw - c * c
+        # the Jacobian k^2 (r s)^{k-1} = k^2 (u w)^H cancels (u w)^{-H}
+        return k * k * np.exp(-0.5 * a * a * vw / det) / (
+            2 * np.pi * np.sqrt(det / (vu * vw)))
+
+    want, _ = dblquad(density, 0, 1, 0, lambda r: (1 - r**k) ** (1 - h),
+                      epsabs=1e-13, epsrel=1e-10)
+    assert moment_oracle(h, 1.0, a, p=2) == pytest.approx(2 * want, rel=1e-8)
+
+
+# E[L_t(a)^2] as moment_oracle returned it before the time integral was
+# taken in closed form: by the 2-D tensor rule at a != 0, whose error budget
+# was 1e-6, and by the level-zero integral at a = 0
+BEFORE_CLOSED_FORM = {
+    (0.5, 1.0, 0.0): 1.0,
+    (0.6, 1.0, -0.0): 1.692627708172359,
+    (0.55, 0.3, 0.5): 0.059604969588221646,
+    (0.75, 1.0, 0.5): 0.8834113146287416,
+    (0.75, 2.5, -0.5): 2.5136434667880483,
+    (0.9, 1.0, 0.0): 36.829140982864416,
+}
+
+
+# (0.98, 1, 0.5) raised as not finite before and still does
 @pytest.mark.parametrize("h, t, a", [
     (0.5, 1.0, 0.0), (0.6, 1.0, -0.0), (0.55, 0.3, 0.5), (0.75, 1.0, 0.5),
     (0.75, 2.5, -0.5), (0.9, 1.0, 0.0), (0.98, 1.0, 0.5)])
-def test_second_moment_single_pass_is_bit_identical(monkeypatch, h, t, a):
-    got = _oracle_outcome(h, t, a)
-    monkeypatch.setattr(localtime, "_second_moment", _two_pass_second_moment)
-    assert got == _oracle_outcome(h, t, a)
+def test_second_moment_within_budget_of_tensor_rule(h, t, a):
+    if (h, t, a) not in BEFORE_CLOSED_FORM:
+        with pytest.raises(RuntimeError, match="quadrature value is not finite"):
+            moment_oracle(h, t, a, p=2)
+        return
+    assert moment_oracle(h, t, a, p=2) == pytest.approx(
+        BEFORE_CLOSED_FORM[h, t, a], rel=1e-6)
 
 
-def test_tuple_integrand_totals_equal_separate_calls():
-    # several integrands sharing one evaluation are each accumulated as a
-    # lone integrand would be; 400 outer nodes span several blocks
-    rule = _graded_rule(40, 10, 1e-5, both_ends=True)
-    r = rule[0]
-    fs = (lambda r, s: np.exp(-s / r), lambda r, s: np.sqrt(r + s) * s,
-          lambda r, s: np.cos(r * s))
-    args = ((r,), rule[1], np.zeros_like(r), 1.0 - r, rule)
-    got = _iterated_integral(lambda r, s: tuple(f(r, s) for f in fs), *args)
-    assert isinstance(got, tuple)
-    assert got == tuple(_iterated_integral(f, *args) for f in fs)
-    assert isinstance(_iterated_integral(fs[0], *args), float)
+# E[L_1(a)^2] at H = 1/3 (E_{1/H} at the integer order 3) by the tensor rule
+TENSOR_RULE_AT_ONE_THIRD = {0.5: 0.30161234260464087, 1.0: 0.12221896927611058,
+                            2.0: 0.009801834114631355}
+
+
+@pytest.mark.parametrize("a", sorted(TENSOR_RULE_AT_ONE_THIRD))
+def test_second_moment_at_one_third_matches_tensor_rule(a):
+    assert moment_oracle(1 / 3, 1.0, a, p=2) == pytest.approx(
+        TENSOR_RULE_AT_ONE_THIRD[a], rel=1e-12)
+
+
+def test_second_moment_raise_set_near_one():
+    # the substitution underflows above H = 0.9775, at every level
+    for a in (0.0, 0.5):
+        assert np.isfinite(moment_oracle(0.9775, 1.0, a, p=2))
+        with pytest.raises(RuntimeError, match="quadrature value is not finite"):
+            moment_oracle(0.98, 1.0, a, p=2)
+
+
+@pytest.mark.parametrize("p", [1.0, 1 + 1e-12, 1.1111111111111112, 4 / 3,
+                               1.9899, 2.0, 2.0 + 1e-9, 2.5, 3.0, 5.0])
+def test_expint_matches_mpmath(p):
+    mp = pytest.importorskip("mpmath")
+    x = np.concatenate([np.geomspace(1e-300, 700.0, 60), [0.999, 1.0, 1.001]])
+    want = np.array([float(mp.expint(mp.mpf(p), mp.mpf(v))) for v in x])
+    np.testing.assert_allclose(localtime._expint(p, x), want, rtol=1e-13)
+    assert localtime._expint(p, np.array([np.inf]))[0] == 0.0
 
 
 def _brownian_second_moment(a):
@@ -235,7 +307,7 @@ def _brownian_second_moment(a):
 @pytest.mark.parametrize("a", [0.5, 1.0])
 def test_second_moment_brownian_nonzero_level(a):
     assert moment_oracle(0.5, 1.0, a, p=2) == pytest.approx(
-        _brownian_second_moment(a), rel=1e-8)
+        _brownian_second_moment(a), rel=1e-12)
 
 
 def test_second_moment_time_scaling():
@@ -243,6 +315,16 @@ def test_second_moment_time_scaling():
     h, t, a = 0.7, 2.0, 0.4
     assert moment_oracle(h, t, a, p=2) == pytest.approx(
         t ** (2 - 2 * h) * moment_oracle(h, 1.0, a * t ** -h, p=2), rel=1e-8)
+
+
+@pytest.mark.parametrize("t", [0.1, 2.0])
+@pytest.mark.parametrize("h", [0.6, 0.75, 0.9])
+def test_second_moment_time_scaling_at_a_far_level(h, t):
+    # at the effective level a t^{-H} = 6 nearly all of E[L^2] comes from
+    # the tails of E_{1/H}
+    a = 6.0 * t**h
+    assert moment_oracle(h, t, a, p=2) == pytest.approx(
+        t ** (2 - 2 * h) * moment_oracle(h, 1.0, 6.0, p=2), rel=1e-12)
 
 
 @pytest.mark.parametrize("h", [0.5, 0.51, 0.55, 0.6, 0.75, 0.9])
