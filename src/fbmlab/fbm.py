@@ -258,9 +258,10 @@ def _check_keys(master_seed: int, first_replicate: int, count: int) -> int:
 
 
 def _keyed_streams(master_seed: int, first_replicate: int, count: int,
-                   components: int):
+                   components: int, first_component: int = 0):
     """``key(r, c)``: the generator of ``substream(master_seed,
-    first_replicate + r, c)`` for r < count, c < components.
+    first_replicate + r, first_component + c)`` for r < count,
+    c < components.
 
     All keys are hashed up front with SeedSequence's algorithm, the seed's
     words as Python ints and the replicate and component words as uint32
@@ -269,6 +270,10 @@ def _keyed_streams(master_seed: int, first_replicate: int, count: int,
     Generator, so the generator it returns is valid until the next call.
     """
     seed = _check_keys(master_seed, first_replicate, count)
+    if first_component < 0 or first_component + components > 2**32:
+        raise ValueError(f"first_component must be >= 0 with first_component "
+                         f"+ components <= 2^32, got {first_component} + "
+                         f"{components}")
     seed_words = [seed & _MASK32]
     while seed >> 32 * len(seed_words):
         seed_words.append(seed >> 32 * len(seed_words) & _MASK32)
@@ -282,8 +287,9 @@ def _keyed_streams(master_seed: int, first_replicate: int, count: int,
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
     replicates = np.arange(first_replicate, first_replicate + count,
                            dtype=np.uint32)[:, None]
-    for word in seed_words[4:] + [replicates,
-                                  np.arange(components, dtype=np.uint32)]:
+    component_ids = np.arange(first_component, first_component + components,
+                              dtype=np.uint32)
+    for word in seed_words[4:] + [replicates, component_ids]:
         for dst in range(4):
             pool[dst] = _mix(pool[dst], hashmix(word))
     # generate_state(4, np.uint64): 8 uint32 words cycling through the pool,
@@ -539,10 +545,13 @@ def fft_ranges(h, grid: GridSpec, first: int, total: int, threads, work) -> None
 
 
 def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
-              out: np.ndarray, workers: int = 1) -> None:
+              out: np.ndarray, workers: int = 1, first_component: int = 0) -> None:
     """Circulant-embedding paths of replicates ``first_replicate`` onwards,
     one per row of ``out`` (shape (count, components, num_nodes)), column 0
-    (the origin, 0.0) included.
+    (the origin, 0.0) included.  Components likewise count from
+    ``first_component``: ``out[r, c]`` is the path keyed (master_seed,
+    first_replicate + r, first_component + c), so one component of a
+    multi-component batch is drawn alone.
 
     The rows are synthesised in sub-blocks of at most
     ``BLOCK_VALUES // workers`` embedding values (at least one row) through
@@ -554,7 +563,8 @@ def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
     """
     h = as_hurst(h)
     count, components = out.shape[:2]
-    key = _keyed_streams(master_seed, first_replicate, count, components)
+    key = _keyed_streams(master_seed, first_replicate, count, components,
+                         first_component)
     out[..., 0] = 0.0
     k = grid.full_steps
     if k == 0:

@@ -3,14 +3,24 @@
 Each worker thread of ``fbm.fft_ranges`` takes contiguous ranges of
 replicates and works through each range in blocks of consecutive
 replicates of about ``GROUP_VALUES`` path values.  ``fbm.fft_paths``
-writes a block's paths into one reused buffer, so no batch of all the
-range's paths is ever held and a worker's memory does not grow with the
-replicate count.  The crossing and Riemann kernels of ``integrals``
-evaluate the normalised discretisation error S_n on every coarse
-resolution n from the same block (common random numbers), for all of the
-block's replicates at once, together with the local-time limit functional
-from the fine grid.
-L2 errors per (H, n) cell are reduced in a fixed order and substreams are
+writes a block's paths of component i, the only component drawn, into one
+reused buffer, so no batch of all the range's paths is ever held and a
+worker's memory does not grow with the replicate count.  Each replicate
+gives one second moment per coarse resolution n, all from the same path
+(common random numbers), for all of the block's replicates at once:
+
+* at i = j, the squared error (S_n - integral of L dmu)^2, with S_n the
+  closed-form crossing sum of ``integrals`` and the local-time limit
+  functional from the fine grid;
+* at i != j, the conditional second moment E[S_n^2 | B^i] of
+  S_n = n^{2H-1} (fine Riemann sum - coarse Riemann sum) of f(B^i) dB^j.
+  B^j is independent of B^i, so given B^i, S_n is a centred Gaussian whose
+  variance is one small fBm-covariance quadratic form (``_cross_moments``),
+  and B^j is never drawn (conditional Monte Carlo).
+
+l2 is the square root of the mean second moment, so at i != j it
+estimates the same ||S_n||_{L2} as sampled squares would, with less
+variance.  The cells are reduced in a fixed order and substreams are
 keyed by absolute replicate id, so results are bit-identical for any
 worker count.
 """
@@ -24,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fbm import BLOCK_VALUES, GridSpec, as_hurst, fft_paths, fft_ranges
-from .integrals import SignedMeasure, crossing_sums, riemann_sums
+from .integrals import SignedMeasure, crossing_sums
 
 __all__ = [
     "ExperimentPlan",
@@ -143,6 +153,13 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class RateReport:
+    """``l2_error[k]`` is the square root of the mean over replicates of a
+    second moment at ``n_values[k]``: the squared error (S_n - integral of
+    L dmu)^2 at i = j, and E[S_n^2 | B^i] at i != j, whose mean is the same
+    ||S_n||^2_{L2}.  ``stderr`` is the delta-method standard error of l2
+    from the spread of those second moments, so at i != j it counts the
+    variation of B^i only."""
+
     hurst: float
     n_values: tuple
     l2_error: tuple
@@ -194,10 +211,67 @@ def fit_rate(points):
     return {"slope": slope, "intercept": intercept, "half_width": 2 * slope_se}
 
 
-def _path_errors(plan: ExperimentPlan, fine: GridSpec, bi: np.ndarray,
-                 bj: np.ndarray) -> np.ndarray:
-    """Errors S_n - delta_ij * limit of the paths ``bi``, ``bj`` (components
-    i and j, shape (rows, nodes) on ``fine``); shape (len(n_values), rows)."""
+def _cross_moments(plan: ExperimentPlan, fine: GridSpec,
+                   bi: np.ndarray) -> np.ndarray:
+    """E[S_n^2 | B^i] at i != j for the paths ``bi`` of component i (shape
+    (rows, nodes) on ``fine``); shape (len(n_values), rows).
+
+    S_n = n^{2H-1} sum_m g_m (B^j_{m+1} - B^j_m) over the fine steps, with
+    g_m = f(B^i_m) - f(B^i at the left node of the coarse step holding
+    step m).  B^j is independent of B^i, so given B^i, S_n is a centred
+    Gaussian of variance n^{4H-2} Var(sum_a w_a B^j_a), w_a = g_{a-1} - g_a
+    (g_{-1} = g_last = 0).  w is the jump of f(B^i) negated at each fine
+    node where f(B^i) changes, plus the net change of f(B^i) over each
+    coarse step that holds such a node, at that step's right end.  So
+    sum w = 0, and the variance is the variogram form
+    -1/2 sum_{a,b} w_a w_b |t_a - t_b|^{2H} over those few nodes, at their
+    times ``fine.nodes()`` (so a partial last step is exact).  Each row's
+    form is a pairwise sum of its own terms, with no BLAS, so it does not
+    depend on the block the row is in.
+    """
+    hv = as_hurst(plan.hurst).value
+    times = fine.nodes()
+    last = fine.num_nodes - 1
+    levels = [(n, fine.refinement_of(GridSpec(plan.t, n)))
+              for n in plan.n_values]
+    out = np.zeros((len(levels), bi.shape[0]))
+    # the fine steps (m - 1, m) across which f(B^i) jumps, atom by atom; a
+    # flat index search, as np.nonzero of a 2-D mask is about 20x slower
+    rows = nodes = np.zeros(0, dtype=np.intp)
+    jumps = np.zeros(0)
+    for a, c in plan.integrand.atoms:
+        above = bi > a
+        r, s = np.divmod(np.flatnonzero(above[:, 1:] != above[:, :-1]), last)
+        rows = np.concatenate((rows, r))
+        nodes = np.concatenate((nodes, s + 1))
+        jumps = np.concatenate((jumps, np.where(above[r, s + 1], 2 * c, -2 * c)))
+    order = np.argsort(rows, kind="stable")
+    bounds = np.searchsorted(rows[order], np.arange(bi.shape[0] + 1))
+    for row in np.flatnonzero(np.diff(bounds)):  # rows where f(B^i) jumps
+        at = order[bounds[row]:bounds[row + 1]]
+        m, d = nodes[at], jumps[at]
+        for gi, (n, r) in enumerate(levels):
+            ends, step = np.unique(np.minimum(-(-m // r) * r, last),
+                                   return_inverse=True)
+            t = np.concatenate((times[m], times[ends]))
+            w = np.concatenate((-d, np.bincount(step, weights=d,
+                                                minlength=len(ends))))
+            form = (np.multiply.outer(w, w)
+                    * np.abs(np.subtract.outer(t, t)) ** (2 * hv))
+            out[gi, row] = -0.5 * n ** (4 * hv - 2) * form.sum()
+    return out
+
+
+def _path_errors(plan: ExperimentPlan, fine: GridSpec,
+                 bi: np.ndarray) -> np.ndarray:
+    """Per-replicate second moments of the paths ``bi`` of component i
+    (shape (rows, nodes) on ``fine``); shape (len(n_values), rows).  At
+    i = j, the squared error (S_n - limit)^2; at i != j, E[S_n^2 | B^i]
+    from ``_cross_moments``."""
+    i, j = plan.component_pair
+    if i != j:
+        return _cross_moments(plan, fine, bi)
+    # closed-form route: S_n per atom, limit from the fine grid
     hv = as_hurst(plan.hurst).value
     grids = [GridSpec(plan.t, n) for n in plan.n_values]
     atoms = plan.integrand.atoms
@@ -207,47 +281,38 @@ def _path_errors(plan: ExperimentPlan, fine: GridSpec, bi: np.ndarray,
         return n ** (2 * hv - 1) * crossing_sums(bi, fine, a, grid)
 
     errs = np.empty((len(grids), bi.shape[0]))
-    i, j = plan.component_pair
-    if i == j:
-        # closed-form route: S_n per atom, limit from the fine grid
-        fine_sc = {a: sign_change(a, fine) for a, _ in atoms}
-        for gi, grid in enumerate(grids):
-            e = np.zeros(bi.shape[0])
-            for a, c in atoms:
-                e += 2 * c * (sign_change(a, grid) - fine_sc[a])
-            errs[gi] = e
-    else:
-        # i != j: Riemann reference, no limit term
-        ref = riemann_sums(bi, bj, fine, plan.integrand, fine)
-        for gi, grid in enumerate(grids):
-            n = grid.points_per_unit
-            errs[gi] = n ** (2 * hv - 1) * (
-                ref - riemann_sums(bi, bj, fine, plan.integrand, grid))
-    return errs
+    fine_sc = {a: sign_change(a, fine) for a, _ in atoms}
+    for gi, grid in enumerate(grids):
+        e = np.zeros(bi.shape[0])
+        for a, c in atoms:
+            e += 2 * c * (sign_change(a, grid) - fine_sc[a])
+        errs[gi] = e
+    return errs**2
 
 
 def _replicate_errors(plan: ExperimentPlan, first: int, count: int,
                       workers: int = 1) -> np.ndarray:
-    """Errors S_n - delta_ij * limit for replicates [first, first+count),
-    shape (len(n_values), count), from blocks of about ``GROUP_VALUES``
-    path values drawn in turn into one reused buffer; ``workers`` goes to
-    ``fft_paths``."""
+    """Per-replicate second moments (``_path_errors``) of replicates
+    [first, first+count), shape (len(n_values), count).  Only component i
+    is drawn, in blocks of as many replicates as ``GROUP_VALUES`` holds at
+    ``plan.components`` paths each, into one reused buffer; ``workers``
+    goes to ``fft_paths``."""
     fine = GridSpec(plan.t, plan.fine_n)
-    i, j = plan.component_pair
+    i = plan.component_pair[0]
     step = max(1, GROUP_VALUES // (plan.components * fine.num_nodes))
-    paths = np.empty((min(step, count), plan.components, fine.num_nodes))
+    paths = np.empty((min(step, count), 1, fine.num_nodes))
     errs = np.empty((len(plan.n_values), count))
     for start in range(0, count, step):
         block = paths[:count - start]
         fft_paths(plan.hurst, fine, plan.master_seed, first + start, block,
-                  workers)
-        errs[:, start:start + len(block)] = _path_errors(
-            plan, fine, block[:, i - 1], block[:, j - 1])
+                  workers, first_component=i - 1)
+        errs[:, start:start + len(block)] = _path_errors(plan, fine, block[:, 0])
     return errs
 
 
 def _collect(plan: ExperimentPlan, first: int, total: int, threads) -> np.ndarray:
-    """Errors of replicates [first, total), shape (len(n_values), total - first).
+    """Per-replicate second moments of replicates [first, total), shape
+    (len(n_values), total - first).
 
     The workers take ``fbm.RANGES_PER_WORKER`` contiguous ranges each, so
     they allocate path buffers a fixed number of times whatever the
@@ -263,11 +328,12 @@ def _collect(plan: ExperimentPlan, first: int, total: int, threads) -> np.ndarra
     return out
 
 
-def _l2_and_stderr(errs: np.ndarray):
-    sq = errs**2
+def _l2_and_stderr(sq: np.ndarray):
+    """l2 = sqrt of the mean of the per-replicate second moments ``sq``,
+    and its delta-method standard error."""
     mean_sq = sq.mean(axis=1)
     l2 = np.sqrt(mean_sq)
-    m = errs.shape[1]
+    m = sq.shape[1]
     std_sq = sq.std(axis=1, ddof=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         se = np.where(l2 > 0, std_sq / (2 * np.maximum(l2, 1e-300) * np.sqrt(m)), 0.0)

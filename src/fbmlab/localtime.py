@@ -148,8 +148,8 @@ def moment_oracle(h, t: float, a: float, p: int = 1) -> float:
     (panels, order) = (24, 8) and (40, 10), whose gap is the error
     estimate.  Raises ValueError on a non-positive or non-finite t or a
     non-finite a, and RuntimeError when the estimated relative error
-    exceeds 1e-6 or the result is not finite (the second moment near
-    H = 1, where the substitution underflows: above H = 0.9775).
+    exceeds 1e-6 (the second moment at some levels from H = 0.995, and at
+    a = 1e-6 from H = 0.95) or the result is not finite.
     """
     hv = as_hurst(h).value
     if p not in (1, 2):
@@ -201,10 +201,12 @@ def _correlation_gap(hv: float, x):
     through expm1, and rho = (1 - kappa)(1 + kappa): neither forms a
     difference of nearly equal numbers when x << 1, where the
     covariance-determinant form rho = (s11 s22 - s12^2) / (s11 w^{2H})
-    cancels catastrophically.
+    cancels catastrophically.  At x = 0, where x underflows near H = 1,
+    kappa is 0/0; its limit there is 0 (kappa ~ H x^{1-H}), so rho = 1.
     """
-    kappa = (np.expm1(2 * hv * np.log1p(x)) - x ** (2 * hv)) / (2 * x**hv)
-    return (1.0 - kappa) * (1.0 + kappa)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = (np.expm1(2 * hv * np.log1p(x)) - x ** (2 * hv)) / (2 * x**hv)
+    return np.where(x > 0, (1.0 - kappa) * (1.0 + kappa), 1.0)
 
 
 def _second_moment(hv: float, t: float, a: float, rule) -> float:
@@ -228,7 +230,8 @@ def _second_moment(hv: float, t: float, a: float, rule) -> float:
     singularity, leaving an integral over 0 < r < 1; x rises steeply near
     r = 1 as H nears 1, so the rule is graded toward both ends.  At a = 0,
     E_{1/H}(0) = H/(1-H) and no special function is evaluated.  Above
-    H = 0.9775, x underflows to 0 at the first nodes and the value is NaN.
+    H = 0.9775, x underflows to 0 at the first nodes; rho takes its limit 1
+    there and I(c2) its limit 0, so the integrand stays finite.
     """
     one_mh = 1.0 - hv
     r, weights = rule

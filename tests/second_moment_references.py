@@ -5,7 +5,7 @@ with mpmath at 30 digits, in the same variable r (x = r^{1/(1-H)} / 2), with
 the time integral from mpmath's upper incomplete gamma function:
 
     E[L_t(a)^2] = int_0^{1/2} (I(c1) + I(c2)) / (pi (x(1-x))^H sqrt(rho)) dx,
-    I(c) = c^b Gamma(-b, c t^{-2H}) / (2H),  b = (1-H)/H,
+    I(c) = c^b Gamma(-b, c t^{-2H}) / (2H),  b = (1-H)/H,  I(0) = t^{2-2H} / (2-2H),
 
 with rho = 1 - kappa^2, kappa the correlation of B_u and B_{u+w} - B_u at
 w/u = x/(1-x), c1 = a^2 / (2 rho (1-x)^{2H}) and c2 = a^2 / (2 rho x^{2H}).
@@ -29,6 +29,8 @@ def second_moment_reference(h, t, a, dps=30, splits=16):
         b = (1 - h) / h
 
         def time_integral(c):
+            if c == 0:
+                return t ** (2 - 2 * h) / (2 - 2 * h)
             return c**b * mp.gammainc(-b, c * t ** (-2 * h)) / (2 * h)
 
         def f(r):

@@ -422,13 +422,13 @@ def test_oracle_second_moment_converges_at_high_hurst(capsys):
 
 
 def test_oracle_unconverged_exits_1(capsys):
-    rc = run(["oracle", "--lemma", "moments", "--H", "0.99", "--a", "0",
+    rc = run(["oracle", "--lemma", "moments", "--H", "0.999", "--a", "0",
               "--p", "2"])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    # the integrand turns NaN at H = 0.99, and the message says so
-    assert captured.err.startswith("error: quadrature value is not finite")
+    # the two resolutions disagree at H = 0.999, and the message says so
+    assert captured.err.startswith("error: quadrature achieved relative tolerance")
 
 
 def test_invalid_arguments_exit_code(capsys):

@@ -2,10 +2,17 @@
 ``fbm.py`` creates a thread pool, so every sampler and experiment splits
 its replicates the same way, only ``fbm.py`` sums increments into paths,
 in ``fbm.fft_paths``, and only ``quadrature.py`` builds Gauss-Legendre
-rules."""
+rules.  A rate experiment draws only the component its error depends on."""
 
 import ast
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+import fbmlab.harness as harness
+from fbmlab.fbm import GridSpec, sample_fft_batch
+from fbmlab.integrals import indicator_measure
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fbmlab"
 
@@ -54,3 +61,33 @@ def test_only_fbm_sums_increments_into_paths():
 
 def test_only_quadrature_builds_gauss_legendre_rules():
     assert list(package_sites("leggauss")) == ["quadrature.py"]
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 1)])
+def test_cross_component_runs_draw_only_component_i(monkeypatch, pair):
+    # E[S_n^2 | B^i] replaces sampling B^j: every synthesis call writes one
+    # component, and it is B^i of the two-component batch, bit for bit
+    plan = harness.ExperimentPlan(
+        hurst=0.75, n_values=(8, 16, 32), integrand=indicator_measure(0.0),
+        component_pair=pair, t=0.83, replicates=9, master_seed=4,
+        fine_factor=16)
+    fine = GridSpec(plan.t, plan.fine_n)
+    drawn = {}
+    synth = harness.fft_paths
+
+    def spy(h, grid, master_seed, first_replicate, out, workers=1,
+            first_component=0):
+        synth(h, grid, master_seed, first_replicate, out, workers,
+              first_component)
+        assert out.shape[1] == 1
+        for r, path in enumerate(out[:, 0]):
+            drawn[first_replicate + r, first_component] = path.copy()
+
+    monkeypatch.setattr(harness, "fft_paths", spy)
+    monkeypatch.setattr(harness, "GROUP_VALUES", 4 * 2 * fine.num_nodes)
+    harness.run_rate_experiment(plan, threads=2)
+    i = pair[0]
+    assert sorted(drawn) == [(r, i - 1) for r in range(9)]
+    batch = sample_fft_batch(plan.hurst, fine, plan.master_seed, 9, 2)
+    for r in range(9):
+        assert np.array_equal(drawn[r, i - 1], batch[r, i - 1])

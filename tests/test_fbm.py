@@ -351,6 +351,20 @@ def test_fft_paths_fill_whole_rows(grid):
     assert rows.tobytes() == paths.tobytes()
 
 
+@pytest.mark.parametrize("grid", [GridSpec(1.0, 64), GridSpec(0.83, 64),
+                                  GridSpec(0.01, 64)])
+def test_fft_paths_draw_components_from_first_component(grid):
+    # first_component offsets the component keys as first_replicate offsets
+    # the replicate keys, so one component is drawn alone
+    batch = sample_fft_batch(0.7, grid, 3, 5, 3, first_replicate=4)
+    for first in (1, 2):
+        rows = np.full((5, 3 - first, grid.num_nodes), np.nan)
+        fft_paths(0.7, grid, 3, 4, rows, first_component=first)
+        assert rows.tobytes() == batch[:, first:].tobytes()
+    with pytest.raises(ValueError, match="first_component"):
+        fft_paths(0.7, grid, 3, 4, rows, first_component=-1)
+
+
 def test_fft_paths_hold_two_sub_block_buffers():
     # the normals, transformed in place, and their half spectrum: no third
     # buffer for the transform output, no scaled copy of the amplitude, and

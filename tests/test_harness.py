@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fbmlab.fbm import GridSpec, resolve_threads, sample_fft_batch
+from fbmlab.fbm import GridSpec, fbm_covariance, resolve_threads, sample_fft_batch
 from fbmlab.harness import (
     ExperimentPlan,
     PILOT_REPLICATES,
@@ -20,9 +20,12 @@ from fbmlab.harness import (
 from fbmlab.integrals import (
     SignedMeasure,
     crossing_sums,
+    eval_integrand,
     indicator_measure,
     riemann_sums,
 )
+
+TWO_ATOMS = SignedMeasure(((-0.3, 0.5), (0.4, 1.0)), base_constant=0.2)
 
 
 def make_plan(**kw):
@@ -147,9 +150,11 @@ def test_rate_experiment_chunking_invariance(monkeypatch):
     blocks = []
     synth = hmod.fft_paths
 
-    def spy(h, grid, master_seed, first_replicate, out, workers=1):
+    def spy(h, grid, master_seed, first_replicate, out, workers=1,
+            first_component=0):
         blocks.append(out.shape[0])
-        synth(h, grid, master_seed, first_replicate, out, workers)
+        synth(h, grid, master_seed, first_replicate, out, workers,
+              first_component)
 
     monkeypatch.setattr(hmod, "fft_paths", spy)
     for plan in (make_plan(replicates=50),
@@ -179,15 +184,13 @@ def test_rate_experiment_chunking_invariance(monkeypatch):
 def test_streamed_errors_equal_materialised_batch(monkeypatch):
     import fbmlab.harness as hmod
 
-    mu = SignedMeasure(((-0.3, 0.5), (0.4, 1.0)), base_constant=0.2)
     for pair in ((2, 2), (2, 1)):
-        plan = make_plan(n_values=(8, 16, 32), integrand=mu, t=0.83,
+        plan = make_plan(n_values=(8, 16, 32), integrand=TWO_ATOMS, t=0.83,
                          replicates=12, component_pair=pair, fine_factor=16)
         fine = GridSpec(plan.t, plan.fine_n)
         batch = sample_fft_batch(plan.hurst, fine, plan.master_seed, 12,
                                  plan.components, first_replicate=5)
-        i, j = pair
-        want = _path_errors(plan, fine, batch[:, i - 1], batch[:, j - 1])
+        want = _path_errors(plan, fine, batch[:, pair[0] - 1])
         # streamed in blocks of 5, 5 and 2 replicates
         monkeypatch.setattr(hmod, "GROUP_VALUES", 5 * 2 * fine.num_nodes)
         np.testing.assert_array_equal(_replicate_errors(plan, 5, 12), want)
@@ -221,12 +224,33 @@ def test_auto_scaled_run_extends_the_pilot():
     assert auto.stderr == fixed.stderr
 
 
+def _dense_cross_moments(plan, fine, bi):
+    """E[S_n^2 | B^i] at i != j as the dense form n^{4H-2} g'Dg, per row of
+    ``bi``: g_m = f(B^i_m) - f(B^i at the left node of step m's coarse
+    step) and D the covariance of the fine increments of B^j."""
+    times = fine.nodes()
+    cov = fbm_covariance(plan.hurst, times[:, None], times[None, :])
+    incr_cov = np.diff(np.diff(cov, axis=0), axis=1)
+    out = np.empty((len(plan.n_values), bi.shape[0]))
+    for gi, n in enumerate(plan.n_values):
+        r = fine.refinement_of(GridSpec(plan.t, n))
+        left = np.arange(fine.num_nodes - 1) // r * r
+        for row, path in enumerate(bi):
+            v = eval_integrand(plan.integrand, path)
+            g = v[:-1] - v[left]
+            out[gi, row] = n ** (4 * plan.hurst - 2) * g @ incr_cov @ g
+    return out
+
+
 def _per_path_errors(plan, first, count):
-    """The harness's errors from per-row calls of the public batch kernels."""
+    """The harness's per-replicate second moments from per-row calls of the
+    public batch kernels at i = j, and from the dense form at i != j."""
     fine = GridSpec(plan.t, plan.fine_n)
     batch = sample_fft_batch(plan.hurst, fine, plan.master_seed, count,
                              plan.components, first_replicate=first)
     i, j = plan.component_pair
+    if i != j:
+        return _dense_cross_moments(plan, fine, batch[:, i - 1])
     atoms = plan.integrand.atoms
 
     def sign_change(b, a, grid):
@@ -235,18 +259,13 @@ def _per_path_errors(plan, first, count):
 
     errs = np.empty((len(plan.n_values), count))
     for r in range(count):
-        bi, bj = batch[r, i - 1], batch[r, j - 1]
+        bi = batch[r, i - 1]
         for gi, n in enumerate(plan.n_values):
             grid = GridSpec(plan.t, n)
-            if i == j:
-                errs[gi, r] = sum(
-                    2 * c * (sign_change(bi, a, grid) - sign_change(bi, a, fine))
-                    for a, c in atoms)
-            else:
-                errs[gi, r] = n ** (2 * plan.hurst - 1) * (
-                    riemann_sums(bi, bj, fine, plan.integrand, fine)
-                    - riemann_sums(bi, bj, fine, plan.integrand, grid))
-    return errs
+            errs[gi, r] = sum(
+                2 * c * (sign_change(bi, a, grid) - sign_change(bi, a, fine))
+                for a, c in atoms)
+    return errs**2
 
 
 @pytest.mark.parametrize("kind, pair, t", [
@@ -254,13 +273,50 @@ def _per_path_errors(plan, first, count):
     ("fine_riemann", (1, 2), 0.83),
 ])
 def test_batch_errors_match_per_path_route(kind, pair, t):
-    mu = SignedMeasure(((-0.3, 0.5), (0.4, 1.0)), base_constant=0.2)
-    plan = make_plan(n_values=(8, 16, 32), integrand=mu, t=t, replicates=12,
-                     component_pair=pair, fine_factor=16)
+    plan = make_plan(n_values=(8, 16, 32), integrand=TWO_ATOMS, t=t,
+                     replicates=12, component_pair=pair, fine_factor=16)
     assert plan.reference_kind == kind
     got = _replicate_errors(plan, 5, 12)
     want = _per_path_errors(plan, 5, 12)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("t", [1.0, 0.83])
+@pytest.mark.parametrize("mu", [indicator_measure(0.0), TWO_ATOMS],
+                         ids=["indicator", "two_atoms"])
+def test_cross_moments_equal_the_dense_form(mu, t):
+    # the variogram form over the support nodes is the dense quadratic form
+    # in all fine increments, a partial last step included
+    plan = make_plan(n_values=(8, 16, 32), integrand=mu, t=t,
+                     component_pair=(1, 2), fine_factor=16)
+    fine = GridSpec(plan.t, plan.fine_n)
+    assert fine.num_nodes <= 513
+    bi = sample_fft_batch(plan.hurst, fine, 23, 16)[:, 0]
+    got = _path_errors(plan, fine, bi)
+    want = _dense_cross_moments(plan, fine, bi)
+    assert (want > 0).sum() >= 30
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+def test_cross_moments_are_the_mean_over_independent_bj():
+    # given B^i, the mean of the squared Riemann-sum error over independent
+    # B^j is E[S_n^2 | B^i]
+    plan = make_plan(n_values=(8, 16, 32), integrand=TWO_ATOMS,
+                     component_pair=(1, 2), fine_factor=8)
+    fine = GridSpec(plan.t, plan.fine_n)
+    bi = sample_fft_batch(plan.hurst, fine, 2301, 3)[:, 0]
+    bj = sample_fft_batch(plan.hurst, fine, 2302, 4000)[:, 0]
+    moments = _path_errors(plan, fine, bi)
+    for row, path in enumerate(bi):
+        rows = np.broadcast_to(path, bj.shape)
+        ref = riemann_sums(rows, bj, fine, plan.integrand, fine)
+        for gi, n in enumerate(plan.n_values):
+            grid = GridSpec(plan.t, n)
+            sq = (n ** (2 * plan.hurst - 1)
+                  * (ref - riemann_sums(rows, bj, fine, plan.integrand, grid)))**2
+            assert moments[gi, row] > 0
+            z = (sq.mean() - moments[gi, row]) / (sq.std(ddof=1) / np.sqrt(len(sq)))
+            assert abs(z) < 4, (row, n, z)
 
 
 def test_rate_report_rows():

@@ -100,12 +100,12 @@ def test_second_moment_exceeds_first_squared():
 
 
 def test_second_moment_raises_when_unconverged():
-    # at H = 0.99 the substitution u = r^{1/(1-H)} = r^100 underflows near
-    # r = 0 and the integrand turns NaN: the oracle raises, never returns NaN,
-    # and says so rather than quoting a NaN tolerance
+    # at H = 0.999 the substitution x = r^{1/(1-H)} / 2 = r^1000 / 2 leaves
+    # the rule too few nodes where the integrand lives: the two resolutions
+    # disagree and the oracle raises rather than return the value
     for a in (0.0, 0.5):
-        with pytest.raises(RuntimeError, match="quadrature value is not finite"):
-            moment_oracle(0.99, 1.0, a, p=2)
+        with pytest.raises(RuntimeError, match="relative tolerance .* > 1e-6"):
+            moment_oracle(0.999, 1.0, a, p=2)
 
 
 def _level_zero_reference(mp, h):
@@ -254,14 +254,14 @@ BEFORE_CLOSED_FORM = {
 }
 
 
-# (0.98, 1, 0.5) raised as not finite before and still does
+# (0.98, 1, 0.5) raised as not finite before; it now converges and is
+# checked against mpmath in test_second_moment_near_one_matches_mpmath
 @pytest.mark.parametrize("h, t, a", [
     (0.5, 1.0, 0.0), (0.6, 1.0, -0.0), (0.55, 0.3, 0.5), (0.75, 1.0, 0.5),
     (0.75, 2.5, -0.5), (0.9, 1.0, 0.0), (0.98, 1.0, 0.5)])
 def test_second_moment_within_budget_of_tensor_rule(h, t, a):
     if (h, t, a) not in BEFORE_CLOSED_FORM:
-        with pytest.raises(RuntimeError, match="quadrature value is not finite"):
-            moment_oracle(h, t, a, p=2)
+        assert np.isfinite(moment_oracle(h, t, a, p=2))
         return
     assert moment_oracle(h, t, a, p=2) == pytest.approx(
         BEFORE_CLOSED_FORM[h, t, a], rel=1e-6)
@@ -279,11 +279,31 @@ def test_second_moment_at_one_third_matches_tensor_rule(a):
 
 
 def test_second_moment_raise_set_near_one():
-    # the substitution underflows above H = 0.9775, at every level
+    # x underflows to 0 at the first nodes above H = 0.9775, where rho takes
+    # its limit 1; the two-resolution estimate still declines H = 0.999
     for a in (0.0, 0.5):
         assert np.isfinite(moment_oracle(0.9775, 1.0, a, p=2))
-        with pytest.raises(RuntimeError, match="quadrature value is not finite"):
-            moment_oracle(0.98, 1.0, a, p=2)
+        assert np.isfinite(moment_oracle(0.98, 1.0, a, p=2))
+        with pytest.raises(RuntimeError, match="relative tolerance"):
+            moment_oracle(0.999, 1.0, a, p=2)
+
+
+def test_correlation_gap_takes_its_limit_at_zero():
+    x = np.array([0.0, 1e-300, 0.25])
+    rho = localtime._correlation_gap(0.98, x)
+    assert rho[0] == 1.0
+    kappa = ((1 + x[1:]) ** 1.96 - 1 - x[1:] ** 1.96) / (2 * x[1:] ** 0.98)
+    np.testing.assert_allclose(rho[1:], 1 - kappa**2, rtol=1e-12)
+
+
+# above H = 0.9775 x underflows at the first nodes of the rule
+@pytest.mark.parametrize("h, t, a", [(0.98, 1.0, 0.5), (0.99, 1.0, 0.0)])
+def test_second_moment_near_one_matches_mpmath(h, t, a):
+    pytest.importorskip("mpmath")
+    from second_moment_references import second_moment_reference
+
+    assert moment_oracle(h, t, a, p=2) == pytest.approx(
+        second_moment_reference(h, t, a), rel=1e-9)
 
 
 @pytest.mark.parametrize("p", [1.0, 1 + 1e-12, 1.1111111111111112, 4 / 3,
