@@ -9,15 +9,15 @@ returning an array of shape (replicates, components, nodes):
   increment process (Davies-Harte), O(N log N).
 
 The circulant-embedding synthesis itself is :func:`fft_paths`, a plain
-function that writes the paths of consecutive replicates into rows the
-caller owns; it is the one place where increments are summed into paths.
-The normals go through two buffers of at most ``BLOCK_VALUES`` values: the
-inverse transform writes over the normals, and each sub-block's increments
-are summed into the caller's rows while they are still in cache.
-:func:`sample_fft_batch` writes into its output array, so its memory is
-the output plus a few MB; the rate experiments write one block of
-replicates at a time into one reused buffer of their own
-(``harness.GROUP_VALUES``).
+function that hands the paths of consecutive replicates to a callback of
+the caller's, one sub-block at a time; it is the one place where
+increments are summed into paths.  The normals go through two buffers of
+at most ``BLOCK_VALUES`` values: the inverse transform writes over the
+normals, and each sub-block's increments are summed into paths in place,
+while they are still in cache.  :func:`sample_fft_batch` copies each
+sub-block into its output array, so its memory is the output plus a few
+MB; the rate experiments hand each sub-block to their kernels, so they
+hold no path outside the synthesis buffers.
 
 :func:`fft_ranges` is the one worker-range dispatch: it cuts a replicate
 range into ``RANGES_PER_WORKER`` contiguous ranges per worker thread
@@ -545,33 +545,38 @@ def fft_ranges(h, grid: GridSpec, first: int, total: int, threads, work) -> None
 
 
 def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
-              out: np.ndarray, workers: int = 1, first_component: int = 0) -> None:
-    """Circulant-embedding paths of replicates ``first_replicate`` onwards,
-    one per row of ``out`` (shape (count, components, num_nodes)), column 0
-    (the origin, 0.0) included.  Components likewise count from
-    ``first_component``: ``out[r, c]`` is the path keyed (master_seed,
-    first_replicate + r, first_component + c), so one component of a
-    multi-component batch is drawn alone.
+              count: int, take, workers: int = 1, components: int = 1,
+              first_component: int = 0) -> None:
+    """Circulant-embedding paths of ``count`` replicates from
+    ``first_replicate`` on, handed to ``take(start, paths)`` one sub-block at
+    a time: ``paths`` (shape (rows, components, num_nodes), column 0 the
+    origin, 0.0) holds replicates ``first_replicate + start`` onwards and is
+    a view of a reused buffer, valid until ``take`` returns.  Components
+    likewise count from ``first_component``: ``paths[r, c]`` is the path
+    keyed (master_seed, first_replicate + start + r, first_component + c),
+    so one component of a multi-component batch is drawn alone.
 
-    The rows are synthesised in sub-blocks of at most
-    ``BLOCK_VALUES // workers`` embedding values (at least one row) through
-    two buffers allocated once per call, the normals, which the transform
-    overwrites, and their half spectrum; each sub-block's increments are
-    summed into its rows straight from the transform output.  So the
-    ``workers`` calls that :func:`fft_ranges` runs at once hold what one
-    alone would.
+    The keys are hashed once per call, and the rows are synthesised in
+    sub-blocks of at most ``BLOCK_VALUES // workers`` embedding values (at
+    least one row) through two buffers allocated once per call: the
+    normals, one spare column before each row, and their half spectrum.
+    The transform writes the increments over the normals, and they are
+    summed into paths in place, from the origin in the spare column, so
+    the paths never leave the normals buffer.  So the ``workers`` calls
+    that :func:`fft_ranges` runs at once hold what one alone would.
     """
     h = as_hurst(h)
-    count, components = out.shape[:2]
     key = _keyed_streams(master_seed, first_replicate, count, components,
                          first_component)
-    out[..., 0] = 0.0
     k = grid.full_steps
     if k == 0:
         scale = grid.t_end ** h.value
+        paths = np.zeros((count, components, 2))
         for r in range(count):
             for c in range(components):
-                out[r, c, 1] = scale * key(r, c).standard_normal()
+                paths[r, c, 1] = scale * key(r, c).standard_normal()
+        if count:
+            take(0, paths)
         return
     partial = grid.has_partial_step
     if partial:
@@ -579,21 +584,22 @@ def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
         weighted = np.empty(k)
     amp = _embedding_amplitude(h.value, k, grid.points_per_unit)
     m = 2 * (amp.shape[0] - 1)
-    subs = row_blocks(count, m, workers)
+    subs = row_blocks(count, components * m, workers)
     sub_rows = subs[0].stop if subs else 0
-    zeta = np.empty((sub_rows, m))
+    # m >= 2k, so the k + 1 nodes and a partial step's node fit in m + 1
+    zeta = np.empty((sub_rows, components, m + 1))
     spec = np.empty((sub_rows, m // 2 + 1), dtype=complex)
     extra = np.empty(sub_rows)
     for sub in subs:
         nb = sub.stop - sub.start
         for c in range(components):
+            normals = zeta[:nb, c, 1:]
             for r in range(nb):
                 rng = key(sub.start + r, c)
-                rng.standard_normal(out=zeta[r])
+                rng.standard_normal(out=normals[r])
                 if partial:
                     extra[r] = rng.standard_normal()
-            fgn = _fgn_from_normals(amp, zeta[:nb], spec[:nb])[:, :k]
-            np.cumsum(fgn, axis=-1, out=out[sub, c, 1 : k + 1])
+            fgn = _fgn_from_normals(amp, normals, spec[:nb])[:, :k]
             if partial:
                 # one pairwise sum per row, through one reused row buffer,
                 # so no result depends on the block, and no BLAS dot, whose
@@ -601,7 +607,12 @@ def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
                 for r in range(nb):
                     extra[r] = (np.multiply(fgn[r], w, out=weighted).sum()
                                 + cond_std * extra[r])
-                out[sub, c, k + 1] = out[sub, c, k] + extra[:nb]
+            zeta[:nb, c, 0] = 0.0  # the origin, which the cumsum keeps
+            path = zeta[:nb, c, : k + 1]
+            np.cumsum(path, axis=-1, out=path)
+            if partial:
+                zeta[:nb, c, k + 1] = path[:, k] + extra[:nb]
+        take(sub.start, zeta[:nb, :, : grid.num_nodes])
 
 
 def sample_fft_batch(
@@ -618,15 +629,19 @@ def sample_fft_batch(
     Same distribution and substream contract as :func:`sample_exact_batch`.
     The terminal partial increment (when present) is drawn exactly from its
     conditional law given the uniform increments.  The worker threads of
-    :func:`fft_ranges` (at most ``threads``, default the CPU count) write
-    the paths of :func:`fft_paths` straight into the returned array, and
+    :func:`fft_ranges` (at most ``threads``, default the CPU count) copy
+    the sub-blocks of :func:`fft_paths` into the returned array, and
     the result does not depend on ``threads``.
     """
     _check_keys(master_seed, first_replicate, count)
     out = np.empty((count, components, grid.num_nodes))
 
     def fill(a, b, workers):
-        fft_paths(h, grid, master_seed, first_replicate + a, out[a:b], workers)
+        def take(start, paths):
+            out[a + start : a + start + len(paths)] = paths
+
+        fft_paths(h, grid, master_seed, first_replicate + a, b - a, take,
+                  workers, components)
 
     fft_ranges(h, grid, 0, count, threads, fill)
     return out

@@ -1,13 +1,13 @@
 """Monte Carlo orchestration: discretisation-error experiments and rate fits.
 
 Each worker thread of ``fbm.fft_ranges`` takes contiguous ranges of
-replicates and works through each range in blocks of consecutive
-replicates of about ``GROUP_VALUES`` path values.  ``fbm.fft_paths``
-writes a block's paths of component i, the only component drawn, into one
-reused buffer, so no batch of all the range's paths is ever held and a
-worker's memory does not grow with the replicate count.  Each replicate
-gives one second moment per coarse resolution n, all from the same path
-(common random numbers), for all of the block's replicates at once:
+replicates, and ``fbm.fft_paths`` hands each range's paths of component i,
+the only component drawn, to the kernels one synthesis sub-block at a
+time, straight from its own buffer.  So no path outlives its sub-block,
+and a worker's memory is the synthesis's two sub-block buffers whatever
+the replicate count.  Each replicate gives one second moment per coarse
+resolution n, all from the same path (common random numbers), for all of
+the sub-block's replicates at once:
 
 * at i = j, the squared error (S_n - integral of L dmu)^2, with S_n the
   closed-form crossing sum of ``integrals`` and the local-time limit
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import BLOCK_VALUES, GridSpec, as_hurst, fft_paths, fft_ranges
+from .fbm import GridSpec, as_hurst, fft_paths, fft_ranges
 from .integrals import SignedMeasure, crossing_sums
 
 __all__ = [
@@ -49,10 +49,6 @@ PILOT_REPLICATES = 200
 REPLICATE_CAP = 10_000
 # cap on replicates x fine-grid nodes to keep runs desk-scale
 BUDGET_VALUES = 2e10
-# path values per block of replicates: every kernel call on a block hands the
-# interpreter lock between worker threads, so a block spans several synthesis
-# blocks
-GROUP_VALUES = 4 * BLOCK_VALUES
 
 
 class PlanError(ValueError):
@@ -225,13 +221,18 @@ def _cross_moments(plan: ExperimentPlan, fine: GridSpec,
     coarse step that holds such a node, at that step's right end.  So
     sum w = 0, and the variance is the variogram form
     -1/2 sum_{a,b} w_a w_b |t_a - t_b|^{2H} over those few nodes, at their
-    times ``fine.nodes()`` (so a partial last step is exact).  Each row's
-    form is a pairwise sum of its own terms, with no BLAS, so it does not
-    depend on the block the row is in.
+    node times a / fine_n, and t_end at a partial last node (so a partial
+    last step is exact).  Each row's form is a pairwise sum of its own
+    terms, with no BLAS, so it does not depend on the block the row is in.
     """
     hv = as_hurst(plan.hurst).value
-    times = fine.nodes()
     last = fine.num_nodes - 1
+    partial_node = last if fine.has_partial_step else -1
+
+    def times(idx):  # fine.nodes()[idx], bit for bit, without the grid
+        return np.where(idx == partial_node, fine.t_end,
+                        idx / fine.points_per_unit)
+
     levels = [(n, fine.refinement_of(GridSpec(plan.t, n)))
               for n in plan.n_values]
     out = np.zeros((len(levels), bi.shape[0]))
@@ -253,7 +254,7 @@ def _cross_moments(plan: ExperimentPlan, fine: GridSpec,
         for gi, (n, r) in enumerate(levels):
             ends, step = np.unique(np.minimum(-(-m // r) * r, last),
                                    return_inverse=True)
-            t = np.concatenate((times[m], times[ends]))
+            t = times(np.concatenate((m, ends)))
             w = np.concatenate((-d, np.bincount(step, weights=d,
                                                 minlength=len(ends))))
             form = (np.multiply.outer(w, w)
@@ -294,19 +295,17 @@ def _replicate_errors(plan: ExperimentPlan, first: int, count: int,
                       workers: int = 1) -> np.ndarray:
     """Per-replicate second moments (``_path_errors``) of replicates
     [first, first+count), shape (len(n_values), count).  Only component i
-    is drawn, in blocks of as many replicates as ``GROUP_VALUES`` holds at
-    ``plan.components`` paths each, into one reused buffer; ``workers``
+    is drawn, and each synthesis sub-block of ``fft_paths`` goes straight
+    to the kernels, so no path is held beyond its sub-block; ``workers``
     goes to ``fft_paths``."""
     fine = GridSpec(plan.t, plan.fine_n)
-    i = plan.component_pair[0]
-    step = max(1, GROUP_VALUES // (plan.components * fine.num_nodes))
-    paths = np.empty((min(step, count), 1, fine.num_nodes))
     errs = np.empty((len(plan.n_values), count))
-    for start in range(0, count, step):
-        block = paths[:count - start]
-        fft_paths(plan.hurst, fine, plan.master_seed, first + start, block,
-                  workers, first_component=i - 1)
-        errs[:, start:start + len(block)] = _path_errors(plan, fine, block[:, 0])
+
+    def take(start, paths):
+        errs[:, start:start + len(paths)] = _path_errors(plan, fine, paths[:, 0])
+
+    fft_paths(plan.hurst, fine, plan.master_seed, first, count, take, workers,
+              first_component=plan.component_pair[0] - 1)
     return errs
 
 
@@ -314,10 +313,10 @@ def _collect(plan: ExperimentPlan, first: int, total: int, threads) -> np.ndarra
     """Per-replicate second moments of replicates [first, total), shape
     (len(n_values), total - first).
 
-    The workers take ``fbm.RANGES_PER_WORKER`` contiguous ranges each, so
-    they allocate path buffers a fixed number of times whatever the
-    replicate count; ``fbm.fft_paths`` allocates its synthesis buffers once
-    per block."""
+    The workers take ``fbm.RANGES_PER_WORKER`` contiguous ranges each, and
+    ``fbm.fft_paths`` hashes a range's keys and allocates its synthesis
+    buffers once per range, so both happen a fixed number of times whatever
+    the replicate count."""
     out = np.empty((len(plan.n_values), total - first))
 
     def work(a, b, workers):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fbmlab.fbm as fbm
 import fbmlab.harness as harness
 from fbmlab.fbm import GridSpec, sample_fft_batch
 from fbmlab.integrals import indicator_measure
@@ -75,16 +76,25 @@ def test_cross_component_runs_draw_only_component_i(monkeypatch, pair):
     drawn = {}
     synth = harness.fft_paths
 
-    def spy(h, grid, master_seed, first_replicate, out, workers=1,
-            first_component=0):
-        synth(h, grid, master_seed, first_replicate, out, workers,
-              first_component)
-        assert out.shape[1] == 1
-        for r, path in enumerate(out[:, 0]):
-            drawn[first_replicate + r, first_component] = path.copy()
+    def spy(h, grid, master_seed, first_replicate, count, take, workers=1,
+            components=1, first_component=0):
+        assert components == 1
+
+        def spy_take(start, paths):
+            assert paths.shape[1] == 1
+            for r, path in enumerate(paths[:, 0]):
+                drawn[first_replicate + start + r, first_component] = path.copy()
+            take(start, paths)
+
+        synth(h, grid, master_seed, first_replicate, count, spy_take, workers,
+              components, first_component)
 
     monkeypatch.setattr(harness, "fft_paths", spy)
-    monkeypatch.setattr(harness, "GROUP_VALUES", 4 * 2 * fine.num_nodes)
+    # sub-blocks of one row under two workers, so the ranges of two
+    # replicates are handed over in two sub-blocks
+    m = 2 * (fbm._embedding_amplitude(plan.hurst, fine.full_steps,
+                                      fine.points_per_unit).shape[0] - 1)
+    monkeypatch.setattr(fbm, "BLOCK_VALUES", 2 * m)
     harness.run_rate_experiment(plan, threads=2)
     i = pair[0]
     assert sorted(drawn) == [(r, i - 1) for r in range(9)]

@@ -340,12 +340,23 @@ def test_stalled_worker_leaves_its_later_ranges_to_the_others():
     assert sorted(done) == [(10 * p, 10 * p + 10) for p in range(1, parts)]
 
 
+def _collect_paths(count, components, nodes):
+    """An (count, components, nodes) array of NaN and an ``fft_paths``
+    ``take`` that copies each sub-block into it."""
+    rows = np.full((count, components, nodes), np.nan)
+
+    def take(start, paths):
+        rows[start:start + len(paths)] = paths
+
+    return rows, take
+
+
 @pytest.mark.parametrize("grid", [GridSpec(1.0, 64), GridSpec(0.83, 64),
                                   GridSpec(0.01, 64)])
 def test_fft_paths_fill_whole_rows(grid):
-    # every column is written, the origin too, whatever the rows held
-    rows = np.full((5, 2, grid.num_nodes), np.nan)
-    fft_paths(0.7, grid, 3, 4, rows)
+    # every column is handed over, the origin too, whatever the buffer held
+    rows, take = _collect_paths(5, 2, grid.num_nodes)
+    fft_paths(0.7, grid, 3, 4, 5, take, components=2)
     assert (rows[..., 0] == 0.0).all()
     paths = sample_fft_batch(0.7, grid, 3, 5, 2, first_replicate=4)
     assert rows.tobytes() == paths.tobytes()
@@ -358,32 +369,39 @@ def test_fft_paths_draw_components_from_first_component(grid):
     # the replicate keys, so one component is drawn alone
     batch = sample_fft_batch(0.7, grid, 3, 5, 3, first_replicate=4)
     for first in (1, 2):
-        rows = np.full((5, 3 - first, grid.num_nodes), np.nan)
-        fft_paths(0.7, grid, 3, 4, rows, first_component=first)
+        rows, take = _collect_paths(5, 3 - first, grid.num_nodes)
+        fft_paths(0.7, grid, 3, 4, 5, take, components=3 - first,
+                  first_component=first)
         assert rows.tobytes() == batch[:, first:].tobytes()
     with pytest.raises(ValueError, match="first_component"):
-        fft_paths(0.7, grid, 3, 4, rows, first_component=-1)
+        fft_paths(0.7, grid, 3, 4, 5, take, first_component=-1)
 
 
 def test_fft_paths_hold_two_sub_block_buffers():
-    # the normals, transformed in place, and their half spectrum: no third
-    # buffer for the transform output, no scaled copy of the amplitude, and
-    # off the grid one reused row of weighted increments for the partial
-    # step (2.00 and 2.21 buffers here; 2.25 and 2.67 with a (rows, k)
-    # product per sub-block and the amplitude scaled per call)
+    # the normals, whose transform and paths are written in place, and their
+    # half spectrum: no third buffer for the transform output or the paths,
+    # no scaled copy of the amplitude, and off the grid one reused row of
+    # weighted increments for the partial step (2.00 and 2.21 buffers here;
+    # 2.25 and 2.67 with a (rows, k) product per sub-block and the amplitude
+    # scaled per call)
     m = 2**17  # the embedding of 2^16 steps
     rows = max(1, BLOCK_VALUES // m)
+    sizes = []
+
+    def take(start, paths):
+        sizes.append(len(paths))
+
     for t in (1.0, 0.83):
         grid = GridSpec(t, 2**16)
-        out = np.empty((4 * rows, 1, grid.num_nodes))
-        fft_paths(0.75, grid, 1, 0, out)  # fill the caches untraced
+        fft_paths(0.75, grid, 1, 0, 4 * rows, take)  # fill the caches untraced
         tracemalloc.start()
         try:
-            fft_paths(0.75, grid, 1, 0, out)
+            fft_paths(0.75, grid, 1, 0, 4 * rows, take)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2.25 * rows * m * 8, (t, peak / (rows * m * 8))
+    assert sizes == [rows] * 16
 
 
 def test_exact_batch_offset_contract():

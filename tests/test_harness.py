@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fbmlab.fbm as fmod
 from fbmlab.fbm import GridSpec, fbm_covariance, resolve_threads, sample_fft_batch
 from fbmlab.harness import (
     ExperimentPlan,
@@ -141,39 +142,45 @@ def test_rate_experiment_smoke_and_determinism():
     assert all(l2 > 0 for l2 in r1.l2_error)
 
 
+def _embedding_size(plan):
+    """The circulant embedding size m of the plan's fine grid: a synthesis
+    sub-block of ``fbm.BLOCK_VALUES`` = s m holds s rows for one worker."""
+    fine = GridSpec(plan.t, plan.fine_n)
+    return 2 * (fmod._embedding_amplitude(
+        plan.hurst, fine.full_steps, fine.points_per_unit).shape[0] - 1)
+
+
 def test_rate_experiment_chunking_invariance(monkeypatch):
-    # results must not depend on where the worker ranges, the streamed blocks
-    # and the synthesis blocks begin and end
-    import fbmlab.fbm as fmod
+    # results must not depend on where the worker ranges and the synthesis
+    # sub-blocks handed to the kernels begin and end
     import fbmlab.harness as hmod
 
     blocks = []
     synth = hmod.fft_paths
 
-    def spy(h, grid, master_seed, first_replicate, out, workers=1,
-            first_component=0):
-        blocks.append(out.shape[0])
-        synth(h, grid, master_seed, first_replicate, out, workers,
-              first_component)
+    def spy(h, grid, master_seed, first_replicate, count, take, workers=1,
+            components=1, first_component=0):
+        def spy_take(start, paths):
+            blocks.append(paths.shape[0])
+            take(start, paths)
+
+        synth(h, grid, master_seed, first_replicate, count, spy_take, workers,
+              components, first_component)
 
     monkeypatch.setattr(hmod, "fft_paths", spy)
     for plan in (make_plan(replicates=50),
                  make_plan(replicates=50, component_pair=(1, 2), t=0.83)):
         ref = run_rate_experiment(plan, threads=1)
-        fine = GridSpec(plan.t, plan.fine_n)
-        m = 2 * (fmod._embedding_amplitude(plan.hurst, fine.full_steps,
-                                           fine.points_per_unit).shape[0] - 1)
         with monkeypatch.context() as patch:
-            # synthesis blocks of 2 rows inside streamed blocks of 7
-            patch.setattr(fmod, "BLOCK_VALUES", 2 * m)
-            patch.setattr(hmod, "GROUP_VALUES", 7 * plan.components * fine.num_nodes)
+            # sub-blocks of 6 rows for one worker, 3 for two and 2 for three
+            patch.setattr(fmod, "BLOCK_VALUES", 6 * _embedding_size(plan))
             # one worker range of 50 replicates; with RANGES_PER_WORKER = 3,
             # six ranges of 8, 8, 9, 8, 8 and 9 under two workers and nine
             # of 5 and 6 under three
             assert fmod.RANGES_PER_WORKER == 3
-            for threads, sizes in ((1, [7] * 7 + [1]),
-                                   (2, [7, 1] * 4 + [7, 2] * 2),
-                                   (3, [5, 6] * 4 + [6])):
+            for threads, sizes in ((1, [6] * 8 + [2]),
+                                   (2, [3, 3, 2] * 4 + [3, 3, 3] * 2),
+                                   (3, [2, 2, 1] * 4 + [2, 2, 2] * 5)):
                 blocks.clear()
                 alt = run_rate_experiment(plan, threads=threads)
                 assert sorted(blocks) == sorted(sizes)
@@ -182,8 +189,6 @@ def test_rate_experiment_chunking_invariance(monkeypatch):
 
 
 def test_streamed_errors_equal_materialised_batch(monkeypatch):
-    import fbmlab.harness as hmod
-
     for pair in ((2, 2), (2, 1)):
         plan = make_plan(n_values=(8, 16, 32), integrand=TWO_ATOMS, t=0.83,
                          replicates=12, component_pair=pair, fine_factor=16)
@@ -191,14 +196,15 @@ def test_streamed_errors_equal_materialised_batch(monkeypatch):
         batch = sample_fft_batch(plan.hurst, fine, plan.master_seed, 12,
                                  plan.components, first_replicate=5)
         want = _path_errors(plan, fine, batch[:, pair[0] - 1])
-        # streamed in blocks of 5, 5 and 2 replicates
-        monkeypatch.setattr(hmod, "GROUP_VALUES", 5 * 2 * fine.num_nodes)
+        # streamed in sub-blocks of 5, 5 and 2 replicates
+        monkeypatch.setattr(fmod, "BLOCK_VALUES", 5 * _embedding_size(plan))
         np.testing.assert_array_equal(_replicate_errors(plan, 5, 12), want)
 
 
 def test_replicate_errors_memory_does_not_grow_with_count():
     # 64 replicates on a fine grid of 131073 nodes would be a 67 MB batch;
-    # the stream holds one block of about GROUP_VALUES values instead
+    # the stream holds the synthesis's two sub-block buffers (2 MB each at
+    # one row of the 2^18-value embedding) and one row's kernel temporaries
     plan = make_plan(n_values=(128, 256, 512), fine_factor=256, replicates=64)
     assert 64 * (plan.fine_n + 1) * 8 >= 64 * 2**20
     _replicate_errors(plan, 0, 1)  # fill the embedding cache untraced
@@ -209,7 +215,29 @@ def test_replicate_errors_memory_does_not_grow_with_count():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * 2**20, (count, peak)
+        # 4.27 MB measured at both counts (11.0 MB with a path buffer of
+        # its own per block of replicates)
+        assert peak <= 6 * 2**20, (count, peak)
+
+
+@pytest.mark.parametrize("t", [1.0, 0.83])
+def test_two_worker_run_holds_a_few_sub_blocks(t):
+    # at fine_n 16384 (an embedding of 2^15 values) each of two workers
+    # synthesises sub-blocks of 2^17 values, two buffers of 1 MB, and hands
+    # them to the kernels; a path buffer of its own per block of 2^20 values
+    # (8.3 MB) took the peak to 19.8 MB at t = 1 and 29-31 MB at t = 0.83
+    # against 4.3 and 5.3 MB measured here
+    plan = make_plan(n_values=(64, 128, 256, 512, 1024), t=t, replicates=400,
+                     fine_factor=16)
+    assert plan.fine_n == 16384
+    run_rate_experiment(plan, threads=2)  # fill the caches untraced
+    tracemalloc.start()
+    try:
+        run_rate_experiment(plan, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak
 
 
 def test_auto_scaled_run_extends_the_pilot():
