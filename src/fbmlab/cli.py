@@ -169,9 +169,10 @@ def _cmd_localtime(args):
     opts = {} if args.threads is None else {"threads": args.threads}
     paths = sample_fft_batch(args.H, grid, args.seed, args.replicates, 1,
                              **opts)[:, 0]
-    # the estimators run here, not on the sampler's workers, whose
-    # per-thread malloc arenas would keep their temporaries and raise the
-    # peak memory
+    # the estimators run here, after the sampler's workers are done: the
+    # calling thread is one of them and its malloc arena is already filled,
+    # while the pool threads' per-thread arenas would keep the estimators'
+    # temporaries and raise the peak memory
     rows = []
     for a in levels:
         if args.estimator == "sign":

@@ -22,8 +22,12 @@ hold no path outside the synthesis buffers.
 :func:`fft_ranges` is the one worker-range dispatch: it cuts a replicate
 range into ``RANGES_PER_WORKER`` contiguous ranges per worker thread
 (``threads``, default the CPU count), and each worker takes the next
-range when it finishes one.  The rate experiments and
-:func:`sample_fft_batch` draw their paths through it.  The workers split
+range when it finishes one.  The calling thread is one of the workers,
+beside one pool thread fewer: set-up and one-thread runs have already
+filled its malloc arena, so it draws without raising the peak memory,
+where a waiting caller would leave each worker to fill an arena of its
+own.  The rate experiments and :func:`sample_fft_batch` draw their paths
+through it.  The workers split
 the synthesis budget, ``BLOCK_VALUES // workers`` values each (at least
 one row), so a call's buffers add up to those of one worker.
 
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 import operator
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -516,10 +521,17 @@ def fft_ranges(h, grid: GridSpec, first: int, total: int, threads, work) -> None
     :func:`fft_paths`.  One worker runs the whole range in the calling
     thread.
 
-    More workers share ``RANGES_PER_WORKER`` ranges each: a worker takes
-    the next range when it finishes one, so a worker whose CPU is taken
-    by other load leaves its later ranges to the others, and the call
-    does not wait for a fixed half at the slower CPU's pace.
+    More workers share ``RANGES_PER_WORKER`` ranges each, handed out in
+    order: a worker takes the next range when it finishes one, so a worker
+    whose CPU is taken by other load leaves its later ranges to the
+    others, and the call does not wait for a fixed half at the slower
+    CPU's pace.  The calling thread is one of the workers, beside
+    ``workers - 1`` pool threads: the set-up and any one-thread run have
+    already filled its malloc arena, so it draws without growing the
+    peak, where an idle caller would leave every worker to fill an arena
+    of its own.  Once a range raises (a ``KeyboardInterrupt`` in the
+    caller too), no further range is handed out, and the exception
+    propagates when the ranges already taken have finished.
 
     The workers draw Davies-Harte paths on ``grid`` and share its cached
     embedding spectrum and partial-step law, so those are computed here
@@ -533,15 +545,31 @@ def fft_ranges(h, grid: GridSpec, first: int, total: int, threads, work) -> None
         return
     parts = workers * RANGES_PER_WORKER
     cuts = [first + (total - first) * p // parts for p in range(parts + 1)]
-    ranges = [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+    todo = deque((a, b) for a, b in zip(cuts, cuts[1:]) if b > a)
     h = as_hurst(h)
     if grid.full_steps > 0:
         _embedding_amplitude(h.value, grid.full_steps, grid.points_per_unit)
         if grid.has_partial_step:
             _partial_step_weights(h, grid)
-    # the pool's queue hands the ranges out in order as workers free up
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda r: work(*r, workers), ranges))
+
+    def drain():
+        # popleft and clear are atomic, so each range is handed out once
+        try:
+            while True:
+                try:
+                    a, b = todo.popleft()
+                except IndexError:
+                    return
+                work(a, b, workers)
+        except BaseException:
+            todo.clear()  # hand out no further range
+            raise
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+    for helper in helpers:
+        helper.result()
 
 
 def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
@@ -628,9 +656,10 @@ def sample_fft_batch(
 
     Same distribution and substream contract as :func:`sample_exact_batch`.
     The terminal partial increment (when present) is drawn exactly from its
-    conditional law given the uniform increments.  The worker threads of
-    :func:`fft_ranges` (at most ``threads``, default the CPU count) copy
-    the sub-blocks of :func:`fft_paths` into the returned array, and
+    conditional law given the uniform increments.  The workers of
+    :func:`fft_ranges` (at most ``threads``, default the CPU count; the
+    calling thread, whose malloc arena is already filled, is one of them)
+    copy the sub-blocks of :func:`fft_paths` into the returned array, and
     the result does not depend on ``threads``.
     """
     _check_keys(master_seed, first_replicate, count)

@@ -1,13 +1,15 @@
 """Monte Carlo orchestration: discretisation-error experiments and rate fits.
 
-Each worker thread of ``fbm.fft_ranges`` takes contiguous ranges of
-replicates, and ``fbm.fft_paths`` hands each range's paths of component i,
-the only component drawn, to the kernels one synthesis sub-block at a
-time, straight from its own buffer.  So no path outlives its sub-block,
-and a worker's memory is the synthesis's two sub-block buffers whatever
-the replicate count.  Each replicate gives one second moment per coarse
-resolution n, all from the same path (common random numbers), for all of
-the sub-block's replicates at once:
+Each worker of ``fbm.fft_ranges`` takes contiguous ranges of replicates;
+the calling thread is one of them, because the set-up and any one-thread
+run have already filled its malloc arena, so a run of w workers adds the
+arenas of w - 1 pool threads, not w.  ``fbm.fft_paths`` hands each
+range's paths of component i, the only component drawn, to the kernels
+one synthesis sub-block at a time, straight from its own buffer.  So no
+path outlives its sub-block, and a worker's memory is the synthesis's two
+sub-block buffers whatever the replicate count.  Each replicate gives one
+second moment per coarse resolution n, all from the same path (common
+random numbers), for all of the sub-block's replicates at once:
 
 * at i = j, the squared error (S_n - integral of L dmu)^2, with S_n the
   closed-form crossing sum of ``integrals`` and the local-time limit
@@ -313,10 +315,11 @@ def _collect(plan: ExperimentPlan, first: int, total: int, threads) -> np.ndarra
     """Per-replicate second moments of replicates [first, total), shape
     (len(n_values), total - first).
 
-    The workers take ``fbm.RANGES_PER_WORKER`` contiguous ranges each, and
-    ``fbm.fft_paths`` hashes a range's keys and allocates its synthesis
-    buffers once per range, so both happen a fixed number of times whatever
-    the replicate count."""
+    The workers, the calling thread among them (its malloc arena is already
+    filled, so it adds no memory), take ``fbm.RANGES_PER_WORKER``
+    contiguous ranges each, and ``fbm.fft_paths`` hashes a range's keys and
+    allocates its synthesis buffers once per range, so both happen a fixed
+    number of times whatever the replicate count."""
     out = np.empty((len(plan.n_values), total - first))
 
     def work(a, b, workers):

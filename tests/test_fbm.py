@@ -1,6 +1,8 @@
 """Unit tests for path generation: covariance formulas, grids, samplers."""
 
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -320,24 +322,96 @@ def test_partial_step_negative_variance_raises_beyond_rounding(
         _partial_step_weights.cache_clear()
 
 
-def test_stalled_worker_leaves_its_later_ranges_to_the_others():
-    # ranges go to whichever worker is free: while the worker holding the
-    # first range waits, the other one draws all the rest
+@pytest.mark.parametrize("stall_caller", [True, False],
+                         ids=["calling_thread", "pool_thread"])
+def test_stalled_worker_leaves_its_later_ranges_to_the_others(stall_caller):
+    # ranges go to whichever worker is free: while one worker waits on its
+    # first range, the other one draws all the rest.  The other worker
+    # waits on its first range until the stall has begun, so neither can
+    # take every range before the other starts.
     parts = 2 * RANGES_PER_WORKER
-    done = []
-    rest_done = threading.Event()
+    stalled, done = [], []
+    stall_began, rest_done = threading.Event(), threading.Event()
 
     def work(a, b, workers):
         assert workers == 2
-        if a == 0:
-            assert rest_done.wait(30)
-            return
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == stall_caller:
+            if not stalled:
+                stalled.append((a, b))
+                stall_began.set()
+                assert rest_done.wait(30)
+                return
+        elif not done:
+            assert stall_began.wait(30)
         done.append((a, b))
         if len(done) == parts - 1:
             rest_done.set()
 
     fft_ranges(0.7, GridSpec(1.0, 16), 0, 10 * parts, 2, work)
-    assert sorted(done) == [(10 * p, 10 * p + 10) for p in range(1, parts)]
+    assert len(stalled) == 1
+    assert sorted(stalled + done) == [(10 * p, 10 * p + 10) for p in range(parts)]
+
+
+def test_calling_thread_is_one_of_the_workers():
+    # at threads=2 the caller draws ranges beside one pool thread; the first
+    # two ranges meet at a barrier, so each goes to a different worker
+    before = threading.active_count()
+    barrier = threading.Barrier(2)
+    threads, counts = set(), []
+
+    def work(a, b, workers):
+        assert workers == 2
+        threads.add(threading.current_thread())
+        counts.append(threading.active_count())
+        if a < 20:
+            barrier.wait(30)
+
+    fft_ranges(0.7, GridSpec(1.0, 16), 0, 10 * 2 * RANGES_PER_WORKER, 2, work)
+    assert threading.main_thread() in threads
+    assert len(threads) == 2
+    assert max(counts) <= before + 1
+
+
+def test_each_range_is_handed_out_once_under_contention():
+    # eight workers on two CPUs, switching threads every microsecond: a range
+    # handed out twice or lost would break the cover
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for total in (24, 100):
+            seen.clear()
+            fft_ranges(0.7, GridSpec(1.0, 16), 5, 5 + total, 8,
+                       lambda a, b, workers: seen.append((a, b)))
+            cover = sorted(seen)
+            assert len(cover) == 8 * RANGES_PER_WORKER
+            assert [a for a, _ in cover[1:]] == [b for _, b in cover[:-1]]
+            assert (cover[0][0], cover[-1][1]) == (5, 5 + total)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("raiser", ["range_0", "caller_interrupted"])
+def test_first_failure_stops_the_hand_out(raiser):
+    # once a range raises, no further range starts and the exception
+    # propagates; the other worker may only finish the range it holds
+    started = []
+    exc = ValueError if raiser == "range_0" else KeyboardInterrupt
+
+    def work(a, b, workers):
+        started.append(a)
+        if raiser == "range_0":
+            fails = a == 0
+        else:
+            fails = threading.current_thread() is threading.main_thread()
+        if fails:
+            raise exc("stop")
+        time.sleep(0.2)
+
+    with pytest.raises(exc, match="stop"):
+        fft_ranges(0.7, GridSpec(1.0, 16), 0, 2 * RANGES_PER_WORKER, 2, work)
+    assert len(started) <= 2, started
 
 
 def _collect_paths(count, components, nodes):

@@ -1,7 +1,11 @@
 """Rate-experiment orchestration: plans, fits, determinism."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +242,40 @@ def test_two_worker_run_holds_a_few_sub_blocks(t):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20, peak
+
+
+_TWO_THREAD_GROWTH_SCRIPT = """
+import resource
+from fbmlab.harness import ExperimentPlan, run_rate_experiment
+from fbmlab.integrals import indicator_measure
+
+plan = ExperimentPlan(0.75, (128, 256, 512), indicator_measure(0.0),
+                      component_pair=(1, 2), replicates=8, master_seed=1,
+                      fine_factor=256)
+assert plan.fine_n == 131072
+run_rate_experiment(plan, threads=1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+run_rate_experiment(plan, threads=2)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(after - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_two_thread_run_reuses_the_callers_arena():
+    # after a one-thread run at i != j on a fine grid of 131072 steps (2 MB
+    # sub-block buffers), a two-thread run draws on the calling thread and
+    # one pool thread.  The caller's malloc arena already holds its buffers,
+    # so the peak grows by 0.0 MB (three runs); with the caller idle and two
+    # pool threads drawing, it grew by 7.4-9.3 MB
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _TWO_THREAD_GROWTH_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    growth_kib = int(proc.stdout)
+    assert growth_kib <= 3 * 1024, growth_kib / 1024
 
 
 def test_auto_scaled_run_extends_the_pilot():
