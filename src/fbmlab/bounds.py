@@ -209,17 +209,25 @@ def factorisation_scaling(hurst: float, h_levels):
 # appendix-lemma oracles
 # ---------------------------------------------------------------------------
 
+def _require_theta(theta: float) -> None:
+    if not (np.isfinite(theta) and theta >= 0):
+        raise ValueError(f"theta must be finite and nonnegative, got {theta}")
+
+
 def lemma_a1_oracle(theta: float) -> float:
     """Exact value theta^2 / 2 of the expected crossing-kernel integral
     E[int |y + X - alpha| 1{sgn(y + X - alpha) != sgn(y - alpha)} dy]."""
-    if not (np.isfinite(theta) and theta >= 0):
-        raise ValueError(f"theta must be finite and nonnegative, got {theta}")
+    _require_theta(theta)
     return theta * theta / 2.0
 
 
 def lemma_a1_mc(theta: float, samples: int = 1_000_000, seed: int = 0) -> float:
     """MC companion: the y-integral given X equals X^2/2 exactly, so the
-    estimate is mean(X^2)/2 over X ~ N(0, theta^2)."""
+    estimate is mean(X^2)/2 over X ~ N(0, theta^2).  ``theta`` follows
+    :func:`lemma_a1_oracle`'s rule and ``samples`` must be >= 1."""
+    _require_theta(theta)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     x = substream(seed, 0).standard_normal(samples) * theta
     return float(np.mean(x * x) / 2.0)
 
@@ -230,7 +238,11 @@ def lemma_a2_check(theta1: float, theta2: float, samples: int = 100_000,
 
     The y-integrals are interval lengths: per sample they equal |X2| and
     |X1||X2| respectively, bounded in mean by |theta2| and |theta1 theta2|.
+    Both thetas must be finite.
     """
+    if not (np.isfinite(theta1) and np.isfinite(theta2)):
+        raise ValueError(f"theta1 and theta2 must be finite, got {theta1}, "
+                         f"{theta2}")
     if samples < 100_000:
         raise ValueError("samples must be >= 1e5")
     rng = substream(seed, 0)

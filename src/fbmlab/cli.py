@@ -242,6 +242,11 @@ def _cmd_rate(args):
     return 0
 
 
+# each verify-bounds suite's least --samples: one triple for cov, the
+# floors of decoupling_scaling and lemma_a2_check for the others
+_SAMPLES_FLOOR = {"cov": 1, "decoupling": 1000, "lemmas": 10**5}
+
+
 def _cmd_verify_bounds(args):
     from . import bounds, covariance
 
@@ -249,6 +254,11 @@ def _cmd_verify_bounds(args):
     # every suite writes H into its rows and manifest
     if not 0.0 < args.H < 1.0:  # NaN fails the comparison too
         raise CliError(f"--H must lie in (0, 1), got {args.H}")
+    floor = _SAMPLES_FLOOR[args.suite]
+    if args.samples < floor:
+        raise CliError(f"--samples must be >= {floor}, got {args.samples}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     h_grid = _float_list("--h-grid", args.h_grid) if args.h_grid else \
         [2.0**-k for k in range(3, 10)]
     rows = []
@@ -275,8 +285,6 @@ def _cmd_verify_bounds(args):
         if res["status"] == "FAIL":
             raise CliError("decoupling scaling failed with adequate power")
     else:  # lemmas
-        if args.samples < 10**5:  # lemma_a2_check's floor
-            raise CliError(f"--samples must be >= 100000, got {args.samples}")
         for theta in (0.5, 1.0, 2.0):
             mc = bounds.lemma_a1_mc(theta, args.samples, args.seed)
             rows.append(("lemma_a1_mc", theta, args.H, mc))

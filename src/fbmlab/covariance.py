@@ -13,6 +13,7 @@ asserted at a numeric level.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -28,6 +29,8 @@ __all__ = [
 ]
 
 CONDITION_LIMIT = 1e12
+# triples per block of covariance_increment_bound_check
+COV_CHECK_BLOCK = 8192
 
 
 def _increasing(times) -> np.ndarray:
@@ -136,23 +139,39 @@ def covariance_increment_bound_check(h, trials: int, rng_seed: int):
 
     Valid for H > 1/2; ``trials`` random triples (t, u <= v) in [0, 1]^3
     (the bound scales with T^{2H}, so [0, 1] covers every horizon).
-    Returns {violations, max_ratio} with 1e-12 rounding slack; max_ratio
-    is lhs / (t^{2H-1}(v - u)) and must stay below beta.
+    Returns {violations, max_ratio, beta} with 1e-12 rounding slack;
+    max_ratio is lhs / (t^{2H-1}(v - u)) and must stay below beta.
+
+    The stream of ``substream(rng_seed, 0)`` holds every t first, then
+    every (u, v) pair.  The triples are drawn and checked
+    ``COV_CHECK_BLOCK`` at a time, from two copies of that stream, the
+    second advanced past the t values (a uniform double takes one PCG64
+    output), so every triple is the one a whole-array draw gives.  The
+    memory, about 0.8 MB traced, does not grow with ``trials``.
     """
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise TypeError(f"trials must be an integer, got {trials!r}") from None
     if trials < 1:
         raise ValueError("the number of samples (trials) must be >= 1, "
                          f"got {trials}")
     h = as_hurst(h)
     h.require_rough_regime()
     beta = increment_level_bound_constant(h)
-    rng = substream(rng_seed, 0)
-    t = rng.uniform(0, 1, trials)
-    pair = rng.uniform(0, 1, (trials, 2))
-    u = np.minimum(pair[:, 0], pair[:, 1])
-    v = np.maximum(pair[:, 0], pair[:, 1])
-    lhs = np.abs(fbm_covariance(h, v, t) - fbm_covariance(h, u, t))
-    scale = t ** (2 * h.value - 1) * (v - u)
-    bad = lhs > beta * scale + 1e-12
-    ratio = np.where(scale > 0, lhs / np.maximum(scale, 1e-300), 0.0)
-    return {"violations": int(bad.sum()), "max_ratio": float(ratio.max()),
-            "beta": beta}
+    t_rng = substream(rng_seed, 0)
+    pair_rng = substream(rng_seed, 0)
+    pair_rng.bit_generator.advance(trials)
+    violations, max_ratio = 0, -np.inf
+    for start in range(0, trials, COV_CHECK_BLOCK):
+        size = min(COV_CHECK_BLOCK, trials - start)
+        t = t_rng.uniform(0, 1, size)
+        pair = pair_rng.uniform(0, 1, (size, 2))
+        u = np.minimum(pair[:, 0], pair[:, 1])
+        v = np.maximum(pair[:, 0], pair[:, 1])
+        lhs = np.abs(fbm_covariance(h, v, t) - fbm_covariance(h, u, t))
+        scale = t ** (2 * h.value - 1) * (v - u)
+        violations += int(np.count_nonzero(lhs > beta * scale + 1e-12))
+        ratio = np.where(scale > 0, lhs / np.maximum(scale, 1e-300), 0.0)
+        max_ratio = max(max_ratio, float(ratio.max()))
+    return {"violations": violations, "max_ratio": max_ratio, "beta": beta}

@@ -5,7 +5,8 @@ same Gauss-Legendre nodes on each panel of a partition, and
 ``_graded_rule`` on panels shrinking geometrically toward the singular
 end(s) of [0, 1].  ``_iterated_integral`` applies a rule over inner
 intervals that depend on an outer variable (none for a 1-D integral),
-with the integrand evaluated as one array per block of outer nodes.
+with the integrand evaluated in parts of a block of outer nodes and summed
+one block at a time.
 """
 
 from __future__ import annotations
@@ -14,8 +15,15 @@ import functools
 
 import numpy as np
 
-# elements per evaluated block: keeps each temporary near 256 kB
+# elements per summed block of outer nodes: sets the order of the sum
 _BLOCK_ELEMENTS = 1 << 15
+# elements per evaluated part of a block, 56 kB a temporary.  glibc's
+# malloc maps a chunk of 128 kB or more on its own and unmaps it when
+# freed, and a free of 64 kB or more trims the heap top, unless earlier,
+# larger frees in the process raised those thresholds; larger temporaries
+# are then faulted in afresh for each block, 6400 page faults (about
+# 10 ms) per density_shift_integral(0.75, 256)
+_PART_ELEMENTS = 7 << 10
 
 
 def _panel_rule(edges, order: int):
@@ -55,11 +63,17 @@ def _iterated_integral(f, rows, row_weights, start, end, rule):
     """
     y, wy = rule
     block = max(1, _BLOCK_ELEMENTS // len(y))
+    part = max(1, _PART_ELEMENTS // len(y))
+    buf = np.empty((min(block, len(row_weights)), len(y)))
     total = 0.0
     for i in range(0, len(row_weights), block):
         sl = slice(i, i + block)
         lo = start[sl, None]
         span = end[sl, None] - lo
-        vals = f(*(col[sl, None] for col in rows), lo + span * y)
+        vals = buf[:len(lo)]
+        for j in range(0, len(lo), part):
+            ps = slice(j, j + part)
+            vals[ps] = f(*(col[sl][ps, None] for col in rows),
+                         lo[ps] + span[ps] * y)
         total += float(row_weights[sl] * np.abs(span[:, 0]) @ (vals @ wy))
     return total

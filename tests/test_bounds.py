@@ -1,5 +1,10 @@
 """Decoupling surrogate, scaling regressions and Gaussian identities."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -139,6 +144,24 @@ def test_lemma_a2_bounds_hold():
         lemma_a2_check(1.0, 1.0, samples=10)
 
 
+def test_lemma_a1_mc_follows_the_oracles_theta_rule():
+    # each of these returned NaN or a value for a theta the oracle refuses
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            lemma_a1_mc(bad, 10)
+    for samples in (0, -3):  # an empty mean was NaN with a warning
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            lemma_a1_mc(1.0, samples)
+    assert lemma_a1_mc(0.0, 10) == 0.0
+
+
+def test_lemma_a2_check_rejects_nonfinite_thetas():
+    # lhs2 was NaN and the verdict a silent False
+    for thetas in ((np.nan, 1.0), (1.0, np.inf), (-np.inf, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            lemma_a2_check(*thetas)
+
+
 def test_density_shift_integral_positive_and_level_damped():
     v0 = density_shift_integral(0.7, 64, a=0.0)
     v2 = density_shift_integral(0.7, 64, a=2.0)
@@ -197,6 +220,44 @@ def test_density_shift_integral_is_bit_identical_to_unshared_powers(
     got = density_shift_integral(h, n, a)
     monkeypatch.setattr(bounds, "_phi_pair", _phi_pair_both_powers)
     assert got.hex() == density_shift_integral(h, n, a).hex()
+
+
+@pytest.mark.parametrize("h, n, a", [
+    (0.55, 16, 0.0), (0.75, 256, 0.0), (0.75, 256, 0.5), (0.9, 1024, -1.0)])
+def test_density_shift_integral_is_bit_identical_in_parts(monkeypatch, h, n, a):
+    # the integrand is evaluated in parts of each summed block; one part
+    # per block must give the same bits
+    from fbmlab import quadrature
+
+    got = density_shift_integral(h, n, a)
+    monkeypatch.setattr(quadrature, "_PART_ELEMENTS", quadrature._BLOCK_ELEMENTS)
+    assert got.hex() == density_shift_integral(h, n, a).hex()
+
+
+_DENSITY_SHIFT_FAULTS_SCRIPT = """
+import resource
+from fbmlab.bounds import density_shift_integral
+
+density_shift_integral(0.75, 256)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+density_shift_integral(0.75, 256)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the fault count is glibc's malloc on Linux")
+def test_density_shift_integral_reuses_its_memory():
+    # in a fresh interpreter, where no earlier large free has raised
+    # malloc's thresholds: a second call faults in about 200 pages; with
+    # 256 kB temporaries each block took its pages from the system afresh,
+    # 6400 faults a call
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _DENSITY_SHIFT_FAULTS_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 1500, int(proc.stdout)
 
 
 @pytest.mark.parametrize("a", [0.0, 2.0])

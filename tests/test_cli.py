@@ -337,7 +337,7 @@ def test_verify_bounds_cov_rejects_bad_samples(capsys, samples):
     rc = run(["verify-bounds", "--suite", "cov", "--samples", samples])
     assert rc == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: the number of samples")
+    assert captured.err.startswith("error: --samples ")
     assert captured.out == ""
 
 
@@ -459,7 +459,15 @@ def test_invalid_arguments_exit_code(capsys):
                            "8"], "--threads") for k in ("0", "-3")),
                        *((["verify-bounds", "--suite", suite, "--H", h], "--H")
                          for suite in ("cov", "decoupling", "lemmas")
-                         for h in ("7", "nan", "0"))):
+                         for h in ("7", "nan", "0")),
+                       *((["verify-bounds", "--suite", suite, "--samples", k],
+                          "--samples")
+                         for suite, k in (("cov", "0"), ("decoupling", "10"),
+                                          ("decoupling", "999"),
+                                          ("lemmas", "0"))),
+                       *((["verify-bounds", "--suite", suite, "--seed", "-1"],
+                          "--seed")
+                         for suite in ("cov", "decoupling", "lemmas"))):
         capsys.readouterr()
         assert run(argv) == 1, argv
         captured = capsys.readouterr()

@@ -244,25 +244,33 @@ def test_two_worker_run_holds_a_few_sub_blocks(t):
     assert peak <= 8 * 2**20, peak
 
 
+# VmHWM is the peak RSS since exec.  ru_maxrss will not do: Linux carries
+# the spawning process's peak across exec, so under a larger pytest both
+# readings are pytest's own peak and the growth reads 0 whatever the run
 _TWO_THREAD_GROWTH_SCRIPT = """
-import resource
 from fbmlab.harness import ExperimentPlan, run_rate_experiment
 from fbmlab.integrals import indicator_measure
+
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+
 
 plan = ExperimentPlan(0.75, (128, 256, 512), indicator_measure(0.0),
                       component_pair=(1, 2), replicates=8, master_seed=1,
                       fine_factor=256)
 assert plan.fine_n == 131072
 run_rate_experiment(plan, threads=1)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kib()
 run_rate_experiment(plan, threads=2)
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(after - before)
+print(peak_kib() - before)
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="ru_maxrss is in KiB on Linux only")
+                    reason="reads VmHWM from /proc/self/status")
 def test_two_thread_run_reuses_the_callers_arena():
     # after a one-thread run at i != j on a fine grid of 131072 steps (2 MB
     # sub-block buffers), a two-thread run draws on the calling thread and
