@@ -218,6 +218,8 @@ def _cmd_rate(args):
         raise CliError(f"pair must be two digits such as 11 or 12, not {pair!r}")
     i, j = int(pair[0]), int(pair[1])
     seed = args.seed if args.seed is not None else settings["seed"]
+    if seed < 0:  # a negative --seed was refused before dispatch
+        raise CliError(f"seed must be >= 0, got {seed}")
     plan = ExperimentPlan(
         hurst=h, n_values=n_values, integrand=indicator_measure(level),
         component_pair=(i, j), t=settings["t"], replicates=settings["replicates"],
@@ -257,8 +259,6 @@ def _cmd_verify_bounds(args):
     floor = _SAMPLES_FLOOR[args.suite]
     if args.samples < floor:
         raise CliError(f"--samples must be >= {floor}, got {args.samples}")
-    if args.seed < 0:
-        raise CliError(f"--seed must be >= 0, got {args.seed}")
     h_grid = _float_list("--h-grid", args.h_grid) if args.h_grid else \
         [2.0**-k for k in range(3, 10)]
     rows = []
@@ -396,6 +396,9 @@ def parse_and_dispatch(argv=None) -> int:
     try:
         if args.threads is not None and args.threads < 1:
             raise CliError(f"--threads must be >= 1, got {args.threads}")
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise CliError(f"--seed must be >= 0, got {seed}")
         return args.func(args)
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)

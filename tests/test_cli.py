@@ -250,7 +250,7 @@ def test_rate_rejects_bad_pair(tmp_path, capsys, pair):
                                    "t = 0\n", "t = -1\n", "t = nan\n",
                                    "reference = bogus\n", "replicates = 1.5\n",
                                    "H = abc\n", "t = one\n", "seed = x\n",
-                                   "n_values = 16,a,64\n"])
+                                   "n_values = 16,a,64\n", "seed = -1\n"])
 def test_rate_rejects_bad_config_values(tmp_path, capsys, extra):
     rc = run(["rate", "--config", _rate_cfg(tmp_path, extra)])
     assert rc == 1
@@ -467,7 +467,12 @@ def test_invalid_arguments_exit_code(capsys):
                                           ("lemmas", "0"))),
                        *((["verify-bounds", "--suite", suite, "--seed", "-1"],
                           "--seed")
-                         for suite in ("cov", "decoupling", "lemmas"))):
+                         for suite in ("cov", "decoupling", "lemmas")),
+                       (["simulate", "--H", "0.75", "--n", "8", "--seed", "-1"],
+                        "--seed"),
+                       (["localtime", "--H", "0.75", "--n", "8", "--levels",
+                         "0", "--seed", "-1"], "--seed"),
+                       (["rate", "--seed", "-1"], "--seed")):
         capsys.readouterr()
         assert run(argv) == 1, argv
         captured = capsys.readouterr()

@@ -12,6 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from fbmlab.covariance import (
     COV_CHECK_BLOCK,
+    R3_MULTIPLIERS,
+    _increment_covariance,
+    _r3_points,
     covariance_increment_bound_check,
     determinant_sandwich,
     eigenvalue_bracket,
@@ -19,7 +22,7 @@ from fbmlab.covariance import (
     increment_cov,
     increment_level_bound_constant,
 )
-from fbmlab.fbm import as_hurst, fbm_covariance, substream
+from fbmlab.fbm import as_hurst, fbm_covariance
 
 
 def test_windows_reject_degenerate():
@@ -125,16 +128,17 @@ def test_increment_level_bound_requires_rough_regime():
 
 
 def _whole_array_bound_check(h, trials, rng_seed):
-    """The certificate as one draw of every triple at once: all t, then
-    all (u, v) pairs from the same stream."""
+    """The certificate on every point at once: element
+    (rng_seed mod 2^32) 2^32 + i of the R3 sequence for i = 1..trials."""
     h = as_hurst(h)
     beta = increment_level_bound_constant(h)
-    rng = substream(rng_seed, 0)
-    t = rng.uniform(0, 1, trials)
-    pair = rng.uniform(0, 1, (trials, 2))
-    u = np.minimum(pair[:, 0], pair[:, 1])
-    v = np.maximum(pair[:, 0], pair[:, 1])
-    lhs = np.abs(fbm_covariance(h, v, t) - fbm_covariance(h, u, t))
+    k = (np.arange(1, trials + 1, dtype=np.uint64)
+         + np.uint64(rng_seed % 2**32 * 2**32))
+    t, x2, x3 = ((k * np.uint64(a) >> np.uint64(11)).view(np.int64) * 2.0**-53
+                 for a in R3_MULTIPLIERS)
+    u = np.minimum(x2, x3)
+    v = np.maximum(x2, x3)
+    lhs = np.abs(_increment_covariance(h, u, v, t))
     scale = t ** (2 * h.value - 1) * (v - u)
     bad = lhs > beta * scale + 1e-12
     ratio = np.where(scale > 0, lhs / np.maximum(scale, 1e-300), 0.0)
@@ -151,6 +155,57 @@ def test_blocked_bound_check_equals_the_whole_array_draw(h, trials):
     assert blocked == _whole_array_bound_check(h, trials, 801)
 
 
+def test_r3_points_match_integer_arithmetic():
+    for seed in (0, 801, 2**32 + 801):
+        pts = _r3_points(seed, COV_CHECK_BLOCK - 3, 6)
+        for n in range(6):
+            k = (seed % 2**32) * 2**32 + COV_CHECK_BLOCK - 2 + n
+            want = [(k * a % 2**64 >> 11) * 2.0**-53 for a in R3_MULTIPLIERS]
+            assert pts[:, n].tolist() == want
+
+
+def test_r3_points_depend_on_the_seed_alone():
+    np.testing.assert_array_equal(_r3_points(7, 0, 1000), _r3_points(7, 0, 1000))
+    assert not np.any(_r3_points(0, 0, 1000) == _r3_points(1, 0, 1000))
+    # seeds congruent mod 2^32 share a stretch of the sequence
+    np.testing.assert_array_equal(_r3_points(2**32 + 7, 0, 1000),
+                                  _r3_points(7, 0, 1000))
+
+
+def test_r3_points_cover_the_cube_evenly():
+    # 10^5 pseudo-random points stray about 115 from N/64 in some bin
+    n = 100_000
+    pts = _r3_points(801, 0, n)
+    for coord in pts:
+        counts = np.bincount((coord * 64).astype(int), minlength=64)
+        assert np.max(np.abs(counts - n / 64)) <= 16
+    cells = (pts * 4).astype(int)
+    counts = np.bincount(cells[0] * 16 + cells[1] * 4 + cells[2], minlength=64)
+    assert np.max(np.abs(counts - n / 64)) <= 80
+
+
+def test_r3_multipliers_are_the_inverse_powers_of_the_root():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        g = mpmath.findroot(lambda x: x**4 - x - 1, 1.22)
+        want = tuple(int(mpmath.floor(mpmath.mpf(2)**64 / g**j))
+                     for j in (1, 2, 3))
+    assert R3_MULTIPLIERS == want
+
+
+def test_increment_covariance_matches_the_covariance_difference():
+    n = 10_000
+    t, x2, x3 = _r3_points(3, 0, n)
+    u, v = np.minimum(x2, x3), np.maximum(x2, x3)
+    for h in (0.55, 0.75, 0.95):
+        got = _increment_covariance(h, u, v, t)
+        want = fbm_covariance(h, v, t) - fbm_covariance(h, u, t)
+        scale = t ** (2 * h - 1) * (v - u)
+        assert np.all(np.abs(got - want) <= 1e-11 * scale)
+        # no t^{2H} to cancel: exactly 0 on the diagonal
+        assert np.all(_increment_covariance(h, u, u, t) == 0)
+
+
 def test_bound_check_rejects_a_non_integer_trial_count():
     with pytest.raises(TypeError, match="trials"):
         covariance_increment_bound_check(0.75, 2.5, 0)
@@ -158,9 +213,16 @@ def test_bound_check_rejects_a_non_integer_trial_count():
         covariance_increment_bound_check(0.75, 0, 0)
 
 
+def test_bound_check_rejects_a_negative_or_non_integer_seed():
+    with pytest.raises(ValueError, match="rng_seed"):
+        covariance_increment_bound_check(0.75, 10, -1)
+    with pytest.raises(TypeError):
+        covariance_increment_bound_check(0.75, 10, 1.5)
+
+
 def test_bound_check_memory_does_not_grow_with_trials():
-    # one block of triples is about 0.8 MB traced; 10^6 triples drawn at
-    # once are 74 MB
+    # one block of triples is about 0.9 MB traced; 10^6 triples at once
+    # are 74 MB
     tracemalloc.start()
     try:
         covariance_increment_bound_check(0.75, 10**6, 1)

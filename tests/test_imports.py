@@ -127,3 +127,29 @@ def test_numpy_only_paths_do_not_import_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+# Runs in a fresh interpreter: the covariance certificate, the first- and
+# second-moment oracles at a != 0 and the lemma A.1 oracle, all through the
+# CLI; none of them draws a random number, so no numpy.random module may load.
+_NO_RANDOM_SCRIPT = """
+import contextlib, io, sys
+import fbmlab.cli
+
+argvs = (["--quiet", "--output-dir", sys.argv[1], "verify-bounds", "--suite", "cov"],
+         ["oracle", "--lemma", "moments", "--a", "0.5", "--p", "1"],
+         ["oracle", "--lemma", "moments", "--a", "0.5", "--p", "2"],
+         ["oracle", "--lemma", "a1"])
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert fbmlab.cli.parse_and_dispatch(argv) == 0, argv
+print(",".join(sorted(m for m in sys.modules if m.startswith("numpy.random"))))
+"""
+
+
+def test_certificates_and_oracles_do_not_import_numpy_random(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", _NO_RANDOM_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
