@@ -12,9 +12,10 @@ The circulant-embedding synthesis itself is :func:`fft_paths`, a plain
 function that hands the paths of consecutive replicates to a callback of
 the caller's, one sub-block at a time; it is the one place where
 increments are summed into paths.  The normals go through two buffers of
-at most ``BLOCK_VALUES`` values: the inverse transform writes over the
-normals, and each sub-block's increments are summed into paths in place,
-while they are still in cache.  :func:`sample_fft_batch` copies each
+at most ``BLOCK_VALUES`` = 2^17 values (1 MB of float64 each, split
+between the workers): the inverse transform writes over the normals, and
+each sub-block's increments are summed into paths in place, while they
+are still in cache.  :func:`sample_fft_batch` copies each
 sub-block into its output array, so its memory is the output plus a few
 MB; the rate experiments hand each sub-block to their kernels, so they
 hold no path outside the synthesis buffers.
@@ -26,7 +27,8 @@ range when it finishes one.  The calling thread is one of the workers,
 beside one pool thread fewer: set-up and one-thread runs have already
 filled its malloc arena, so it draws without raising the peak memory,
 where a waiting caller would leave each worker to fill an arena of its
-own.  The rate experiments and :func:`sample_fft_batch` draw their paths
+own; ``concurrent.futures`` is imported only when a pool starts.  The rate
+experiments and :func:`sample_fft_batch` draw their paths
 through it.  The workers split
 the synthesis budget, ``BLOCK_VALUES // workers`` values each (at least
 one row), so a call's buffers add up to those of one worker.
@@ -55,7 +57,6 @@ from __future__ import annotations
 import operator
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -80,8 +81,11 @@ __all__ = [
 EXACT_NODE_CAP = 4096
 
 # values per row block of the FFT sampler and the Riemann kernel: a block's
-# float64 buffers (2 MB each) stay within a 4 MB L2 cache
-BLOCK_VALUES = 2**18
+# float64 buffers are 1 MB each, so two workers' synthesis buffers (0.5 MB
+# each) stay within a 4 MB L2 cache; at i = j the rate experiments' kernels
+# run on each sub-block in one crossing call, whose fixed cost no longer
+# needs larger sub-blocks
+BLOCK_VALUES = 2**17
 # replicate ranges per worker thread of fft_ranges; each range sets up its
 # own keys and buffers, so a few are enough to rebalance a slowed worker
 RANGES_PER_WORKER = 3
@@ -551,6 +555,10 @@ def fft_ranges(h, grid: GridSpec, first: int, total: int, threads, work) -> None
         _embedding_amplitude(h.value, grid.full_steps, grid.points_per_unit)
         if grid.has_partial_step:
             _partial_step_weights(h, grid)
+
+    # imported here, as it loads logging (0.7 MB) and one-worker calls need
+    # no pool
+    from concurrent.futures import ThreadPoolExecutor
 
     def drain():
         # popleft and clear are atomic, so each range is handed out once

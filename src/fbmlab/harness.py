@@ -13,7 +13,8 @@ random numbers), for all of the sub-block's replicates at once:
 
 * at i = j, the squared error (S_n - integral of L dmu)^2, with S_n the
   closed-form crossing sum of ``integrals`` and the local-time limit
-  functional from the fine grid;
+  functional from the fine grid, all grids in one ``crossing_sums`` call
+  per atom and sub-block;
 * at i != j, the conditional second moment E[S_n^2 | B^i] of
   S_n = n^{2H-1} (fine Riemann sum - coarse Riemann sum) of f(B^i) dB^j.
   B^j is independent of B^i, so given B^i, S_n is a centred Gaussian whose
@@ -32,6 +33,7 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -274,23 +276,27 @@ def _path_errors(plan: ExperimentPlan, fine: GridSpec,
     i, j = plan.component_pair
     if i != j:
         return _cross_moments(plan, fine, bi)
-    # closed-form route: S_n per atom, limit from the fine grid
-    hv = as_hurst(plan.hurst).value
-    grids = [GridSpec(plan.t, n) for n in plan.n_values]
-    atoms = plan.integrand.atoms
-
-    def sign_change(a, grid):  # closed-form S_n of 1_{x > a}, per replicate
-        n = grid.points_per_unit
-        return n ** (2 * hv - 1) * crossing_sums(bi, fine, a, grid)
-
-    errs = np.empty((len(grids), bi.shape[0]))
-    fine_sc = {a: sign_change(a, fine) for a, _ in atoms}
-    for gi, grid in enumerate(grids):
-        e = np.zeros(bi.shape[0])
-        for a, c in atoms:
-            e += 2 * c * (sign_change(a, grid) - fine_sc[a])
-        errs[gi] = e
+    # closed-form route: S_n per atom on every coarse grid and, last, the
+    # fine grid, whose S_n gives the limit, in one kernel call
+    grids, scale = _crossing_grids(plan.t, plan.n_values, fine,
+                                   as_hurst(plan.hurst).value)
+    errs = np.zeros((len(plan.n_values), bi.shape[0]))
+    for a, c in plan.integrand.atoms:
+        sign_change = scale * crossing_sums(bi, fine, a, grids)
+        errs += 2 * c * (sign_change[:-1] - sign_change[-1])
     return errs**2
+
+
+@lru_cache(maxsize=32)
+def _crossing_grids(t: float, n_values: tuple, fine: GridSpec, hv: float):
+    """The coarse grids of ``n_values`` and, last, ``fine``, with the column
+    of their factors n^{2H-1} (Python-float powers).  Cached, as the kernels
+    run on every synthesis sub-block and building the grids costs a third
+    of a two-row call."""
+    grids = tuple(GridSpec(t, n) for n in n_values) + (fine,)
+    scale = np.array([g.points_per_unit ** (2 * hv - 1) for g in grids])[:, None]
+    scale.flags.writeable = False
+    return grids, scale
 
 
 def _replicate_errors(plan: ExperimentPlan, first: int, count: int,

@@ -216,12 +216,12 @@ def test_samplers_reject_two_word_replicate_ids():
 
 
 def test_batch_equals_concatenated_singles():
-    # the second grid embeds in m = 2^17, so a synthesis block of one worker
+    # the second grid embeds in m = 2^16, so a synthesis block of one worker
     # holds two rows: three replicates span a two-row and a one-row block,
     # and the partial step (t = 0.83) is drawn in both
-    assert BLOCK_VALUES // 2**17 == 2
+    assert BLOCK_VALUES // 2**16 == 2
     for grid, components in ((GridSpec(1.0, 16), 1),
-                             (GridSpec(0.83, 2**16), 2)):
+                             (GridSpec(0.83, 2**15), 2)):
         batch = sample_fft_batch(0.7, grid, 5, 3, components, threads=1)
         for r in range(3):
             single = sample_fft_batch(0.7, grid, 5, 1, components,
@@ -458,15 +458,16 @@ def test_fft_paths_hold_two_sub_block_buffers():
     # weighted increments for the partial step (2.00 and 2.21 buffers here;
     # 2.25 and 2.67 with a (rows, k) product per sub-block and the amplitude
     # scaled per call)
-    m = 2**17  # the embedding of 2^16 steps
+    m = 2**16  # the embedding of 2^15 steps
     rows = max(1, BLOCK_VALUES // m)
+    assert rows == 2
     sizes = []
 
     def take(start, paths):
         sizes.append(len(paths))
 
     for t in (1.0, 0.83):
-        grid = GridSpec(t, 2**16)
+        grid = GridSpec(t, 2**15)
         fft_paths(0.75, grid, 1, 0, 4 * rows, take)  # fill the caches untraced
         tracemalloc.start()
         try:

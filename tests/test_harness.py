@@ -192,6 +192,42 @@ def test_rate_experiment_chunking_invariance(monkeypatch):
                 assert alt.stderr == ref.stderr
 
 
+def test_one_crossing_call_per_atom_per_sub_block(monkeypatch):
+    # at i = j the kernels take every coarse grid and the fine grid in one
+    # crossing_sums call per atom, whatever the number of n values: each
+    # call has a fixed cost of tens of microseconds, and the kernels run on
+    # every synthesis sub-block
+    import fbmlab.harness as hmod
+
+    calls, blocks = [], []
+    kernel, synth = hmod.crossing_sums, hmod.fft_paths
+
+    def spy_kernel(values, fine, a, grids, weights=None):
+        calls.append(len(values))
+        return kernel(values, fine, a, grids, weights)
+
+    def spy_synth(*args, **kw):
+        take = args[5]
+
+        def spy_take(start, paths):
+            blocks.append(len(paths))
+            take(start, paths)
+
+        synth(*args[:5], spy_take, *args[6:], **kw)
+
+    monkeypatch.setattr(hmod, "crossing_sums", spy_kernel)
+    monkeypatch.setattr(hmod, "fft_paths", spy_synth)
+    for mu in (indicator_measure(0.0), TWO_ATOMS):
+        plan = make_plan(integrand=mu, replicates=30, t=0.83)
+        with monkeypatch.context() as patch:
+            patch.setattr(fmod, "BLOCK_VALUES", 4 * _embedding_size(plan))
+            calls.clear()
+            blocks.clear()
+            run_rate_experiment(plan, threads=1)
+        assert blocks == [4] * 7 + [2]
+        assert calls == [b for b in blocks for _ in mu.atoms]
+
+
 def test_streamed_errors_equal_materialised_batch(monkeypatch):
     for pair in ((2, 2), (2, 1)):
         plan = make_plan(n_values=(8, 16, 32), integrand=TWO_ATOMS, t=0.83,
@@ -220,17 +256,19 @@ def test_replicate_errors_memory_does_not_grow_with_count():
         finally:
             tracemalloc.stop()
         # 4.27 MB measured at both counts (11.0 MB with a path buffer of
-        # its own per block of replicates)
+        # its own per block of replicates); a sub-block holds at least one
+        # row, so the 2^17-value budget leaves it as it was at 2^18
         assert peak <= 6 * 2**20, (count, peak)
 
 
 @pytest.mark.parametrize("t", [1.0, 0.83])
 def test_two_worker_run_holds_a_few_sub_blocks(t):
     # at fine_n 16384 (an embedding of 2^15 values) each of two workers
-    # synthesises sub-blocks of 2^17 values, two buffers of 1 MB, and hands
+    # synthesises sub-blocks of 2^16 values, two buffers of 0.5 MB, and hands
     # them to the kernels; a path buffer of its own per block of 2^20 values
-    # (8.3 MB) took the peak to 19.8 MB at t = 1 and 29-31 MB at t = 0.83
-    # against 4.3 and 5.3 MB measured here
+    # (8.3 MB) took the peak to 19.8 MB at t = 1 and 29-31 MB at t = 0.83,
+    # and sub-blocks of 2^17 values to 4.3 and 5.3 MB, against 2.2 and 2.4 MB
+    # measured here
     plan = make_plan(n_values=(64, 128, 256, 512, 1024), t=t, replicates=400,
                      fine_factor=16)
     assert plan.fine_n == 16384
@@ -241,7 +279,7 @@ def test_two_worker_run_holds_a_few_sub_blocks(t):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20, peak
+    assert peak <= 3.5 * 2**20, peak
 
 
 # VmHWM is the peak RSS since exec.  ru_maxrss will not do: Linux carries

@@ -153,3 +153,33 @@ def test_certificates_and_oracles_do_not_import_numpy_random(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+# Runs in a fresh interpreter: importing the package, the covariance
+# certificate and the moment oracle start no thread pool, so neither
+# concurrent.futures nor the logging it loads (0.7 MB) may be imported.
+_NO_POOL_SCRIPT = """
+import contextlib, io, sys
+import fbmlab
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("concurrent", "logging"))
+
+print(",".join(loaded()))
+import fbmlab.cli
+argvs = (["--quiet", "--output-dir", sys.argv[1], "verify-bounds", "--suite", "cov"],
+         ["oracle", "--lemma", "moments"])
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert fbmlab.cli.parse_and_dispatch(argv) == 0, argv
+print(",".join(loaded()))
+"""
+
+
+def test_package_and_oracles_do_not_import_concurrent_futures(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", _NO_POOL_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["", ""]

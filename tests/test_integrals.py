@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from fbmlab.fbm import GridSpec, sample_fft_batch
+from fbmlab.harness import ExperimentPlan, _path_errors
 from fbmlab.integrals import (
     SignedMeasure,
     _coarse_view,
+    _crossing_layout,
     crossing_sums,
     eval_integrand,
     indicator_measure,
@@ -134,12 +136,14 @@ def test_single_path_is_a_batch_row(name, t):
         assert np.ndim(row) == 0
         np.testing.assert_allclose(row, whole[r], rtol=1e-12, atol=0)
     if name == "riemann_sums":
-        # rows of >= 2^18 fine nodes: the kernel's blocks hold one row on the
-        # fine grid and four on n = 2^16 (a four-row and a two-row block)
+        # blocks of 2^17 values: one row on the fine grid, one (t = 1) or two
+        # (t = 0.83) on n = 2^16, and on n = 2^15 two three-row blocks at
+        # t = 1 and a four-row and a two-row block at t = 0.83
         fine = GridSpec(t, 2**19)
         walk = np.cumsum(np.random.default_rng(3).standard_normal(
             (6, fine.num_nodes)), axis=-1) * 2.0**-9.5
-        for grid in (fine, GridSpec(t, 2**16), GridSpec(t, 32)):
+        for grid in (fine, GridSpec(t, 2**16), GridSpec(t, 2**15),
+                     GridSpec(t, 32)):
             whole = fn(walk, fine, grid)
             rows = [fn(walk[r], fine, grid) for r in range(6)]
             np.testing.assert_array_equal(rows, whole)
@@ -170,11 +174,107 @@ def _coarse_values_fancy(values, fine, grid):
 def test_coarse_view_matches_fancy_index(t):
     fine = GridSpec(t, 256)
     values = np.random.default_rng(4).standard_normal((3, 2, fine.num_nodes))
-    for n in (16, 64, 256):
-        grid = GridSpec(t, n)
+    grids = tuple(GridSpec(t, n) for n in (16, 64, 256))
+    for grid in grids:
         got = _coarse_view(values, fine, grid)
         assert got.shape == (3, 2, grid.num_nodes)
         np.testing.assert_array_equal(got, _coarse_values_fancy(values, fine, grid))
+    # the crossing kernel's layout takes its nodes from the same rule
+    every = np.arange(fine.num_nodes)
+    np.testing.assert_array_equal(
+        _crossing_layout(fine, grids)[1],
+        np.concatenate([_coarse_values_fancy(every, fine, g) for g in grids]))
+
+
+def _crossing_sums_per_grid(values, fine, a, grid, weights=None):
+    """Reference: the one-grid crossing kernel that the multi-grid call
+    replaced, on the strided view of the grid's nodes."""
+    b = _coarse_view(values, fine, grid)
+    rows_shape = b.shape[:-1]
+    b = b.reshape(-1, b.shape[-1])
+    above = b > a
+    crossed = above[:, 1:] != above[:, :-1]
+    rows, steps = np.divmod(np.flatnonzero(crossed), crossed.shape[1])
+    terms = np.abs(b[rows, steps + 1] - a)
+    if weights is not None:
+        terms *= weights[steps]
+    return np.bincount(rows, weights=terms,
+                       minlength=b.shape[0]).reshape(rows_shape)
+
+
+def _paths_touching_levels(t, rows):
+    """Sampled paths, and a walk on the lattice of 1/8 from the origin,
+    whose nodes often sit exactly on the levels 0, 0.25 and -0.125."""
+    fine = GridSpec(t, 1024)
+    paths = sample_fft_batch(0.75, fine, 8, rows)[:, 0]
+    steps = np.random.default_rng(rows).integers(-1, 2, (rows, fine.num_nodes))
+    steps[:, 0] = 0
+    return fine, (paths, np.cumsum(steps, axis=-1) / 8)
+
+
+@pytest.mark.parametrize("t", [1.0, 0.83])
+@pytest.mark.parametrize("rows", [1, 2, 63])
+def test_multi_grid_crossings_equal_per_grid_calls(rows, t):
+    # one row of sums per grid, bit for bit those of the one-grid kernel;
+    # at t = 0.83 every grid ends on a partial step.  The walk touches the
+    # levels, where sgn(0) = -1 puts a node at a below it
+    fine, batches = _paths_touching_levels(t, rows)
+    grids = [GridSpec(t, n) for n in (16, 64, 256)] + [fine]
+    weights = np.random.default_rng(2).uniform(0.5, 2.0, grids[1].full_steps
+                                               + grids[1].has_partial_step)
+    for values in batches:
+        for a in (0.0, 0.25, -0.125):
+            got = crossing_sums(values, fine, a, grids)
+            assert got.shape == (len(grids), rows)
+            for gi, grid in enumerate(grids):
+                want = _crossing_sums_per_grid(values, fine, a, grid)
+                assert got[gi].tobytes() == want.tobytes()
+                assert crossing_sums(values, fine, a, grid).tobytes() == want.tobytes()
+            # one grid with weights, as the local-time estimator calls it
+            want = _crossing_sums_per_grid(values, fine, a, grids[1], weights)
+            got = crossing_sums(values, fine, a, grids[1], weights)
+            assert got.tobytes() == want.tobytes()
+        # a single path gives one 0-d sum per grid
+        assert crossing_sums(values[0], fine, 0.0, grids).shape == (len(grids),)
+    touched = batches[1][:, ::16] == 0.0
+    assert touched[:, 1:].any()
+    with pytest.raises(ValueError, match="single grid"):
+        crossing_sums(batches[0], fine, 0.0, grids, weights)
+
+
+def _path_errors_per_grid(plan, fine, bi):
+    """Reference: the harness's i = j second moments from one per-grid
+    kernel call per atom and grid, as before the multi-grid call."""
+    hv = plan.hurst
+
+    def sign_change(a, grid):
+        n = grid.points_per_unit
+        return n ** (2 * hv - 1) * _crossing_sums_per_grid(bi, fine, a, grid)
+
+    errs = np.empty((len(plan.n_values), bi.shape[0]))
+    fine_sc = {a: sign_change(a, fine) for a, _ in plan.integrand.atoms}
+    for gi, n in enumerate(plan.n_values):
+        e = np.zeros(bi.shape[0])
+        for a, c in plan.integrand.atoms:
+            e += 2 * c * (sign_change(a, GridSpec(plan.t, n)) - fine_sc[a])
+        errs[gi] = e
+    return errs**2
+
+
+@pytest.mark.parametrize("t", [1.0, 0.83])
+@pytest.mark.parametrize("rows", [1, 2, 63])
+def test_harness_crossing_errors_equal_per_grid_route(rows, t):
+    # one atom, the same atom shifted onto the walk's lattice, and two atoms
+    fine, batches = _paths_touching_levels(t, rows)
+    measures = (indicator_measure(0.0), indicator_measure(0.25),
+                SignedMeasure(((-0.125, 0.5), (0.25, 1.0)), base_constant=0.2))
+    for mu in measures:
+        plan = ExperimentPlan(0.75, (16, 64, 256), mu, t=t, replicates=2,
+                              fine_factor=4)
+        assert plan.fine_n == fine.points_per_unit
+        for bi in batches:
+            got = _path_errors(plan, fine, bi)
+            assert got.tobytes() == _path_errors_per_grid(plan, fine, bi).tobytes()
 
 
 def test_riemann_sums_memory_is_block_sized():
