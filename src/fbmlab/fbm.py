@@ -11,27 +11,16 @@ returning an array of shape (replicates, components, nodes):
 The circulant-embedding synthesis itself is :func:`fft_paths`, a plain
 function that hands the paths of consecutive replicates to a callback of
 the caller's, one sub-block at a time; it is the one place where
-increments are summed into paths.  The normals go through two buffers of
-at most ``BLOCK_VALUES`` = 2^17 values (1 MB of float64 each, split
-between the workers): the inverse transform writes over the normals, and
-each sub-block's increments are summed into paths in place, while they
-are still in cache.  :func:`sample_fft_batch` copies each
-sub-block into its output array, so its memory is the output plus a few
-MB; the rate experiments hand each sub-block to their kernels, so they
-hold no path outside the synthesis buffers.
-
-:func:`fft_ranges` is the one worker-range dispatch: it cuts a replicate
-range into ``RANGES_PER_WORKER`` contiguous ranges per worker thread
-(``threads``, default the CPU count), and each worker takes the next
-range when it finishes one.  The calling thread is one of the workers,
-beside one pool thread fewer: set-up and one-thread runs have already
-filled its malloc arena, so it draws without raising the peak memory,
-where a waiting caller would leave each worker to fill an arena of its
-own; ``concurrent.futures`` is imported only when a pool starts.  The rate
-experiments and :func:`sample_fft_batch` draw their paths
-through it.  The workers split
-the synthesis budget, ``BLOCK_VALUES // workers`` values each (at least
-one row), so a call's buffers add up to those of one worker.
+increments are summed into paths, and the one worker-range dispatch: its
+docstring states how it splits the replicates between threads and what
+each worker holds.  The normals go through two buffers of at most
+``BLOCK_VALUES`` = 2^17 values (1 MB of float64 each, split between the
+workers): the inverse transform writes over the normals, and each
+sub-block's increments are summed into paths in place, while they are
+still in cache.  :func:`sample_fft_batch` copies each sub-block into its
+output array, so its memory is the output plus a few MB; the rate
+experiments hand each sub-block to their kernels, so they hold no path
+outside the synthesis buffers.
 
 Both samplers are deterministic given ``(seed, replicate, component)``:
 a path draws from the stream of :func:`substream` for its key, so results
@@ -73,7 +62,6 @@ __all__ = [
     "substream",
     "resolve_threads",
     "sample_exact_batch",
-    "fft_ranges",
     "fft_paths",
     "sample_fft_batch",
 ]
@@ -86,7 +74,7 @@ EXACT_NODE_CAP = 4096
 # run on each sub-block in one crossing call, whose fixed cost no longer
 # needs larger sub-blocks
 BLOCK_VALUES = 2**17
-# replicate ranges per worker thread of fft_ranges; each range sets up its
+# replicate ranges per worker thread of fft_paths; each range sets up its
 # own keys and buffers, so a few are enough to rebalance a slowed worker
 RANGES_PER_WORKER = 3
 
@@ -512,45 +500,72 @@ def _partial_step_weights(h: HurstIndex, grid: GridSpec):
 
 
 def resolve_threads(threads=None) -> int:
-    """Worker cap: ``threads``, or the CPU count when None; at least 1."""
+    """Worker cap: ``threads``, or the CPU count when None; raises
+    ValueError when ``threads`` is below 1."""
     if threads is None:
-        threads = os.cpu_count() or 1
-    return max(1, int(threads))
+        return os.cpu_count() or 1
+    if int(threads) < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return int(threads)
 
 
-def fft_ranges(h, grid: GridSpec, first: int, total: int, threads, work) -> None:
-    """Run ``work(a, b, workers)`` on contiguous replicate ranges [a, b)
-    that cover [first, total), on ``workers`` threads, at most
-    ``resolve_threads(threads)`` of them; ``workers`` is passed on to
-    :func:`fft_paths`.  One worker runs the whole range in the calling
-    thread.
+def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
+              count: int, take, threads=None, components: int = 1,
+              first_component: int = 0) -> None:
+    """Circulant-embedding paths of ``count`` replicates from
+    ``first_replicate`` on, handed to ``take(start, paths)`` one sub-block at
+    a time: ``paths`` (shape (rows, components, num_nodes), column 0 the
+    origin, 0.0) holds replicates ``first_replicate + start`` onwards and is
+    a view of a reused buffer, valid until ``take`` returns.  Components
+    likewise count from ``first_component``: ``paths[r, c]`` is the path
+    keyed (master_seed, first_replicate + start + r, first_component + c),
+    so one component of a multi-component batch is drawn alone.
 
-    More workers share ``RANGES_PER_WORKER`` ranges each, handed out in
-    order: a worker takes the next range when it finishes one, so a worker
-    whose CPU is taken by other load leaves its later ranges to the
-    others, and the call does not wait for a fixed half at the slower
-    CPU's pace.  The calling thread is one of the workers, beside
-    ``workers - 1`` pool threads: the set-up and any one-thread run have
-    already filled its malloc arena, so it draws without growing the
-    peak, where an idle caller would leave every worker to fill an arena
-    of its own.  Once a range raises (a ``KeyboardInterrupt`` in the
-    caller too), no further range is handed out, and the exception
-    propagates when the ranges already taken have finished.
-
-    The workers draw Davies-Harte paths on ``grid`` and share its cached
-    embedding spectrum and partial-step law, so those are computed here
-    first: two workers that missed the cache together would each run the
+    The paths are drawn on ``workers`` threads, at most
+    ``resolve_threads(threads)`` (default the CPU count) and at most
+    ``count``, so ``take`` may run on several threads at once, each with
+    its own sub-blocks.  One worker draws every replicate in the calling
+    thread.  More workers share ``RANGES_PER_WORKER`` contiguous replicate
+    ranges each, handed out in order: a worker takes the next range when
+    it finishes one, so a worker whose CPU is taken by other load leaves
+    its later ranges to the others.  The calling thread is one of the
+    workers, beside ``workers - 1`` pool threads: set-up and one-thread
+    runs have already filled its malloc arena, so it draws without raising
+    the peak memory, where an idle caller would leave each worker to fill
+    an arena of its own.  ``concurrent.futures``, which loads ``logging``,
+    is imported only when a pool starts.  Once a range raises (a
+    ``KeyboardInterrupt`` in the caller too), no further range is handed
+    out, and the exception propagates when the ranges already taken have
+    finished.  The workers share the cached embedding spectrum and
+    partial-step law of ``grid``, so those are computed before the pool
+    starts: two workers that missed the cache together would each run the
     partial step's Toeplitz solve.
+
+    Each range hashes its keys once and synthesises its rows in sub-blocks
+    of at most ``BLOCK_VALUES // workers`` embedding values (at least one
+    row) through two buffers of its own: the normals, one spare column
+    before each row, and their half spectrum.  The transform writes the
+    increments over the normals, and they are summed into paths in place,
+    from the origin in the spare column, so the paths never leave the
+    normals buffer, and the workers together hold what one alone would.
+    Every row is computed on its own, so the paths do not depend on
+    ``threads``.
     """
-    workers = min(resolve_threads(threads), total - first)
+    h = as_hurst(h)
+    _check_keys(master_seed, first_replicate, count)
+    workers = min(resolve_threads(threads), count)
+
+    def draw(a, b):
+        _fft_range(h, grid, master_seed, first_replicate, a, b, take,
+                   workers, components, first_component)
+
     if workers <= 1:
-        if total > first:
-            work(first, total, 1)
+        if count:
+            draw(0, count)
         return
     parts = workers * RANGES_PER_WORKER
-    cuts = [first + (total - first) * p // parts for p in range(parts + 1)]
+    cuts = [count * p // parts for p in range(parts + 1)]
     todo = deque((a, b) for a, b in zip(cuts, cuts[1:]) if b > a)
-    h = as_hurst(h)
     if grid.full_steps > 0:
         _embedding_amplitude(h.value, grid.full_steps, grid.points_per_unit)
         if grid.has_partial_step:
@@ -568,7 +583,7 @@ def fft_ranges(h, grid: GridSpec, first: int, total: int, threads, work) -> None
                     a, b = todo.popleft()
                 except IndexError:
                     return
-                work(a, b, workers)
+                draw(a, b)
         except BaseException:
             todo.clear()  # hand out no further range
             raise
@@ -580,29 +595,13 @@ def fft_ranges(h, grid: GridSpec, first: int, total: int, threads, work) -> None
         helper.result()
 
 
-def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
-              count: int, take, workers: int = 1, components: int = 1,
-              first_component: int = 0) -> None:
-    """Circulant-embedding paths of ``count`` replicates from
-    ``first_replicate`` on, handed to ``take(start, paths)`` one sub-block at
-    a time: ``paths`` (shape (rows, components, num_nodes), column 0 the
-    origin, 0.0) holds replicates ``first_replicate + start`` onwards and is
-    a view of a reused buffer, valid until ``take`` returns.  Components
-    likewise count from ``first_component``: ``paths[r, c]`` is the path
-    keyed (master_seed, first_replicate + start + r, first_component + c),
-    so one component of a multi-component batch is drawn alone.
-
-    The keys are hashed once per call, and the rows are synthesised in
-    sub-blocks of at most ``BLOCK_VALUES // workers`` embedding values (at
-    least one row) through two buffers allocated once per call: the
-    normals, one spare column before each row, and their half spectrum.
-    The transform writes the increments over the normals, and they are
-    summed into paths in place, from the origin in the spare column, so
-    the paths never leave the normals buffer.  So the ``workers`` calls
-    that :func:`fft_ranges` runs at once hold what one alone would.
-    """
-    h = as_hurst(h)
-    key = _keyed_streams(master_seed, first_replicate, count, components,
+def _fft_range(h: HurstIndex, grid: GridSpec, master_seed: int,
+               first_replicate: int, a: int, b: int, take, workers: int,
+               components: int, first_component: int) -> None:
+    """The paths of replicates ``first_replicate + [a, b)``, handed to
+    ``take(a + start, paths)`` one sub-block at a time (:func:`fft_paths`)."""
+    count = b - a
+    key = _keyed_streams(master_seed, first_replicate + a, count, components,
                          first_component)
     k = grid.full_steps
     if k == 0:
@@ -611,8 +610,7 @@ def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
         for r in range(count):
             for c in range(components):
                 paths[r, c, 1] = scale * key(r, c).standard_normal()
-        if count:
-            take(0, paths)
+        take(a, paths)
         return
     partial = grid.has_partial_step
     if partial:
@@ -621,7 +619,7 @@ def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
     amp = _embedding_amplitude(h.value, k, grid.points_per_unit)
     m = 2 * (amp.shape[0] - 1)
     subs = row_blocks(count, components * m, workers)
-    sub_rows = subs[0].stop if subs else 0
+    sub_rows = subs[0].stop
     # m >= 2k, so the k + 1 nodes and a partial step's node fit in m + 1
     zeta = np.empty((sub_rows, components, m + 1))
     spec = np.empty((sub_rows, m // 2 + 1), dtype=complex)
@@ -648,7 +646,7 @@ def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
             np.cumsum(path, axis=-1, out=path)
             if partial:
                 zeta[:nb, c, k + 1] = path[:, k] + extra[:nb]
-        take(sub.start, zeta[:nb, :, : grid.num_nodes])
+        take(a + sub.start, zeta[:nb, :, : grid.num_nodes])
 
 
 def sample_fft_batch(
@@ -664,22 +662,16 @@ def sample_fft_batch(
 
     Same distribution and substream contract as :func:`sample_exact_batch`.
     The terminal partial increment (when present) is drawn exactly from its
-    conditional law given the uniform increments.  The workers of
-    :func:`fft_ranges` (at most ``threads``, default the CPU count; the
-    calling thread, whose malloc arena is already filled, is one of them)
-    copy the sub-blocks of :func:`fft_paths` into the returned array, and
-    the result does not depend on ``threads``.
+    conditional law given the uniform increments.  The sub-blocks of
+    :func:`fft_paths`, drawn on at most ``threads`` workers, are copied into
+    the returned array, which does not depend on ``threads``.
     """
     _check_keys(master_seed, first_replicate, count)
     out = np.empty((count, components, grid.num_nodes))
 
-    def fill(a, b, workers):
-        def take(start, paths):
-            out[a + start : a + start + len(paths)] = paths
+    def take(start, paths):
+        out[start : start + len(paths)] = paths
 
-        fft_paths(h, grid, master_seed, first_replicate + a, b - a, take,
-                  workers, components)
-
-    fft_ranges(h, grid, 0, count, threads, fill)
+    fft_paths(h, grid, master_seed, first_replicate, count, take, threads,
+              components)
     return out
-

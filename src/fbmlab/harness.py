@@ -1,15 +1,13 @@
 """Monte Carlo orchestration: discretisation-error experiments and rate fits.
 
-Each worker of ``fbm.fft_ranges`` takes contiguous ranges of replicates;
-the calling thread is one of them, because the set-up and any one-thread
-run have already filled its malloc arena, so a run of w workers adds the
-arenas of w - 1 pool threads, not w.  ``fbm.fft_paths`` hands each
-range's paths of component i, the only component drawn, to the kernels
-one synthesis sub-block at a time, straight from its own buffer.  So no
-path outlives its sub-block, and a worker's memory is the synthesis's two
-sub-block buffers whatever the replicate count.  Each replicate gives one
-second moment per coarse resolution n, all from the same path (common
-random numbers), for all of the sub-block's replicates at once:
+Only component i is drawn: ``fbm.fft_paths``, whose docstring states how
+it splits the replicates between worker threads, hands its paths to the
+kernels one synthesis sub-block at a time, straight from its own buffer.
+So no path outlives its sub-block, and a worker's memory is the
+synthesis's two sub-block buffers whatever the replicate count.  Each
+replicate gives one second moment per coarse resolution n, all from the
+same path (common random numbers), for all of the sub-block's replicates
+at once:
 
 * at i = j, the squared error (S_n - integral of L dmu)^2, with S_n the
   closed-form crossing sum of ``integrals`` and the local-time limit
@@ -37,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fbm import GridSpec, as_hurst, fft_paths, fft_ranges
+from .fbm import GridSpec, as_hurst, fft_paths
 from .integrals import SignedMeasure, crossing_sums
 
 __all__ = [
@@ -66,10 +64,11 @@ def default_fine_factor(h, component_pair) -> int:
     i, j = component_pair
     if i == j:
         return 16
-    hv = as_hurst(h).value
-    need = 100.0 ** (1.0 / (2 * hv - 1))
+    # the least power of two from 16 with f^{2H-1} >= 100, capped at 256;
+    # 100^{1/(2H-1)} itself overflows for H just above 1/2
+    e = 2 * as_hurst(h).value - 1
     f = 16
-    while f < need and f < 256:
+    while f < 256 and f**e < 100:
         f *= 2
     return f
 
@@ -299,40 +298,18 @@ def _crossing_grids(t: float, n_values: tuple, fine: GridSpec, hv: float):
     return grids, scale
 
 
-def _replicate_errors(plan: ExperimentPlan, first: int, count: int,
-                      workers: int = 1) -> np.ndarray:
-    """Per-replicate second moments (``_path_errors``) of replicates
-    [first, first+count), shape (len(n_values), count).  Only component i
-    is drawn, and each synthesis sub-block of ``fft_paths`` goes straight
-    to the kernels, so no path is held beyond its sub-block; ``workers``
-    goes to ``fft_paths``."""
-    fine = GridSpec(plan.t, plan.fine_n)
-    errs = np.empty((len(plan.n_values), count))
-
-    def take(start, paths):
-        errs[:, start:start + len(paths)] = _path_errors(plan, fine, paths[:, 0])
-
-    fft_paths(plan.hurst, fine, plan.master_seed, first, count, take, workers,
-              first_component=plan.component_pair[0] - 1)
-    return errs
-
-
 def _collect(plan: ExperimentPlan, first: int, total: int, threads) -> np.ndarray:
-    """Per-replicate second moments of replicates [first, total), shape
-    (len(n_values), total - first).
-
-    The workers, the calling thread among them (its malloc arena is already
-    filled, so it adds no memory), take ``fbm.RANGES_PER_WORKER``
-    contiguous ranges each, and ``fbm.fft_paths`` hashes a range's keys and
-    allocates its synthesis buffers once per range, so both happen a fixed
-    number of times whatever the replicate count."""
+    """Per-replicate second moments (``_path_errors``) of replicates
+    [first, total), shape (len(n_values), total - first), from one
+    ``fft_paths`` call on at most ``threads`` workers."""
+    fine = GridSpec(plan.t, plan.fine_n)
     out = np.empty((len(plan.n_values), total - first))
 
-    def work(a, b, workers):
-        out[:, a - first:b - first] = _replicate_errors(plan, a, b - a, workers)
+    def take(start, paths):
+        out[:, start:start + len(paths)] = _path_errors(plan, fine, paths[:, 0])
 
-    fft_ranges(plan.hurst, GridSpec(plan.t, plan.fine_n), first, total,
-               threads, work)
+    fft_paths(plan.hurst, fine, plan.master_seed, first, total - first, take,
+              threads, first_component=plan.component_pair[0] - 1)
     return out
 
 

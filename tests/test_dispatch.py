@@ -1,8 +1,9 @@
 """One worker-range dispatch, one path synthesis and one rule builder: only
-``fbm.py`` creates a thread pool, so every sampler and experiment splits
-its replicates the same way, only ``fbm.py`` sums increments into paths,
-in ``fbm.fft_paths``, and only ``quadrature.py`` builds Gauss-Legendre
-rules.  A rate experiment draws only the component its error depends on."""
+``fbm.fft_paths`` creates a thread pool, so every sampler and experiment
+splits its replicates the same way, only ``fbm.py`` sums increments into
+paths, in ``fbm.fft_paths``, and only ``quadrature.py`` builds
+Gauss-Legendre rules.  A rate experiment draws only the component its
+error depends on."""
 
 import ast
 from pathlib import Path
@@ -44,10 +45,23 @@ def test_pool_site_is_reported():
     assert call_sites(source, "ThreadPoolExecutor") == [3, 5]
 
 
+def enclosing_functions(source: str, line: int) -> list:
+    """Names of the functions whose bodies hold ``line`` of ``source``,
+    outermost first."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.lineno <= line <= node.end_lineno]
+
+
 def test_only_fbm_creates_a_thread_pool():
     sites = package_sites("ThreadPoolExecutor")
     assert list(sites) == ["fbm.py"]
     assert len(sites["fbm.py"]) == 1
+    # the one pool is fft_paths' own, so every sampler and experiment draws
+    # through its worker ranges, and no other dispatch is exported
+    source = (PACKAGE / "fbm.py").read_text()
+    assert enclosing_functions(source, sites["fbm.py"][0]) == ["fft_paths"]
+    assert "fft_ranges" not in fbm.__all__
 
 
 def test_cumsum_site_is_reported():
@@ -76,7 +90,7 @@ def test_cross_component_runs_draw_only_component_i(monkeypatch, pair):
     drawn = {}
     synth = harness.fft_paths
 
-    def spy(h, grid, master_seed, first_replicate, count, take, workers=1,
+    def spy(h, grid, master_seed, first_replicate, count, take, threads=None,
             components=1, first_component=0):
         assert components == 1
 
@@ -86,7 +100,7 @@ def test_cross_component_runs_draw_only_component_i(monkeypatch, pair):
                 drawn[first_replicate + start + r, first_component] = path.copy()
             take(start, paths)
 
-        synth(h, grid, master_seed, first_replicate, count, spy_take, workers,
+        synth(h, grid, master_seed, first_replicate, count, spy_take, threads,
               components, first_component)
 
     monkeypatch.setattr(harness, "fft_paths", spy)

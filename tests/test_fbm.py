@@ -25,7 +25,6 @@ from fbmlab.fbm import (
     as_hurst,
     fbm_covariance,
     fft_paths,
-    fft_ranges,
     fgn_autocovariance,
     sample_exact_batch,
     sample_fft_batch,
@@ -328,27 +327,28 @@ def test_stalled_worker_leaves_its_later_ranges_to_the_others(stall_caller):
     # ranges go to whichever worker is free: while one worker waits on its
     # first range, the other one draws all the rest.  The other worker
     # waits on its first range until the stall has begun, so neither can
-    # take every range before the other starts.
+    # take every range before the other starts.  On a 16-node grid each
+    # range is one take.
     parts = 2 * RANGES_PER_WORKER
     stalled, done = [], []
     stall_began, rest_done = threading.Event(), threading.Event()
 
-    def work(a, b, workers):
-        assert workers == 2
+    def take(start, paths):
+        assert len(paths) == 10  # a whole range
         on_caller = threading.current_thread() is threading.main_thread()
         if on_caller == stall_caller:
             if not stalled:
-                stalled.append((a, b))
+                stalled.append((start, start + len(paths)))
                 stall_began.set()
                 assert rest_done.wait(30)
                 return
         elif not done:
             assert stall_began.wait(30)
-        done.append((a, b))
+        done.append((start, start + len(paths)))
         if len(done) == parts - 1:
             rest_done.set()
 
-    fft_ranges(0.7, GridSpec(1.0, 16), 0, 10 * parts, 2, work)
+    fft_paths(0.7, GridSpec(1.0, 16), 1, 0, 10 * parts, take, threads=2)
     assert len(stalled) == 1
     assert sorted(stalled + done) == [(10 * p, 10 * p + 10) for p in range(parts)]
 
@@ -360,14 +360,15 @@ def test_calling_thread_is_one_of_the_workers():
     barrier = threading.Barrier(2)
     threads, counts = set(), []
 
-    def work(a, b, workers):
-        assert workers == 2
+    def take(start, paths):
+        assert len(paths) == 10  # a whole range
         threads.add(threading.current_thread())
         counts.append(threading.active_count())
-        if a < 20:
+        if start < 20:
             barrier.wait(30)
 
-    fft_ranges(0.7, GridSpec(1.0, 16), 0, 10 * 2 * RANGES_PER_WORKER, 2, work)
+    fft_paths(0.7, GridSpec(1.0, 16), 1, 0, 10 * 2 * RANGES_PER_WORKER, take,
+              threads=2)
     assert threading.main_thread() in threads
     assert len(threads) == 2
     assert max(counts) <= before + 1
@@ -382,12 +383,13 @@ def test_each_range_is_handed_out_once_under_contention():
     try:
         for total in (24, 100):
             seen.clear()
-            fft_ranges(0.7, GridSpec(1.0, 16), 5, 5 + total, 8,
-                       lambda a, b, workers: seen.append((a, b)))
+            fft_paths(0.7, GridSpec(1.0, 16), 1, 5, total,
+                      lambda start, paths: seen.append((start, start + len(paths))),
+                      threads=8)
             cover = sorted(seen)
             assert len(cover) == 8 * RANGES_PER_WORKER
             assert [a for a, _ in cover[1:]] == [b for _, b in cover[:-1]]
-            assert (cover[0][0], cover[-1][1]) == (5, 5 + total)
+            assert (cover[0][0], cover[-1][1]) == (0, total)
     finally:
         sys.setswitchinterval(interval)
 
@@ -399,10 +401,10 @@ def test_first_failure_stops_the_hand_out(raiser):
     started = []
     exc = ValueError if raiser == "range_0" else KeyboardInterrupt
 
-    def work(a, b, workers):
-        started.append(a)
+    def take(start, paths):
+        started.append(start)
         if raiser == "range_0":
-            fails = a == 0
+            fails = start == 0
         else:
             fails = threading.current_thread() is threading.main_thread()
         if fails:
@@ -410,7 +412,8 @@ def test_first_failure_stops_the_hand_out(raiser):
         time.sleep(0.2)
 
     with pytest.raises(exc, match="stop"):
-        fft_ranges(0.7, GridSpec(1.0, 16), 0, 2 * RANGES_PER_WORKER, 2, work)
+        fft_paths(0.7, GridSpec(1.0, 16), 1, 0, 2 * RANGES_PER_WORKER, take,
+                  threads=2)
     assert len(started) <= 2, started
 
 
@@ -451,6 +454,28 @@ def test_fft_paths_draw_components_from_first_component(grid):
         fft_paths(0.7, grid, 3, 4, 5, take, first_component=-1)
 
 
+@pytest.mark.parametrize("grid", [GridSpec(1.0, 64), GridSpec(0.83, 64),
+                                  GridSpec(0.01, 64)])  # the last has k = 0
+def test_two_thread_takes_cover_the_replicates_once(grid):
+    # the workers' takes start at disjoint offsets that tile [0, count), and
+    # the rows are those of a one-thread call, bit for bit
+    spans = []
+    rows, take = _collect_paths(9, 2, grid.num_nodes)
+
+    def spy(start, paths):
+        spans.append((start, start + len(paths)))
+        take(start, paths)
+
+    fft_paths(0.7, grid, 3, 4, 9, spy, threads=2, components=2)
+    cover = sorted(spans)
+    assert len(cover) >= 2 * RANGES_PER_WORKER
+    assert [a for a, _ in cover[1:]] == [b for _, b in cover[:-1]]
+    assert (cover[0][0], cover[-1][1]) == (0, 9)
+    ref, take = _collect_paths(9, 2, grid.num_nodes)
+    fft_paths(0.7, grid, 3, 4, 9, take, threads=1, components=2)
+    assert rows.tobytes() == ref.tobytes()
+
+
 def test_fft_paths_hold_two_sub_block_buffers():
     # the normals, whose transform and paths are written in place, and their
     # half spectrum: no third buffer for the transform output or the paths,
@@ -468,10 +493,12 @@ def test_fft_paths_hold_two_sub_block_buffers():
 
     for t in (1.0, 0.83):
         grid = GridSpec(t, 2**15)
-        fft_paths(0.75, grid, 1, 0, 4 * rows, take)  # fill the caches untraced
+        # one worker: the calling thread alone, in sub-blocks of the whole
+        # budget; fill the caches untraced
+        fft_paths(0.75, grid, 1, 0, 4 * rows, take, threads=1)
         tracemalloc.start()
         try:
-            fft_paths(0.75, grid, 1, 0, 4 * rows, take)
+            fft_paths(0.75, grid, 1, 0, 4 * rows, take, threads=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

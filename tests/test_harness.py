@@ -16,8 +16,8 @@ from fbmlab.harness import (
     ExperimentPlan,
     PILOT_REPLICATES,
     PlanError,
+    _collect,
     _path_errors,
-    _replicate_errors,
     default_fine_factor,
     fit_rate,
     run_rate_experiment,
@@ -111,11 +111,16 @@ def test_default_fine_factor():
     assert default_fine_factor(0.98, (1, 2)) == 128
     assert default_fine_factor(0.75, (2, 1)) == 256
     assert make_plan(component_pair=(1, 2)).fine_factor == 256
+    # just above H = 1/2, 100^{1/(2H-1)} overflows a float; the cap holds
+    assert default_fine_factor(0.501, (1, 2)) == 256
+    assert default_fine_factor(0.5000001, (1, 2)) == 256
 
 
 def test_resolve_threads():
     assert resolve_threads(3) == 3
-    assert resolve_threads(0) == 1
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            resolve_threads(bad)
 
 
 def test_fit_rate_recovers_exact_power_law():
@@ -162,13 +167,13 @@ def test_rate_experiment_chunking_invariance(monkeypatch):
     blocks = []
     synth = hmod.fft_paths
 
-    def spy(h, grid, master_seed, first_replicate, count, take, workers=1,
+    def spy(h, grid, master_seed, first_replicate, count, take, threads=None,
             components=1, first_component=0):
         def spy_take(start, paths):
             blocks.append(paths.shape[0])
             take(start, paths)
 
-        synth(h, grid, master_seed, first_replicate, count, spy_take, workers,
+        synth(h, grid, master_seed, first_replicate, count, spy_take, threads,
               components, first_component)
 
     monkeypatch.setattr(hmod, "fft_paths", spy)
@@ -238,20 +243,20 @@ def test_streamed_errors_equal_materialised_batch(monkeypatch):
         want = _path_errors(plan, fine, batch[:, pair[0] - 1])
         # streamed in sub-blocks of 5, 5 and 2 replicates
         monkeypatch.setattr(fmod, "BLOCK_VALUES", 5 * _embedding_size(plan))
-        np.testing.assert_array_equal(_replicate_errors(plan, 5, 12), want)
+        np.testing.assert_array_equal(_collect(plan, 5, 17, 1), want)
 
 
-def test_replicate_errors_memory_does_not_grow_with_count():
+def test_collect_memory_does_not_grow_with_count():
     # 64 replicates on a fine grid of 131073 nodes would be a 67 MB batch;
     # the stream holds the synthesis's two sub-block buffers (2 MB each at
     # one row of the 2^18-value embedding) and one row's kernel temporaries
     plan = make_plan(n_values=(128, 256, 512), fine_factor=256, replicates=64)
     assert 64 * (plan.fine_n + 1) * 8 >= 64 * 2**20
-    _replicate_errors(plan, 0, 1)  # fill the embedding cache untraced
+    _collect(plan, 0, 1, 1)  # fill the embedding cache untraced
     for count in (8, 64):
         tracemalloc.start()
         try:
-            _replicate_errors(plan, 0, count)
+            _collect(plan, 0, count, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -388,7 +393,7 @@ def test_batch_errors_match_per_path_route(kind, pair, t):
     plan = make_plan(n_values=(8, 16, 32), integrand=TWO_ATOMS, t=t,
                      replicates=12, component_pair=pair, fine_factor=16)
     assert plan.reference_kind == kind
-    got = _replicate_errors(plan, 5, 12)
+    got = _collect(plan, 5, 17, 1)
     want = _per_path_errors(plan, 5, 12)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
