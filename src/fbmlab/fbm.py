@@ -15,12 +15,15 @@ increments are summed into paths, and the one worker-range dispatch: its
 docstring states how it splits the replicates between threads and what
 each worker holds.  The normals go through two buffers of at most
 ``BLOCK_VALUES`` = 2^17 values (1 MB of float64 each, split between the
-workers): the inverse transform writes over the normals, and each
-sub-block's increments are summed into paths in place, while they are
-still in cache.  :func:`sample_fft_batch` copies each sub-block into its
-output array, so its memory is the output plus a few MB; the rate
-experiments hand each sub-block to their kernels, so they hold no path
-outside the synthesis buffers.
+workers), or of one row where a row is longer: the inverse transform
+writes over the normals, and each sub-block's increments are summed into
+paths in place, while they are still in cache.  A row longer than
+``BLOCK_VALUES`` is transformed in four cache-sized steps
+(:func:`_fgn_four_step`) rather than by one real inverse FFT.
+:func:`sample_fft_batch` copies each sub-block into its output array, so
+its memory is the output plus a few MB; the rate experiments hand each
+sub-block to their kernels, so they hold no path outside the synthesis
+buffers.
 
 Both samplers are deterministic given ``(seed, replicate, component)``:
 a path draws from the stream of :func:`substream` for its key, so results
@@ -128,6 +131,10 @@ class GridSpec:
     def __post_init__(self):
         if not 0.0 < self.t_end < np.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        # an integer (TypeError otherwise): n = 64.5 would end in a partial
+        # step of 1/129, and np.int64(64) keys the caches as 64 does
+        object.__setattr__(self, "points_per_unit",
+                           operator.index(self.points_per_unit))
         if self.points_per_unit < 1:
             raise ValueError("points_per_unit must be >= 1")
         if not np.isfinite(self.points_per_unit * self.t_end):
@@ -382,18 +389,22 @@ def _embedding_amplitude(h_value: float, n_increments: int,
     while m < 2 * n_increments:
         m *= 2
     gamma = fgn_autocovariance(h_value, np.arange(m // 2 + 1))
-    row = np.concatenate([gamma, gamma[-2:0:-1]])
-    eigs = np.fft.fft(row).real
+    # the circulant's first row (gamma, then gamma mirrored) is even, so its
+    # eigenvalues are real: m times the real inverse transform of gamma
+    eigs = m * np.fft.irfft(gamma, n=m)[: m // 2 + 1]
     neg = eigs < 0
     if np.any(neg):
-        clamped_mass = -eigs[neg].sum()
-        if clamped_mass > 1e-6 * np.abs(eigs).sum():
+        # an interior eigenvalue j stands for eigenvalue m - j too
+        count = np.full(m // 2 + 1, 2.0)
+        count[[0, -1]] = 1.0
+        clamped_mass = -(count[neg] * eigs[neg]).sum()
+        if clamped_mass > 1e-6 * (count * np.abs(eigs)).sum():
             raise EmbeddingError(
                 f"negative embedding mass {clamped_mass:.3e} for H={h_value}, "
                 f"N={n_increments}"
             )
         eigs = np.clip(eigs, 0.0, None)
-    amp = np.sqrt(eigs[: m // 2 + 1] * m)
+    amp = np.sqrt(eigs * m)
     amp[1:-1] /= np.sqrt(2.0)
     amp *= points_per_unit ** (-h_value)
     amp.flags.writeable = False
@@ -416,6 +427,87 @@ def _fgn_from_normals(amp: np.ndarray, zeta: np.ndarray,
     spec.imag[..., 0] = 0.0
     spec.imag[..., half] = 0.0
     return np.fft.irfft(spec, n=2 * half, axis=-1, out=zeta)
+
+
+def _four_step_shape(m: int) -> tuple:
+    """(M1, M2/2 + 1): the shape of one row of the spectrum buffer of the
+    four-step transform of length m = M1 M2, M1 the largest power of two
+    with M1 <= M2."""
+    m1 = 1 << (m.bit_length() - 1) // 2
+    return m1, m // m1 // 2 + 1
+
+
+@lru_cache(maxsize=4)
+def _four_step_twiddles(m: int) -> tuple:
+    """The twiddle factors e^{2 pi i j k / m}, j < M1 and k <= M2/2, of the
+    four-step transform of length m as two small factors: with j = R a + b,
+    R the largest power of two with R^2 <= M1, ``outer[a, 0, k]`` is
+    e^{2 pi i R a k / m} and ``inner[b, k]`` is e^{2 pi i b k / m}.  They
+    hold (M1/R + R) (M2/2 + 1) values, 0.2 MB at m = 2^18 against 2.1 MB
+    for the whole table, and stay in cache.  Read-only (shared)."""
+    m1, width = _four_step_shape(m)
+    r = 1 << (m1.bit_length() - 1) // 2
+    k = np.arange(width)
+    outer = np.exp(2j * np.pi / m * (r * np.arange(m1 // r)[:, None, None] * k))
+    inner = np.exp(2j * np.pi / m * (np.arange(r)[:, None] * k))
+    outer.flags.writeable = inner.flags.writeable = False
+    return outer, inner
+
+
+def _fgn_four_step(amp: np.ndarray, zeta: np.ndarray,
+                   spec: np.ndarray) -> np.ndarray:
+    """:func:`_fgn_from_normals` in four steps (Bailey, J. Supercomputing 4,
+    1990), for rows too long for a core's cache: the same modes from the
+    same normals, with ``spec`` of shape (rows, M1, M2/2 + 1), m = M1 M2.
+    Mode k = M2 j + l of the full Hermitian spectrum, l <= M2/2, goes to
+    ``spec[:, j, l]``; rows j >= M1/2 hold modes from m/2 on, the
+    conjugates of modes m - k.  An inverse transform of length M1 down the
+    columns, a twiddle, and a real inverse transform of length M2 along
+    each row give increment j + M1 n at [j, n], written through a
+    transposed view of ``zeta``.  Returns ``zeta``."""
+    rows, m = zeta.shape
+    half = m // 2
+    m1, width = spec.shape[1:]
+    m2 = m // m1
+    h1 = m1 // 2
+    top, bottom = spec[:, :h1], spec[:, h1:]
+    # modes k = M2 j + l < m/2 of the top rows, straight from the normals
+    a = amp[:half].reshape(h1, m2)[:, :width]
+    np.multiply(zeta[:, :half].reshape(rows, h1, m2)[..., :width], a,
+                out=top.real)
+    np.multiply(zeta[:, half:].reshape(rows, h1, m2)[..., :width], a,
+                out=top.imag)
+    # mode m/2 + q of the bottom rows, q = M2 i + l, is the conjugate of
+    # mode p = m/2 - q: amp[p] (zeta[p] - i zeta[m/2 + p]), and zeta[m - q]
+    # is rev[q - 1]
+    rev = zeta[:, ::-1]
+    a = amp[half:0:-1].reshape(h1, m2)[:, :width]
+    np.multiply(rev[:, half - 1 : m - 1].reshape(rows, h1, m2)[..., :width], a,
+                out=bottom.real)
+    im = rev[:, :half].reshape(rows, h1, m2)
+    np.multiply(im[..., : width - 1], a[:, 1:], out=bottom.imag[..., 1:])
+    np.multiply(im[:, :-1, m2 - 1], a[1:, 0], out=bottom.imag[:, 1:, 0])
+    np.negative(bottom.imag, out=bottom.imag)
+    spec.imag[:, [0, h1], 0] = 0.0  # modes 0 and m/2 are real
+    np.fft.ifft(spec, axis=1, out=spec)
+    outer, inner = _four_step_twiddles(m)
+    blocks = spec.reshape(rows, len(outer), len(inner), width)
+    np.multiply(blocks, outer, out=blocks)
+    np.multiply(blocks, inner, out=blocks)
+    np.fft.irfft(spec, n=m2, axis=-1,
+                 out=zeta.reshape(rows, m2, m1).transpose(0, 2, 1))
+    return zeta
+
+
+def _transform(m: int):
+    """The half-spectrum transform of rows of m normals and the shape of one
+    row of its spectrum buffer: one real inverse FFT while a row fits in
+    ``BLOCK_VALUES``, where it is faster, and four cache-sized steps
+    (:func:`_fgn_four_step`) beyond."""
+    if m > BLOCK_VALUES:
+        _four_step_twiddles(m)
+        return _fgn_four_step, _four_step_shape(m)
+    return _fgn_from_normals, (m // 2 + 1,)
 
 
 def _toeplitz_solve(gamma: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -501,12 +593,14 @@ def _partial_step_weights(h: HurstIndex, grid: GridSpec):
 
 def resolve_threads(threads=None) -> int:
     """Worker cap: ``threads``, or the CPU count when None; raises
-    ValueError when ``threads`` is below 1."""
+    TypeError unless ``threads`` is an integer, and ValueError when it is
+    below 1."""
     if threads is None:
         return os.cpu_count() or 1
-    if int(threads) < 1:
+    threads = operator.index(threads)
+    if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    return int(threads)
+    return threads
 
 
 def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
@@ -536,20 +630,23 @@ def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
     is imported only when a pool starts.  Once a range raises (a
     ``KeyboardInterrupt`` in the caller too), no further range is handed
     out, and the exception propagates when the ranges already taken have
-    finished.  The workers share the cached embedding spectrum and
-    partial-step law of ``grid``, so those are computed before the pool
-    starts: two workers that missed the cache together would each run the
-    partial step's Toeplitz solve.
+    finished.  The workers share the cached embedding spectrum, the
+    twiddle factors of a long row's transform and the partial-step law of
+    ``grid``, so those are computed before the pool starts: two workers
+    that missed the cache together would each run the partial step's
+    Toeplitz solve.
 
     Each range hashes its keys once and synthesises its rows in sub-blocks
     of at most ``BLOCK_VALUES // workers`` embedding values (at least one
     row) through two buffers of its own: the normals, one spare column
-    before each row, and their half spectrum.  The transform writes the
-    increments over the normals, and they are summed into paths in place,
-    from the origin in the spare column, so the paths never leave the
-    normals buffer, and the workers together hold what one alone would.
-    Every row is computed on its own, so the paths do not depend on
-    ``threads``.
+    before each row, and their spectrum (:func:`_transform`).  The
+    transform writes the increments over the normals, and they are summed
+    into paths in place, from the origin in the spare column, so the paths
+    never leave the normals buffer.  While a row fits in ``BLOCK_VALUES //
+    workers`` values, the workers together hold what one alone would; a
+    longer row is a sub-block of its own, so each worker holds a whole
+    row's two buffers (about 4 MB at m = 2^18).  Every row is computed on
+    its own, so the paths do not depend on ``threads``.
     """
     h = as_hurst(h)
     _check_keys(master_seed, first_replicate, count)
@@ -567,7 +664,9 @@ def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
     cuts = [count * p // parts for p in range(parts + 1)]
     todo = deque((a, b) for a, b in zip(cuts, cuts[1:]) if b > a)
     if grid.full_steps > 0:
-        _embedding_amplitude(h.value, grid.full_steps, grid.points_per_unit)
+        amp = _embedding_amplitude(h.value, grid.full_steps,
+                                   grid.points_per_unit)
+        _transform(2 * (amp.shape[0] - 1))  # a long row's twiddles
         if grid.has_partial_step:
             _partial_step_weights(h, grid)
 
@@ -622,7 +721,8 @@ def _fft_range(h: HurstIndex, grid: GridSpec, master_seed: int,
     sub_rows = subs[0].stop
     # m >= 2k, so the k + 1 nodes and a partial step's node fit in m + 1
     zeta = np.empty((sub_rows, components, m + 1))
-    spec = np.empty((sub_rows, m // 2 + 1), dtype=complex)
+    transform, spec_shape = _transform(m)
+    spec = np.empty((sub_rows, *spec_shape), dtype=complex)
     extra = np.empty(sub_rows)
     for sub in subs:
         nb = sub.stop - sub.start
@@ -633,7 +733,7 @@ def _fft_range(h: HurstIndex, grid: GridSpec, master_seed: int,
                 rng.standard_normal(out=normals[r])
                 if partial:
                     extra[r] = rng.standard_normal()
-            fgn = _fgn_from_normals(amp, normals, spec[:nb])[:, :k]
+            fgn = transform(amp, normals, spec[:nb])[:, :k]
             if partial:
                 # one pairwise sum per row, through one reused row buffer,
                 # so no result depends on the block, and no BLAS dot, whose

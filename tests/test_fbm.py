@@ -16,7 +16,9 @@ from fbmlab.fbm import (
     EXACT_NODE_CAP,
     RANGES_PER_WORKER,
     _embedding_amplitude,
+    _fgn_four_step,
     _fgn_from_normals,
+    _four_step_shape,
     _keyed_streams,
     _partial_step_weights,
     GridSpec,
@@ -142,6 +144,18 @@ def test_grid_validation():
     # a finite t_end whose node count overflows a float
     with pytest.raises(ValueError, match="must be finite"):
         GridSpec(1e308, 64)
+
+
+def test_grid_takes_integer_resolutions_only():
+    # n = 64.5 would give 66 nodes, the last after a partial step of 1/129;
+    # a numpy integer is the same grid, and the caches key on grids
+    for bad in (64.5, 64.0, "64"):
+        with pytest.raises(TypeError):
+            GridSpec(1.0, bad)
+    grid = GridSpec(1.0, np.int64(64))
+    assert type(grid.points_per_unit) is int
+    assert grid == GridSpec(1.0, 64)
+    assert hash(grid) == hash(GridSpec(1.0, 64))
 
 
 def test_grid_rejects_one_node_horizon():
@@ -506,6 +520,52 @@ def test_fft_paths_hold_two_sub_block_buffers():
     assert sizes == [rows] * 16
 
 
+def test_long_row_fft_paths_hold_two_row_buffers():
+    # m = 2^18 exceeds BLOCK_VALUES, so each sub-block is one row, drawn by
+    # the four-step transform: the normals row and a spectrum of M1 (M2/2 +
+    # 1) complex values, m + M1, with no scratch row of a whole-row FFT;
+    # off the grid also one row of weighted increments.  The 0.25 row of
+    # slack covers numpy's iterator buffers in the strided spectrum fill
+    # (2.10 rows traced on the grid).  The one-call irfft traced 2.00 rows,
+    # but pocketfft's scratch row, which it allocates per call, is not
+    # traced
+    m = 2**18
+    assert m > BLOCK_VALUES
+    sizes = []
+
+    def take(start, paths):
+        sizes.append(len(paths))
+
+    for t in (1.0, 0.83):
+        grid = GridSpec(t, 2**17)
+        fft_paths(0.75, grid, 1, 0, 3, take, threads=1)  # fill the caches
+        tracemalloc.start()
+        try:
+            fft_paths(0.75, grid, 1, 0, 3, take, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        weighted = grid.full_steps * 8 if grid.has_partial_step else 0
+        assert peak < 2.25 * m * 8 + weighted, (t, (peak - weighted) / (m * 8))
+    assert sizes == [1] * 12
+
+
+@pytest.mark.parametrize("t", [1.0, 0.83])
+def test_long_rows_do_not_depend_on_threads(t):
+    # fine_n 2^17 embeds in m = 2^18 > BLOCK_VALUES: the four-step transform,
+    # one row per sub-block, on and off the grid
+    grid = GridSpec(t, 2**17)
+    assert 2 * (_embedding_amplitude(0.75, grid.full_steps, 2**17).shape[0]
+                - 1) == 2**18 > BLOCK_VALUES
+    ref = sample_fft_batch(0.75, grid, 5, 3, threads=1)
+    for threads in (2, 4):
+        got = sample_fft_batch(0.75, grid, 5, 3, threads=threads)
+        assert got.tobytes() == ref.tobytes(), threads
+    for r in range(3):
+        single = sample_fft_batch(0.75, grid, 5, 1, first_replicate=r)
+        assert single.tobytes() == ref[r : r + 1].tobytes(), r
+
+
 def test_exact_batch_offset_contract():
     grid = GridSpec(1.0, 8)
     batch = sample_exact_batch(0.6, grid, 1, 4)
@@ -565,6 +625,64 @@ def test_half_spectrum_synthesis_matches_complex_ifft(h, n_incr, m):
     got = _fgn_from_normals(amp, zeta, spec)
     assert got is zeta  # transformed in place
     _assert_close_rel(got[:, :n_incr], want)
+
+
+@pytest.mark.parametrize("m", [16, 64, 2048, 2**18])
+@pytest.mark.parametrize("h", [0.3, 0.75])
+def test_four_step_synthesis_matches_complex_ifft(h, m):
+    amp = _embedding_amplitude(h, m // 2, 1)
+    rows = 3 if m < 2**18 else 1
+    # the normals as the sampler holds them: rows of a buffer with a spare
+    # column before each and another component between them
+    buf = np.full((rows, 2, m + 1), np.nan)
+    zeta = buf[:, 1, 1:]
+    zeta[...] = substream(12, m).standard_normal((rows, m))
+    want = _reference_fgn(h, zeta, m)
+    spec = np.full((rows, *_four_step_shape(m)), complex(np.nan, np.nan))
+    assert spec[0].size == m // 2 + spec.shape[1]
+    got = _fgn_four_step(amp, zeta, spec)
+    assert got is zeta  # transformed in place
+    _assert_close_rel(got, want)
+
+
+def _eigenvalues(h, m):
+    """The circulant's eigenvalues 0 .. m/2 that _embedding_amplitude's
+    amplitude holds, at unit steps."""
+    amp = np.array(_embedding_amplitude(h, m // 2, 1))
+    amp[1:-1] *= np.sqrt(2.0)
+    return amp**2 / m
+
+
+@pytest.mark.parametrize("m", [2, 4, 16, 256])
+@pytest.mark.parametrize("h", [0.3, 0.75, 0.95])
+def test_eigenvalues_match_a_direct_cosine_sum(h, m):
+    gamma = fgn_autocovariance(h, np.arange(m // 2 + 1))
+    n = np.arange(m)
+    row = gamma[np.minimum(n, m - n)]
+    j = np.arange(m // 2 + 1)[:, None]
+    want = (row * np.cos(2 * np.pi * j * n / m)).sum(axis=1)
+    _assert_close_rel(_eigenvalues(h, m), want)
+
+
+@pytest.mark.parametrize("h", [0.3, 0.75])
+def test_eigenvalues_match_the_complex_fft_of_the_row(h):
+    m = 2**18
+    gamma = fgn_autocovariance(h, np.arange(m // 2 + 1))
+    want = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    _assert_close_rel(_eigenvalues(h, m), want[: m // 2 + 1])
+
+
+def test_negative_embedding_mass_counts_every_mode(monkeypatch):
+    # m = 4 and a first row (1, 0, 2, 0): eigenvalues 3, -1, 3, -1.  Mode 1
+    # stands for mode 3 too, so the clamped mass is 2 of a total of 8
+    monkeypatch.setattr(fbm, "fgn_autocovariance",
+                        lambda h, lags: np.array([1.0, 0.0, 2.0]))
+    _embedding_amplitude.cache_clear()
+    try:
+        with pytest.raises(fbm.EmbeddingError, match="mass 2.000e"):
+            _embedding_amplitude(0.7, 2, 1)
+    finally:
+        _embedding_amplitude.cache_clear()
 
 
 def test_fft_batch_matches_complex_ifft_on_partial_grid():
