@@ -16,7 +16,6 @@ from .integrals import (  # noqa: F401
     SignedMeasure,
     crossing_sums,
     indicator_measure,
-    riemann_sums,
 )
 from .localtime import (  # noqa: F401
     binning_estimates,

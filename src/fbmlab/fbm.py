@@ -71,11 +71,11 @@ __all__ = [
 
 EXACT_NODE_CAP = 4096
 
-# values per row block of the FFT sampler and the Riemann kernel: a block's
-# float64 buffers are 1 MB each, so two workers' synthesis buffers (0.5 MB
-# each) stay within a 4 MB L2 cache; at i = j the rate experiments' kernels
-# run on each sub-block in one crossing call, whose fixed cost no longer
-# needs larger sub-blocks
+# values per row block of the FFT sampler: a block's float64 buffers are
+# 1 MB each, so two workers' synthesis buffers (0.5 MB each) stay within a
+# 4 MB L2 cache; at i = j the rate experiments' kernels run on each
+# sub-block in one crossing call, whose fixed cost no longer needs larger
+# sub-blocks
 BLOCK_VALUES = 2**17
 # replicate ranges per worker thread of fft_paths; each range sets up its
 # own keys and buffers, so a few are enough to rebalance a slowed worker
@@ -167,15 +167,15 @@ class GridSpec:
     def refinement_of(self, coarse: "GridSpec") -> int:
         """Integer refinement factor relative to ``coarse``; raises if the
         coarse nodes are not an exact subset."""
-        r = self.points_per_unit / coarse.points_per_unit
-        if abs(r - round(r)) > _GRID_EPS or r < 1:
+        r, rest = divmod(self.points_per_unit, coarse.points_per_unit)
+        if rest or r < 1:
             raise ValueError(
                 f"grid with n={self.points_per_unit} does not refine n="
                 f"{coarse.points_per_unit}"
             )
         if abs(self.t_end - coarse.t_end) > _GRID_EPS:
             raise ValueError("grids must share t_end")
-        return int(round(r))
+        return r
 
 
 def fbm_covariance(h, s: float, t: float) -> float:
@@ -197,14 +197,6 @@ def fgn_autocovariance(h, lags, dt: float = 1.0) -> np.ndarray:
     two_h = 2.0 * hv
     gamma = 0.5 * ((k + 1) ** two_h - 2 * k**two_h + np.abs(k - 1) ** two_h)
     return gamma * dt**two_h
-
-
-def row_blocks(rows: int, row_len: int, share: int = 1):
-    """Consecutive slices covering ``range(rows)``, each of as many rows of
-    ``row_len`` values as fit in ``BLOCK_VALUES // share`` (at least one
-    row)."""
-    step = max(1, BLOCK_VALUES // share // max(row_len, 1))
-    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
@@ -717,19 +709,20 @@ def _fft_range(h: HurstIndex, grid: GridSpec, master_seed: int,
         weighted = np.empty(k)
     amp = _embedding_amplitude(h.value, k, grid.points_per_unit)
     m = 2 * (amp.shape[0] - 1)
-    subs = row_blocks(count, components * m, workers)
-    sub_rows = subs[0].stop
+    # sub-blocks of as many rows as fit in the workers' share of the
+    # block budget (at least one row)
+    sub_rows = min(count, max(1, BLOCK_VALUES // workers // (components * m)))
     # m >= 2k, so the k + 1 nodes and a partial step's node fit in m + 1
     zeta = np.empty((sub_rows, components, m + 1))
     transform, spec_shape = _transform(m)
     spec = np.empty((sub_rows, *spec_shape), dtype=complex)
     extra = np.empty(sub_rows)
-    for sub in subs:
-        nb = sub.stop - sub.start
+    for start in range(0, count, sub_rows):
+        nb = min(sub_rows, count - start)
         for c in range(components):
             normals = zeta[:nb, c, 1:]
             for r in range(nb):
-                rng = key(sub.start + r, c)
+                rng = key(start + r, c)
                 rng.standard_normal(out=normals[r])
                 if partial:
                     extra[r] = rng.standard_normal()
@@ -746,7 +739,7 @@ def _fft_range(h: HurstIndex, grid: GridSpec, master_seed: int,
             np.cumsum(path, axis=-1, out=path)
             if partial:
                 zeta[:nb, c, k + 1] = path[:, k] + extra[:nb]
-        take(a + sub.start, zeta[:nb, :, : grid.num_nodes])
+        take(a + start, zeta[:nb, :, : grid.num_nodes])
 
 
 def sample_fft_batch(

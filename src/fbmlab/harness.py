@@ -73,6 +73,15 @@ def default_fine_factor(h, component_pair) -> int:
     return f
 
 
+def _plan_int(field: str, value) -> int:
+    """``value`` as an int (``operator.index``): a float or a string raises
+    a PlanError naming ``field`` rather than run as its truncation."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PlanError(f"{field} takes integers only, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     hurst: float
@@ -86,7 +95,7 @@ class ExperimentPlan:
 
     def __post_init__(self):
         as_hurst(self.hurst).require_rough_regime()
-        ns = tuple(int(n) for n in self.n_values)
+        ns = tuple(_plan_int("n_values", n) for n in self.n_values)
         object.__setattr__(self, "n_values", ns)
         if len(ns) < 3:
             raise PlanError(f"n_values needs at least 3 values for a rate "
@@ -97,7 +106,8 @@ class ExperimentPlan:
             raise PlanError("n values must be strictly increasing")
         if ns[-1] < 4 * ns[0]:
             raise PlanError("n values must span at least 2 octaves")
-        pair = tuple(self.component_pair)
+        pair = tuple(_plan_int("component_pair", i) for i in self.component_pair)
+        object.__setattr__(self, "component_pair", pair)
         if len(pair) != 2 or not set(pair) <= {1, 2}:
             raise PlanError(f"component pair {pair} must name two components "
                             "from {1, 2}")
@@ -107,6 +117,9 @@ class ExperimentPlan:
             GridSpec(self.t, ns[0])
         except ValueError as exc:
             raise PlanError(str(exc)) from None
+        for field in ("replicates", "fine_factor", "master_seed"):
+            object.__setattr__(self, field,
+                               _plan_int(field, getattr(self, field)))
         if self.replicates < 0 or self.replicates == 1:
             raise PlanError("replicates must be 0 (auto-scale) or >= 2 (the "
                             f"stderr needs two), got {self.replicates}")
@@ -114,14 +127,9 @@ class ExperimentPlan:
             # at 1 the reference would be the n_max grid itself
             raise PlanError("fine_factor must be 0 (default for the component "
                             f"pair) or >= 2, got {self.fine_factor}")
-        try:
-            seed = operator.index(self.master_seed)
-        except TypeError:
-            seed = None
-        if seed is None or seed < 0:
+        if self.master_seed < 0:
             raise PlanError(f"master_seed must be a nonnegative integer, got "
                             f"{self.master_seed!r}")
-        object.__setattr__(self, "master_seed", seed)
         if self.fine_factor == 0:
             object.__setattr__(self, "fine_factor",
                                default_fine_factor(self.hurst, pair))

@@ -1,21 +1,20 @@
-"""Riemann sums of pathwise integrals with bounded-variation integrands.
+"""Pathwise integrals with bounded-variation integrands and their
+discretisation error.
 
 An integrand of bounded variation is represented by its derivative measure:
-f(x) = beta + sum_k c_k * sgn(x - a_k), with sgn(0) = -1 so f is
+f(x) = sum_k c_k * sgn(x - a_k) up to a constant, with sgn(0) = -1 so f is
 left-continuous (the left derivative of a convex function when all c_k are
 nonnegative).  Integrands are finite step functions: a finite list of atoms.
 
 The normalised discretisation error S_n = n^{2H-1} (integral - Riemann sum)
 is the central object; for indicator integrands and a single component it
 has a closed form as a sum of |B - a| over grid steps that cross the level.
-The kernels take arrays of shape (..., nodes), so one call covers a whole
+The kernel takes arrays of shape (..., nodes), so one call covers a whole
 batch of replicates; a single path is a (nodes,) array and gives a 0-d
-result.  The crossing kernel also takes a sequence of grids and returns one
-row of sums per grid: one call compares the fine values with the level
-once and finds the crossings of every grid in one pass, so its fixed cost
-of a few dozen microseconds is paid once for all grids.  The Riemann
-kernel works through the rows in blocks of at most ``fbm.BLOCK_VALUES``
-coarse values, so its temporaries are a few MB whatever the batch size.
+result.  It also takes a sequence of grids and returns one row of sums per
+grid: one call compares the fine values with the level once and finds the
+crossings of every grid in one pass, so its fixed cost of a few dozen
+microseconds is paid once for all grids.
 """
 
 from __future__ import annotations
@@ -25,32 +24,29 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fbm import GridSpec, row_blocks
+from .fbm import GridSpec
 
 __all__ = [
     "SignedMeasure",
     "indicator_measure",
-    "eval_integrand",
-    "riemann_sums",
     "crossing_sums",
 ]
 
 
 @dataclass(frozen=True)
 class SignedMeasure:
-    """Derivative measure of a BV integrand: atoms (a_k, c_k) plus base
-    constant beta in f(x) = beta + sum c_k sgn(x - a_k)."""
+    """Derivative measure of a BV integrand: atoms (a_k, c_k) in
+    f(x) = sum c_k sgn(x - a_k).  This gives f up to a constant, on which
+    S_n does not depend: every Riemann sum integrates a constant exactly."""
 
     atoms: tuple
-    base_constant: float = 0.0
 
     def __post_init__(self):
         atoms = tuple((float(a), float(c)) for a, c in self.atoms)
         object.__setattr__(self, "atoms", atoms)
-        if not (np.isfinite(atoms).all() and np.isfinite(self.base_constant)
-                and np.isfinite(self.total_variation)):
-            raise ValueError("atom positions, masses, base constant and "
-                             "total variation must be finite")
+        if not (np.isfinite(atoms).all() and np.isfinite(self.total_variation)):
+            raise ValueError("atom positions, masses and total variation must "
+                             "be finite")
 
     @property
     def total_variation(self) -> float:
@@ -58,17 +54,8 @@ class SignedMeasure:
 
 
 def indicator_measure(a: float = 0.0) -> SignedMeasure:
-    """Measure representing f(x) = 1_{x > a}."""
-    return SignedMeasure(((a, 0.5),), base_constant=0.5)
-
-
-def eval_integrand(f: SignedMeasure, x):
-    """Evaluate f(x) = beta + sum c_k sgn(x - a_k); vectorised in x."""
-    x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, f.base_constant)
-    for a, c in f.atoms:
-        out += np.where(x > a, c, -c)  # c sgn(x - a), sgn(0) = -1
-    return float(out) if out.ndim == 0 else out
+    """Measure representing f(x) = 1_{x > a}, up to a constant."""
+    return SignedMeasure(((a, 0.5),))
 
 
 def _coarse_nodes(fine: GridSpec, grid: GridSpec):
@@ -79,17 +66,6 @@ def _coarse_nodes(fine: GridSpec, grid: GridSpec):
     multiple of r."""
     r = fine.refinement_of(grid)
     return slice(0, r * grid.full_steps + 1, r), grid.has_partial_step
-
-
-def _coarse_view(values: np.ndarray, fine: GridSpec, grid: GridSpec) -> np.ndarray:
-    """``values[..., nodes]`` (on ``fine``) restricted to the nodes of
-    ``grid`` (``_coarse_nodes``): a strided view, with the terminal node
-    appended when ``grid`` has a partial step."""
-    nodes, partial = _coarse_nodes(fine, grid)
-    view = values[..., nodes]
-    if partial:
-        view = np.concatenate([view, values[..., -1:]], axis=-1)
-    return view
 
 
 @lru_cache(maxsize=32)
@@ -115,28 +91,6 @@ def _crossing_layout(fine: GridSpec, grids: tuple):
     for arr in (index, owner, joins):
         arr.flags.writeable = False
     return tuple(spans), index, owner, joins
-
-
-def riemann_sums(bi: np.ndarray, bj: np.ndarray, fine: GridSpec,
-                 f: SignedMeasure, grid: GridSpec) -> np.ndarray:
-    """Left-point sums of f(B^i) dB^j on ``grid`` along the last axis of
-    ``bi`` and ``bj`` (shape (..., nodes) on ``fine``); shape (...).
-
-    The final increment is clamped at t_end via the grid's terminal node.
-    """
-    rows_shape = bi.shape[:-1]
-    bi = bi.reshape(-1, bi.shape[-1])
-    bj = bj.reshape(-1, bj.shape[-1])
-    out = np.empty(bi.shape[0])
-    for blk in row_blocks(bi.shape[0], grid.num_nodes):
-        xi = _coarse_view(bi[blk], fine, grid)
-        xj = _coarse_view(bj[blk], fine, grid)
-        terms = eval_integrand(f, xi[:, :-1])
-        terms *= np.diff(xj, axis=-1)
-        # one pairwise sum per row, so no result depends on the block, and no
-        # BLAS dot, whose threads would split a long row
-        out[blk] = terms.sum(axis=-1)
-    return out.reshape(rows_shape)[()]
 
 
 def crossing_sums(values: np.ndarray, fine: GridSpec, a: float, grids,

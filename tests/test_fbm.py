@@ -133,6 +133,12 @@ def test_refinement_factor():
     assert fine.refinement_of(coarse) == 4
     with pytest.raises(ValueError):
         GridSpec(1.0, 48).refinement_of(GridSpec(1.0, 9))
+    # integer arithmetic: a ratio within 1e-9 of 1 is no refinement, and a
+    # factor of resolutions beyond 2^53 is exact
+    with pytest.raises(ValueError, match="does not refine"):
+        GridSpec(1.0, 2_000_000_001).refinement_of(GridSpec(1.0, 2_000_000_000))
+    n = 2**52 + 1
+    assert GridSpec(1.0, 3 * n).refinement_of(GridSpec(1.0, n)) == 3
 
 
 def test_grid_validation():

@@ -22,15 +22,10 @@ from fbmlab.harness import (
     fit_rate,
     run_rate_experiment,
 )
-from fbmlab.integrals import (
-    SignedMeasure,
-    crossing_sums,
-    eval_integrand,
-    indicator_measure,
-    riemann_sums,
-)
+from fbmlab.integrals import SignedMeasure, crossing_sums, indicator_measure
+from riemann_reference import integrand, riemann_sums
 
-TWO_ATOMS = SignedMeasure(((-0.3, 0.5), (0.4, 1.0)), base_constant=0.2)
+TWO_ATOMS = SignedMeasure(((-0.3, 0.5), (0.4, 1.0)))
 
 
 def make_plan(**kw):
@@ -66,6 +61,17 @@ def test_plan_validation():
         make_plan(replicates=-5)  # 0 means auto-scale; below 0 is an error
     with pytest.raises(PlanError, match="replicates"):
         make_plan(replicates=1)  # no stderr from one replicate
+    # integers only: a float is refused, not truncated, in the field it is in
+    for field, value in (("n_values", (8.7, 16, 32)), ("replicates", 2.5),
+                         ("fine_factor", 2.5), ("n_values", (8, 16, 32.0)),
+                         ("component_pair", (1.0, 2.0))):
+        with pytest.raises(PlanError, match=f"^{field} takes integers"):
+            make_plan(**{field: value})
+    plan = make_plan(n_values=(np.int64(8), 16, 32), replicates=np.int64(4),
+                     fine_factor=np.int64(2), component_pair=[np.int64(1), 2])
+    assert [type(v) for v in (*plan.n_values, plan.replicates, plan.fine_factor,
+                              *plan.component_pair)] == [int] * 7
+    assert plan.component_pair == (1, 2)
 
 
 def test_plan_rejects_n_values_off_the_reference_grid():
@@ -369,7 +375,7 @@ def _dense_cross_moments(plan, fine, bi):
         r = fine.refinement_of(GridSpec(plan.t, n))
         left = np.arange(fine.num_nodes - 1) // r * r
         for row, path in enumerate(bi):
-            v = eval_integrand(plan.integrand, path)
+            v = integrand(plan.integrand, path)
             g = v[:-1] - v[left]
             out[gi, row] = n ** (4 * plan.hurst - 2) * g @ incr_cov @ g
     return out
@@ -441,12 +447,11 @@ def test_cross_moments_are_the_mean_over_independent_bj():
     bj = sample_fft_batch(plan.hurst, fine, 2302, 4000)[:, 0]
     moments = _path_errors(plan, fine, bi)
     for row, path in enumerate(bi):
-        rows = np.broadcast_to(path, bj.shape)
-        ref = riemann_sums(rows, bj, fine, plan.integrand, fine)
+        ref = riemann_sums(path, bj, fine, plan.integrand, fine)
         for gi, n in enumerate(plan.n_values):
             grid = GridSpec(plan.t, n)
             sq = (n ** (2 * plan.hurst - 1)
-                  * (ref - riemann_sums(rows, bj, fine, plan.integrand, grid)))**2
+                  * (ref - riemann_sums(path, bj, fine, plan.integrand, grid)))**2
             assert moments[gi, row] > 0
             z = (sq.mean() - moments[gi, row]) / (sq.std(ddof=1) / np.sqrt(len(sq)))
             assert abs(z) < 4, (row, n, z)

@@ -1,9 +1,8 @@
-"""Riemann sums, signed derivative measures and the crossing closed form."""
+"""Signed derivative measures and the crossing closed form of S_n."""
 
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +12,12 @@ from fbmlab.fbm import GridSpec, sample_fft_batch
 from fbmlab.harness import ExperimentPlan, _path_errors
 from fbmlab.integrals import (
     SignedMeasure,
-    _coarse_view,
     _crossing_layout,
     crossing_sums,
-    eval_integrand,
     indicator_measure,
-    riemann_sums,
 )
 from fbmlab.localtime import binning_estimates, sign_change_estimates
+from riemann_reference import coarse_values, riemann_sums
 
 
 def _path(h, grid, seed):
@@ -33,41 +30,9 @@ def _scaled_crossings(h, values, fine, a, grid):
     return grid.points_per_unit ** (2 * h - 1) * crossing_sums(values, fine, a, grid)
 
 
-def test_indicator_measure_evaluates_to_indicator():
-    f = indicator_measure(0.3)
-    xs = np.array([-1.0, 0.0, 0.3, 0.30001, 2.0])
-    # sgn(0) = -1, so the indicator is right-open: f(a) = 0
-    np.testing.assert_allclose(eval_integrand(f, xs), [0, 0, 0, 1, 1])
-
-
 def test_total_variation_and_growth():
     mu = SignedMeasure(((0.0, 0.5), (1.0, -0.25)))
     assert mu.total_variation == pytest.approx(0.75)
-
-
-def test_step_integrand_two_atoms():
-    # f(x) = 1_{x > -1} + 2 * 1_{x > 1} as atoms + base constant
-    mu = SignedMeasure(((-1.0, 0.5), (1.0, 1.0)), base_constant=1.5)
-    assert eval_integrand(mu, -2.0) == pytest.approx(0.0)
-    assert eval_integrand(mu, 0.0) == pytest.approx(1.0)
-    assert eval_integrand(mu, 2.0) == pytest.approx(3.0)
-
-
-def test_constant_integrand_telescopes():
-    fine = GridSpec(1.0, 64)
-    b = _path(0.7, fine, 11)
-    f = SignedMeasure((), base_constant=2.0)
-    s = riemann_sums(b, b, fine, f, GridSpec(1.0, 16))
-    assert s == pytest.approx(2.0 * b[-1], abs=1e-12)
-
-
-def test_riemann_sum_on_known_staircase():
-    # deterministic path on 4 nodes; integrand 1_{x > 0}
-    grid = GridSpec(1.0, 4)
-    b = np.array([0.0, 1.0, -1.0, 2.0, 0.5])
-    f = indicator_measure(0.0)
-    # left-point rule: f(0)*1 + f(1)*(-2) + f(-1)*3 + f(2)*(-1.5)
-    assert riemann_sums(b, b, grid, f, grid) == pytest.approx(-3.5)
 
 
 def test_sign_change_initial_step_counts():
@@ -80,17 +45,23 @@ def test_sign_change_initial_step_counts():
 
 
 def test_sign_change_matches_riemann_identity():
-    # exact algebraic identity: the S_n of an indicator equals the scaled
-    # difference of Riemann sums between two dyadic resolutions
-    fine, coarse = GridSpec(1.0, 512), GridSpec(1.0, 64)
-    b = _path(0.7, fine, 23)
-    f = indicator_measure(0.0)
-    lhs = riemann_sums(b, b, fine, f, fine) - riemann_sums(b, b, fine, f, coarse)
-    rhs = (
-        64 ** (1 - 2 * 0.7) * _scaled_crossings(0.7, b, fine, 0.0, coarse)
-        - 512 ** (1 - 2 * 0.7) * _scaled_crossings(0.7, b, fine, 0.0, fine)
-    )
-    assert lhs == pytest.approx(rhs, abs=1e-12)
+    # exact algebraic identity: the crossing sums of 1_{x > a} on two grids
+    # differ by the difference of their Riemann sums, the definition of S_n;
+    # at t = 0.83 every grid ends on a partial step, on n = 8 one that spans
+    # 40 fine steps and the fine partial step
+    for t in (1.0, 0.83):
+        fine = GridSpec(t, 512)
+        b = sample_fft_batch(0.7, fine, 23, 64)[:, 0]
+        for a in (0.0, 0.3):
+            f = indicator_measure(a)
+            fine_sums = riemann_sums(b, b, fine, f, fine)
+            for n in (8, 64):
+                coarse = GridSpec(t, n)
+                lhs = fine_sums - riemann_sums(b, b, fine, f, coarse)
+                rhs = (crossing_sums(b, fine, a, coarse)
+                       - crossing_sums(b, fine, a, fine))
+                assert (rhs != 0).sum() >= 16  # rows that cross the level
+                np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
 def test_sign_change_nonzero_level_shift_invariance():
@@ -113,8 +84,6 @@ def test_clamped_terminal_step():
 
 BATCH_FUNCTIONS = {
     "crossing_sums": lambda v, fine, grid: crossing_sums(v, fine, 0.1, grid),
-    "riemann_sums": lambda v, fine, grid: riemann_sums(
-        v, v[..., ::-1], fine, indicator_measure(0.1), grid),
     "sign_change_estimates": lambda v, fine, grid: sign_change_estimates(
         0.75, v, fine, 0.1, grid),
     "binning_estimates": lambda v, fine, grid: binning_estimates(
@@ -135,18 +104,6 @@ def test_single_path_is_a_batch_row(name, t):
         row = fn(batch[r], fine, grid)
         assert np.ndim(row) == 0
         np.testing.assert_allclose(row, whole[r], rtol=1e-12, atol=0)
-    if name == "riemann_sums":
-        # blocks of 2^17 values: one row on the fine grid, one (t = 1) or two
-        # (t = 0.83) on n = 2^16, and on n = 2^15 two three-row blocks at
-        # t = 1 and a four-row and a two-row block at t = 0.83
-        fine = GridSpec(t, 2**19)
-        walk = np.cumsum(np.random.default_rng(3).standard_normal(
-            (6, fine.num_nodes)), axis=-1) * 2.0**-9.5
-        for grid in (fine, GridSpec(t, 2**16), GridSpec(t, 2**15),
-                     GridSpec(t, 32)):
-            whole = fn(walk, fine, grid)
-            rows = [fn(walk[r], fine, grid) for r in range(6)]
-            np.testing.assert_array_equal(rows, whole)
     if name == "binning_estimates":
         # n = 1000: the step lengths are not powers of two, so a row's
         # estimate must not come from a sum whose order depends on the batch;
@@ -158,38 +115,25 @@ def test_single_path_is_a_batch_row(name, t):
                 [fn(row, fine, fine) for row in batch], whole)
 
 
-def _coarse_values_fancy(values, fine, grid):
-    """Reference: the fancy-index restriction the strided view replaced."""
-    r = fine.refinement_of(grid)
-    idx = np.arange(grid.full_steps + 1) * r
-    if grid.has_partial_step:
-        idx = np.append(idx, fine.num_nodes - 1)
-    return values[..., idx]
-
-
 # t = 207.5/256: the fine grid's terminal node has index 208 = 13 * 16, so a
 # plain ::16 stride already ends on it; t = 207/256: only the coarse grid has
 # a partial step
 @pytest.mark.parametrize("t", [1.0, 0.83, 207.5 / 256, 207 / 256])
 def test_coarse_view_matches_fancy_index(t):
+    # the crossing kernel's layout picks the nodes of every grid that the
+    # fancy index of the reference picks
     fine = GridSpec(t, 256)
-    values = np.random.default_rng(4).standard_normal((3, 2, fine.num_nodes))
     grids = tuple(GridSpec(t, n) for n in (16, 64, 256))
-    for grid in grids:
-        got = _coarse_view(values, fine, grid)
-        assert got.shape == (3, 2, grid.num_nodes)
-        np.testing.assert_array_equal(got, _coarse_values_fancy(values, fine, grid))
-    # the crossing kernel's layout takes its nodes from the same rule
     every = np.arange(fine.num_nodes)
     np.testing.assert_array_equal(
         _crossing_layout(fine, grids)[1],
-        np.concatenate([_coarse_values_fancy(every, fine, g) for g in grids]))
+        np.concatenate([coarse_values(every, fine, g) for g in grids]))
 
 
 def _crossing_sums_per_grid(values, fine, a, grid, weights=None):
     """Reference: the one-grid crossing kernel that the multi-grid call
-    replaced, on the strided view of the grid's nodes."""
-    b = _coarse_view(values, fine, grid)
+    replaced, on the grid's nodes taken by fancy index."""
+    b = coarse_values(values, fine, grid)
     rows_shape = b.shape[:-1]
     b = b.reshape(-1, b.shape[-1])
     above = b > a
@@ -267,7 +211,7 @@ def test_harness_crossing_errors_equal_per_grid_route(rows, t):
     # one atom, the same atom shifted onto the walk's lattice, and two atoms
     fine, batches = _paths_touching_levels(t, rows)
     measures = (indicator_measure(0.0), indicator_measure(0.25),
-                SignedMeasure(((-0.125, 0.5), (0.25, 1.0)), base_constant=0.2))
+                SignedMeasure(((-0.125, 0.5), (0.25, 1.0))))
     for mu in measures:
         plan = ExperimentPlan(0.75, (16, 64, 256), mu, t=t, replicates=2,
                               fine_factor=4)
@@ -277,38 +221,16 @@ def test_harness_crossing_errors_equal_per_grid_route(rows, t):
             assert got.tobytes() == _path_errors_per_grid(plan, fine, bi).tobytes()
 
 
-def test_riemann_sums_memory_is_block_sized():
-    # 32 x 2 paths of 131073 nodes: temporaries are block-sized, never a
-    # (replicates, nodes) array
-    fine = GridSpec(1.0, 2**17)
-    batch = sample_fft_batch(0.75, fine, 1, 32, 2)
-    tracemalloc.start()
-    try:
-        for grid in (fine, GridSpec(1.0, 512)):
-            riemann_sums(batch[:, 0], batch[:, 1], fine, indicator_measure(0.0),
-                         grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * 2**20
-
-
-# rows of 2^15 values and more, which a multi-threaded BLAS dot splits across
-# its threads and so rounds differently; at H = 0.1 the partial step's
-# conditional mean is large enough to show in the path's last node
+# the partial step's conditional mean is a dot product over rows of 2^15
+# values and more, which a multi-threaded BLAS dot splits across its threads
+# and so rounds differently; at H = 0.1 it is large enough to show in the
+# path's last node
 _ROW_DOTS_SCRIPT = """
 import hashlib
-import numpy as np
 from fbmlab.fbm import GridSpec, sample_fft_batch
-from fbmlab.integrals import indicator_measure, riemann_sums
 
-fine = GridSpec(1.0, 2**17)
-walk = np.cumsum(np.random.default_rng(5).standard_normal((4, 2, fine.num_nodes)),
-                 axis=-1) * 2.0**-8.5
-sums = riemann_sums(walk[:, 0], walk[:, 1], fine, indicator_measure(0.0), fine)
 paths = sample_fft_batch(0.1, GridSpec(1 + 2**-16, 2**15), 3, 3)
-print(hashlib.sha256(sums.tobytes()).hexdigest(),
-      hashlib.sha256(paths.tobytes()).hexdigest())
+print(hashlib.sha256(paths.tobytes()).hexdigest())
 """
 
 
