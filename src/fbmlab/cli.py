@@ -112,14 +112,6 @@ def _positive_finite(flag: str, value: float) -> float:
     return value
 
 
-def _grid(flag: str, t_end: float, n: int) -> GridSpec:
-    """GridSpec(t_end, n), naming ``flag`` when it rejects the horizon."""
-    try:
-        return GridSpec(t_end, n)
-    except ValueError as exc:
-        raise CliError(f"{flag}: {exc}") from None
-
-
 def _float_list(flag: str, text: str) -> list[float]:
     try:
         return [float(x) for x in text.split(",")]
@@ -136,16 +128,12 @@ def _cmd_simulate(args):
     started = time.monotonic()
     if args.n < 1:
         raise CliError(f"--n must be >= 1, got {args.n}")
-    _positive_finite("--T", args.T)
-    t_end = args.T if args.t is None else _positive_finite("--t", args.t)
-    grid = _grid("--T" if args.t is None else "--t", t_end, args.n)
-    if not grid.t_end <= args.T:
-        raise CliError(f"--t ({grid.t_end}) must not exceed --T ({args.T})")
+    grid = GridSpec(_positive_finite("--t", args.t), args.n)
     sampler = sample_fft_batch if args.method == "fft" else sample_exact_batch
     values = sampler(args.H, grid, args.seed, 1, args.components)[0]
     header = ["t"] + [f"B{c + 1}" for c in range(len(values))]
     text = _csv(header, zip(grid.nodes(), *values))
-    cfg = {"H": args.H, "n": args.n, "T": args.T, "t": grid.t_end,
+    cfg = {"H": args.H, "n": args.n, "t": args.t,
            "components": args.components, "method": args.method}
     _emit(args, "path.csv", text, _manifest(args, cfg, started))
     return 0
@@ -158,8 +146,8 @@ def _cmd_localtime(args):
         raise CliError("--levels must be finite")
     if args.n < 1:
         raise CliError(f"--n must be >= 1, got {args.n}")
-    grid = _grid("--t", _positive_finite("--t", args.t), args.n)
-    eps = default_bin_width(args.H, args.n) if args.eps is None else args.eps
+    grid = GridSpec(_positive_finite("--t", args.t), args.n)
+    eps = default_bin_width(args.H, grid) if args.eps is None else args.eps
     _positive_finite("--eps", eps)
     if args.replicates < 1:
         raise CliError(f"--replicates must be >= 1, got {args.replicates}")
@@ -235,8 +223,9 @@ def _cmd_rate(args):
              r["slope"], r["half_width"], r["pass"]) for r in report.rows()]
     text = _csv(["H", "n", "l2_error", "stderr", "replicates", "slope",
                  "half_width", "pass"], rows)
-    cfg_echo = {"H": h, "n_values": ",".join(map(str, n_values)), "level": level,
-                "pair": pair, "seed": seed, "reference": plan.reference_kind,
+    cfg_echo = {"H": h, "t": plan.t, "n_values": ",".join(map(str, n_values)),
+                "level": level, "pair": pair, "seed": seed,
+                "reference": plan.reference_kind, "fine_factor": plan.fine_factor,
                 "replicates": report.replicates}
     _emit(args, "rate.csv", text, _manifest(args, cfg_echo, started))
     if report.unusable and len(report.unusable) == len(report.n_values):
@@ -337,8 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="sample an fBm path as CSV")
     sim.add_argument("--H", type=float, required=True)
     sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--T", type=float, default=1.0)
-    sim.add_argument("--t", type=float, default=None)
+    sim.add_argument("--t", type=float, default=1.0)
     sim.add_argument("--components", type=int, default=1, choices=(1, 2))
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--method", choices=("exact", "fft"), default="fft")

@@ -33,15 +33,12 @@ re-keys one PCG64 generator per path, which gives the same streams bit for
 bit without a SeedSequence and a Generator per path; replicate ids stay
 below 2^32.  Every row is computed on its own, so a path is bit-identical
 whatever batch, block or worker it is drawn in; one path is row ``[0]`` of
-a batch of one.  The partial step's conditional mean is a pairwise sum
-per row, not a BLAS dot product, so paths do not depend on the BLAS thread
-count either.
+a batch of one.
 
-An off-grid ``t_end`` ends in a partial step, drawn exactly from its
-conditional law given the grid increments.  Its weights solve a Toeplitz
-system of order k = ``full_steps`` by FFT-preconditioned conjugate
-gradients (:func:`_toeplitz_solve`), O(k log k) per iteration and about a
-second at k = 10^5, with numpy alone.
+A grid is n equal steps of [0, t].  Both samplers draw the path on [0, 1]
+with n steps and scale it by t^H, which is exact by self-similarity: the
+t^H is a factor of the cached embedding amplitude or Cholesky factor, 1.0
+at t = 1.
 """
 
 from __future__ import annotations
@@ -81,14 +78,6 @@ BLOCK_VALUES = 2**17
 # own keys and buffers, so a few are enough to rebalance a slowed worker
 RANGES_PER_WORKER = 3
 
-# iteration cap of the partial step's Toeplitz solve: it took 7-44
-# iterations at every H in [0.005, 0.999] and k up to 435159 tried, and 253
-# at H = 1e-4
-_TOEPLITZ_MAX_ITER = 500
-
-# grid arithmetic tolerance for deciding whether n * t_end is an integer
-_GRID_EPS = 1e-9
-
 
 class EmbeddingError(RuntimeError):
     """Circulant embedding spectrum had too much negative mass."""
@@ -122,58 +111,51 @@ def as_hurst(h) -> HurstIndex:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid k/n for k = 0..floor(n*t_end), plus t_end itself when
-    n*t_end is not an integer (so the clamped terminal node is exact)."""
+    """``steps`` equal steps of [0, t_end]: nodes t_end * (k / steps) for
+    k = 0..steps."""
 
     t_end: float
-    points_per_unit: int
+    steps: int
 
     def __post_init__(self):
         if not 0.0 < self.t_end < np.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        # an integer (TypeError otherwise): n = 64.5 would end in a partial
-        # step of 1/129, and np.int64(64) keys the caches as 64 does
-        object.__setattr__(self, "points_per_unit",
-                           operator.index(self.points_per_unit))
-        if self.points_per_unit < 1:
-            raise ValueError("points_per_unit must be >= 1")
-        if not np.isfinite(self.points_per_unit * self.t_end):
-            raise ValueError(f"points_per_unit * t_end must be finite, got "
-                             f"{self.points_per_unit} * {self.t_end}")
-        if self.num_nodes < 2:
-            raise ValueError(f"t_end = {self.t_end} is within {_GRID_EPS} of 0 on the "
-                             f"grid with n = {self.points_per_unit}: one node")
+        # an integer (TypeError otherwise), and np.int64(64) keys the caches
+        # as 64 does
+        object.__setattr__(self, "steps", operator.index(self.steps))
+        if self.steps < 1:
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
 
     @property
     def full_steps(self) -> int:
-        return int(np.floor(self.points_per_unit * self.t_end + _GRID_EPS))
-
-    @property
-    def has_partial_step(self) -> bool:
-        k = self.full_steps
-        return self.t_end - k / self.points_per_unit > _GRID_EPS
+        """``steps``, under the name that ``benchmarks/tracing.py`` reads."""
+        return self.steps
 
     def nodes(self) -> np.ndarray:
-        n = self.points_per_unit
-        ts = np.arange(self.full_steps + 1) / n
-        if self.has_partial_step:
-            ts = np.append(ts, self.t_end)
-        return ts
+        return self.t_end * (np.arange(self.steps + 1) / self.steps)
 
     @property
     def num_nodes(self) -> int:
-        return self.full_steps + 1 + int(self.has_partial_step)
+        return self.steps + 1
+
+    def mesh_power(self, p: float) -> float:
+        """(steps / t_end)^p, the p-th power of the inverse mesh, formed as
+        steps^p * t_end^-p so that it is steps^p bit for bit at t_end = 1;
+        raises ValueError when that overflows a float."""
+        try:
+            return self.steps**p * self.t_end ** (-p)
+        except OverflowError:
+            raise ValueError(f"(steps / t_end)^{p:.6g} overflows a float at "
+                             f"steps = {self.steps}, t_end = {self.t_end}") from None
 
     def refinement_of(self, coarse: "GridSpec") -> int:
         """Integer refinement factor relative to ``coarse``; raises if the
         coarse nodes are not an exact subset."""
-        r, rest = divmod(self.points_per_unit, coarse.points_per_unit)
+        r, rest = divmod(self.steps, coarse.steps)
         if rest or r < 1:
             raise ValueError(
-                f"grid with n={self.points_per_unit} does not refine n="
-                f"{coarse.points_per_unit}"
-            )
-        if abs(self.t_end - coarse.t_end) > _GRID_EPS:
+                f"grid with n={self.steps} does not refine n={coarse.steps}")
+        if self.t_end != coarse.t_end:
             raise ValueError("grids must share t_end")
         return r
 
@@ -332,9 +314,12 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _grid_cholesky(h: HurstIndex, grid: GridSpec) -> np.ndarray:
-    ts = grid.nodes()[1:]
-    cov = fbm_covariance(h, ts[:, None], ts[None, :])
-    return _cholesky_with_jitter(cov)
+    """Cholesky factor of the covariance of the nodes k / steps, k >= 1, of
+    [0, 1], times t_end^H.  Cached and shared."""
+    ts = np.arange(1, grid.steps + 1) / grid.steps
+    chol = _cholesky_with_jitter(fbm_covariance(h, ts[:, None], ts[None, :]))
+    chol *= grid.t_end**h.value
+    return chol
 
 
 def sample_exact_batch(
@@ -372,11 +357,12 @@ def sample_exact_batch(
 
 @lru_cache(maxsize=32)
 def _embedding_amplitude(h_value: float, n_increments: int,
-                         points_per_unit: int) -> np.ndarray:
+                         t_end: float) -> np.ndarray:
     """Half-spectrum amplitude sqrt(m * eigs[:m/2 + 1]) of the circulant
     embedding of the unit-lag fGn covariance, with the 1/sqrt(2) of the
-    interior modes folded in, scaled to steps of 1/points_per_unit by
-    points_per_unit^{-H}; m = 2 * (len - 1). Read-only (shared)."""
+    interior modes folded in, scaled to n_increments steps of [0, t_end] by
+    n_increments^{-H}, then t_end^H; m = 2 * (len - 1). Read-only
+    (shared)."""
     m = 1
     while m < 2 * n_increments:
         m *= 2
@@ -398,7 +384,8 @@ def _embedding_amplitude(h_value: float, n_increments: int,
         eigs = np.clip(eigs, 0.0, None)
     amp = np.sqrt(eigs * m)
     amp[1:-1] /= np.sqrt(2.0)
-    amp *= points_per_unit ** (-h_value)
+    amp *= n_increments ** (-h_value)
+    amp *= t_end**h_value
     amp.flags.writeable = False
     return amp
 
@@ -502,87 +489,6 @@ def _transform(m: int):
     return _fgn_from_normals, (m // 2 + 1,)
 
 
-def _toeplitz_solve(gamma: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve T x = c for the symmetric Toeplitz T with first column
-    ``gamma`` by conjugate gradients preconditioned with T. Chan's optimal
-    circulant (R. Chan & Ng, SIAM Review 38, 1996), O(k log k) per
-    iteration.  Returns once the residual is at most 1e-14 |c|; raises
-    RuntimeError when an iteration finds p'Tp <= 0 (T is not positive
-    definite) or after ``_TOEPLITZ_MAX_ITER`` iterations.  Inner products
-    are pairwise sums, not BLAS dots, so x does not depend on the BLAS
-    thread count."""
-    k = len(gamma)
-    reverse = gamma[:0:-1]  # gamma_{k-1}, ..., gamma_1
-    # T p is the head of a circular convolution with T's power-of-two
-    # circulant embedding
-    size = 1 << (2 * k - 1).bit_length()
-    col = np.zeros(size)
-    col[:k] = gamma
-    col[size - k + 1 :] = reverse
-    embedding = np.fft.rfft(col).real
-    # Chan's circulant c_j = ((k - j) gamma_j + j gamma_{k-j}) / k
-    j = np.arange(k)
-    chan = ((k - j) * gamma + j * np.concatenate(([0.0], reverse))) / k
-    chan_eigs = np.fft.rfft(chan).real
-    x = np.zeros(k)
-    p = np.zeros(k)
-    r = c.astype(float)
-    rz = 1.0
-    tol = 1e-28 * (r * r).sum()
-    for _ in range(_TOEPLITZ_MAX_ITER):
-        if (r * r).sum() <= tol:
-            return x
-        z = np.fft.irfft(np.fft.rfft(r) / chan_eigs, k)
-        rz_old, rz = rz, (r * z).sum()
-        p = z + (rz / rz_old) * p
-        q = np.fft.irfft(embedding * np.fft.rfft(p, size), size)[:k]
-        pq = (p * q).sum()
-        if not pq > 0:  # NaN fails the comparison too
-            raise RuntimeError(f"Toeplitz matrix of order {k} is not positive "
-                               f"definite (p'Tp = {pq:.3e})")
-        x += (rz / pq) * p
-        r -= (rz / pq) * q
-    raise RuntimeError(f"Toeplitz conjugate gradients did not converge in "
-                       f"{_TOEPLITZ_MAX_ITER} iterations (order {k})")
-
-
-@lru_cache(maxsize=32)
-def _partial_step_weights(h: HurstIndex, grid: GridSpec):
-    """Conditional law of the terminal partial increment given the uniform
-    increments: returns (w, cond_std) with mean = increments @ w.  The
-    Toeplitz solve (:func:`_toeplitz_solve`) takes about a second at
-    k = 10^5, so results are cached; ``w`` is read-only (shared).  Raises RuntimeError when the solve fails or the conditional
-    variance comes out below -1e-12 tail^{2H}, tail the partial step's
-    length."""
-    n = grid.points_per_unit
-    k = grid.full_steps
-    tail = grid.t_end - k / n
-    if k == 0:
-        return np.zeros(0), tail**h.value
-    gamma = fgn_autocovariance(h, np.arange(k), dt=1.0 / n)
-    ks = np.arange(1, k + 1) / n
-    # Cov(B_t - B_{k/n}, B_{i/n} - B_{(i-1)/n}), closed form via R(s,t)
-    c = (
-        fbm_covariance(h, grid.t_end, ks)
-        - fbm_covariance(h, grid.t_end, ks - 1.0 / n)
-        - fbm_covariance(h, k / n, ks)
-        + fbm_covariance(h, k / n, ks - 1.0 / n)
-    )
-    w = _toeplitz_solve(gamma, c)
-    w.flags.writeable = False
-    var = tail ** (2 * h.value)
-    cond_var = var - float((c * w).sum())
-    # the exact value is a positive share of var (above 4% of it for every
-    # H <= 0.99 and n <= 8192 tried), so only a negative of rounding size,
-    # at or above -1e-12 var, is clamped to 0; below that the solve failed
-    if cond_var < -1e-12 * var:
-        raise RuntimeError(
-            f"partial-step conditional variance {cond_var:.3e} is negative "
-            f"beyond rounding (unconditional {var:.3e}) at H={h.value}, "
-            f"n={n}, t_end={grid.t_end}")
-    return w, np.sqrt(max(cond_var, 0.0))
-
-
 def resolve_threads(threads=None) -> int:
     """Worker cap: ``threads``, or the CPU count when None; raises
     TypeError unless ``threads`` is an integer, and ValueError when it is
@@ -622,11 +528,9 @@ def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
     is imported only when a pool starts.  Once a range raises (a
     ``KeyboardInterrupt`` in the caller too), no further range is handed
     out, and the exception propagates when the ranges already taken have
-    finished.  The workers share the cached embedding spectrum, the
-    twiddle factors of a long row's transform and the partial-step law of
-    ``grid``, so those are computed before the pool starts: two workers
-    that missed the cache together would each run the partial step's
-    Toeplitz solve.
+    finished.  The workers share the cached embedding spectrum and the
+    twiddle factors of a long row's transform, so those are computed
+    before the pool starts.
 
     Each range hashes its keys once and synthesises its rows in sub-blocks
     of at most ``BLOCK_VALUES // workers`` embedding values (at least one
@@ -655,12 +559,8 @@ def fft_paths(h, grid: GridSpec, master_seed: int, first_replicate: int,
     parts = workers * RANGES_PER_WORKER
     cuts = [count * p // parts for p in range(parts + 1)]
     todo = deque((a, b) for a, b in zip(cuts, cuts[1:]) if b > a)
-    if grid.full_steps > 0:
-        amp = _embedding_amplitude(h.value, grid.full_steps,
-                                   grid.points_per_unit)
-        _transform(2 * (amp.shape[0] - 1))  # a long row's twiddles
-        if grid.has_partial_step:
-            _partial_step_weights(h, grid)
+    amp = _embedding_amplitude(h.value, grid.steps, grid.t_end)
+    _transform(2 * (amp.shape[0] - 1))  # a long row's twiddles
 
     # imported here, as it loads logging (0.7 MB) and one-worker calls need
     # no pool
@@ -694,52 +594,27 @@ def _fft_range(h: HurstIndex, grid: GridSpec, master_seed: int,
     count = b - a
     key = _keyed_streams(master_seed, first_replicate + a, count, components,
                          first_component)
-    k = grid.full_steps
-    if k == 0:
-        scale = grid.t_end ** h.value
-        paths = np.zeros((count, components, 2))
-        for r in range(count):
-            for c in range(components):
-                paths[r, c, 1] = scale * key(r, c).standard_normal()
-        take(a, paths)
-        return
-    partial = grid.has_partial_step
-    if partial:
-        w, cond_std = _partial_step_weights(h, grid)
-        weighted = np.empty(k)
-    amp = _embedding_amplitude(h.value, k, grid.points_per_unit)
+    k = grid.steps
+    amp = _embedding_amplitude(h.value, k, grid.t_end)
     m = 2 * (amp.shape[0] - 1)
     # sub-blocks of as many rows as fit in the workers' share of the
     # block budget (at least one row)
     sub_rows = min(count, max(1, BLOCK_VALUES // workers // (components * m)))
-    # m >= 2k, so the k + 1 nodes and a partial step's node fit in m + 1
+    # m >= 2k, so the k + 1 nodes fit in m + 1
     zeta = np.empty((sub_rows, components, m + 1))
     transform, spec_shape = _transform(m)
     spec = np.empty((sub_rows, *spec_shape), dtype=complex)
-    extra = np.empty(sub_rows)
     for start in range(0, count, sub_rows):
         nb = min(sub_rows, count - start)
         for c in range(components):
             normals = zeta[:nb, c, 1:]
             for r in range(nb):
-                rng = key(start + r, c)
-                rng.standard_normal(out=normals[r])
-                if partial:
-                    extra[r] = rng.standard_normal()
-            fgn = transform(amp, normals, spec[:nb])[:, :k]
-            if partial:
-                # one pairwise sum per row, through one reused row buffer,
-                # so no result depends on the block, and no BLAS dot, whose
-                # threads would split a long row
-                for r in range(nb):
-                    extra[r] = (np.multiply(fgn[r], w, out=weighted).sum()
-                                + cond_std * extra[r])
+                key(start + r, c).standard_normal(out=normals[r])
+            transform(amp, normals, spec[:nb])
             zeta[:nb, c, 0] = 0.0  # the origin, which the cumsum keeps
             path = zeta[:nb, c, : k + 1]
             np.cumsum(path, axis=-1, out=path)
-            if partial:
-                zeta[:nb, c, k + 1] = path[:, k] + extra[:nb]
-        take(a + start, zeta[:nb, :, : grid.num_nodes])
+        take(a + start, zeta[:nb, :, : k + 1])
 
 
 def sample_fft_batch(
@@ -754,10 +629,9 @@ def sample_fft_batch(
     """Batch of circulant-embedding paths, shape (count, components, N).
 
     Same distribution and substream contract as :func:`sample_exact_batch`.
-    The terminal partial increment (when present) is drawn exactly from its
-    conditional law given the uniform increments.  The sub-blocks of
-    :func:`fft_paths`, drawn on at most ``threads`` workers, are copied into
-    the returned array, which does not depend on ``threads``.
+    The sub-blocks of :func:`fft_paths`, drawn on at most ``threads``
+    workers, are copied into the returned array, which does not depend on
+    ``threads``.
     """
     _check_keys(master_seed, first_replicate, count)
     out = np.empty((count, components, grid.num_nodes))

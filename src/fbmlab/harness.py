@@ -14,7 +14,7 @@ at once:
   functional from the fine grid, all grids in one ``crossing_sums`` call
   per atom and sub-block;
 * at i != j, the conditional second moment E[S_n^2 | B^i] of
-  S_n = n^{2H-1} (fine Riemann sum - coarse Riemann sum) of f(B^i) dB^j.
+  S_n = (n/t)^{2H-1} (fine Riemann sum - coarse Riemann sum) of f(B^i) dB^j.
   B^j is independent of B^i, so given B^i, S_n is a centred Gaussian whose
   variance is one small fBm-covariance quadratic form (``_cross_moments``),
   and B^j is never drawn (conditional Monte Carlo).
@@ -113,10 +113,6 @@ class ExperimentPlan:
                             "from {1, 2}")
         if not 0.0 < self.t < np.inf:
             raise PlanError(f"t must be positive and finite, got {self.t}")
-        try:
-            GridSpec(self.t, ns[0])
-        except ValueError as exc:
-            raise PlanError(str(exc)) from None
         for field in ("replicates", "fine_factor", "master_seed"):
             object.__setattr__(self, field,
                                _plan_int(field, getattr(self, field)))
@@ -154,7 +150,7 @@ class ExperimentPlan:
         return max(self.component_pair)
 
     def check_budget(self, replicates: int) -> None:
-        if replicates * (self.fine_n * self.t + 2) > BUDGET_VALUES:
+        if replicates * (self.fine_n + 1) > BUDGET_VALUES:
             raise PlanError("plan exceeds the value-count budget")
 
 
@@ -223,29 +219,22 @@ def _cross_moments(plan: ExperimentPlan, fine: GridSpec,
     """E[S_n^2 | B^i] at i != j for the paths ``bi`` of component i (shape
     (rows, nodes) on ``fine``); shape (len(n_values), rows).
 
-    S_n = n^{2H-1} sum_m g_m (B^j_{m+1} - B^j_m) over the fine steps, with
-    g_m = f(B^i_m) - f(B^i at the left node of the coarse step holding
+    S_n = (n/t)^{2H-1} sum_m g_m (B^j_{m+1} - B^j_m) over the fine steps,
+    with g_m = f(B^i_m) - f(B^i at the left node of the coarse step holding
     step m).  B^j is independent of B^i, so given B^i, S_n is a centred
-    Gaussian of variance n^{4H-2} Var(sum_a w_a B^j_a), w_a = g_{a-1} - g_a
+    Gaussian of variance (n/t)^{4H-2} Var(sum_a w_a B^j_a), w_a = g_{a-1} - g_a
     (g_{-1} = g_last = 0).  w is the jump of f(B^i) negated at each fine
     node where f(B^i) changes, plus the net change of f(B^i) over each
     coarse step that holds such a node, at that step's right end.  So
     sum w = 0, and the variance is the variogram form
     -1/2 sum_{a,b} w_a w_b |t_a - t_b|^{2H} over those few nodes, at their
-    node times a / fine_n, and t_end at a partial last node (so a partial
-    last step is exact).  Each row's form is a pairwise sum of its own
+    node times t a / fine_n.  Each row's form is a pairwise sum of its own
     terms, with no BLAS, so it does not depend on the block the row is in.
     """
     hv = as_hurst(plan.hurst).value
-    last = fine.num_nodes - 1
-    partial_node = last if fine.has_partial_step else -1
-
-    def times(idx):  # fine.nodes()[idx], bit for bit, without the grid
-        return np.where(idx == partial_node, fine.t_end,
-                        idx / fine.points_per_unit)
-
-    levels = [(n, fine.refinement_of(GridSpec(plan.t, n)))
-              for n in plan.n_values]
+    last = fine.steps
+    levels = [(grid.mesh_power(4 * hv - 2), fine.refinement_of(grid))
+              for grid in (GridSpec(plan.t, n) for n in plan.n_values)]
     out = np.zeros((len(levels), bi.shape[0]))
     # the fine steps (m - 1, m) across which f(B^i) jumps, atom by atom; a
     # flat index search, as np.nonzero of a 2-D mask is about 20x slower
@@ -262,15 +251,15 @@ def _cross_moments(plan: ExperimentPlan, fine: GridSpec,
     for row in np.flatnonzero(np.diff(bounds)):  # rows where f(B^i) jumps
         at = order[bounds[row]:bounds[row + 1]]
         m, d = nodes[at], jumps[at]
-        for gi, (n, r) in enumerate(levels):
-            ends, step = np.unique(np.minimum(-(-m // r) * r, last),
-                                   return_inverse=True)
-            t = times(np.concatenate((m, ends)))
+        for gi, (scale, r) in enumerate(levels):
+            ends, step = np.unique(-(-m // r) * r, return_inverse=True)
+            # fine.nodes()[idx], bit for bit, without the grid
+            t = fine.t_end * (np.concatenate((m, ends)) / fine.steps)
             w = np.concatenate((-d, np.bincount(step, weights=d,
                                                 minlength=len(ends))))
             form = (np.multiply.outer(w, w)
                     * np.abs(np.subtract.outer(t, t)) ** (2 * hv))
-            out[gi, row] = -0.5 * n ** (4 * hv - 2) * form.sum()
+            out[gi, row] = -0.5 * scale * form.sum()
     return out
 
 
@@ -297,11 +286,11 @@ def _path_errors(plan: ExperimentPlan, fine: GridSpec,
 @lru_cache(maxsize=32)
 def _crossing_grids(t: float, n_values: tuple, fine: GridSpec, hv: float):
     """The coarse grids of ``n_values`` and, last, ``fine``, with the column
-    of their factors n^{2H-1} (Python-float powers).  Cached, as the kernels
-    run on every synthesis sub-block and building the grids costs a third
-    of a two-row call."""
+    of their factors (n/t)^{2H-1} (``GridSpec.mesh_power``).  Cached, as
+    the kernels run on every synthesis sub-block and building the grids
+    costs a third of a two-row call."""
     grids = tuple(GridSpec(t, n) for n in n_values) + (fine,)
-    scale = np.array([g.points_per_unit ** (2 * hv - 1) for g in grids])[:, None]
+    scale = np.array([g.mesh_power(2 * hv - 1) for g in grids])[:, None]
     scale.flags.writeable = False
     return grids, scale
 

@@ -6,9 +6,10 @@ f(x) = sum_k c_k * sgn(x - a_k) up to a constant, with sgn(0) = -1 so f is
 left-continuous (the left derivative of a convex function when all c_k are
 nonnegative).  Integrands are finite step functions: a finite list of atoms.
 
-The normalised discretisation error S_n = n^{2H-1} (integral - Riemann sum)
-is the central object; for indicator integrands and a single component it
-has a closed form as a sum of |B - a| over grid steps that cross the level.
+The normalised discretisation error S_n = (n/t)^{2H-1} (integral - Riemann
+sum) on n equal steps of [0, t] is the central object; for indicator
+integrands and a single component it has a closed form as a sum of |B - a|
+over grid steps that cross the level.
 The kernel takes arrays of shape (..., nodes), so one call covers a whole
 batch of replicates; a single path is a (nodes,) array and gives a 0-d
 result.  It also takes a sequence of grids and returns one row of sums per
@@ -58,33 +59,22 @@ def indicator_measure(a: float = 0.0) -> SignedMeasure:
     return SignedMeasure(((a, 0.5),))
 
 
-def _coarse_nodes(fine: GridSpec, grid: GridSpec):
-    """The nodes of ``grid`` among those of ``fine``, which must refine it:
-    a slice that picks the nodes of the full steps, and whether the
-    terminal node follows.  It follows only when ``grid`` has a partial
-    step: a plain ``::r`` already picks it whenever its fine index is a
-    multiple of r."""
-    r = fine.refinement_of(grid)
-    return slice(0, r * grid.full_steps + 1, r), grid.has_partial_step
-
-
 @lru_cache(maxsize=32)
 def _crossing_layout(fine: GridSpec, grids: tuple):
-    """The nodes of every grid of ``grids`` (``_coarse_nodes``) as the
-    columns of one row, grid after grid.  Returns the spans, per grid its
-    slice of the fine nodes, the columns [start, stop) of those nodes and
-    whether the terminal node follows in column stop; the fine index of
-    every column; the grid of each pair of consecutive columns, by its left
-    column; and the pairs that join two grids, which are no step.  Arrays
-    are read-only (shared)."""
+    """The nodes of every grid of ``grids`` among those of ``fine``, which
+    must refine each, as the columns of one row, grid after grid.  Returns
+    the spans, per grid its slice ``::r`` of the fine nodes and the columns
+    [start, stop) of those nodes; the fine index of every column; the grid
+    of each pair of consecutive columns, by its left column; and the pairs
+    that join two grids, which are no step.  Arrays are read-only
+    (shared)."""
     every = np.arange(fine.num_nodes)
     spans, parts, starts = [], [], [0]
     for grid in grids:
-        nodes, partial = _coarse_nodes(fine, grid)
-        part = every[nodes]
-        spans.append((nodes, starts[-1], starts[-1] + len(part), partial))
-        parts.append(np.append(part, every[-1]) if partial else part)
-        starts.append(starts[-1] + len(parts[-1]))
+        nodes = slice(None, None, fine.refinement_of(grid))
+        parts.append(every[nodes])
+        spans.append((nodes, starts[-1], starts[-1] + len(parts[-1])))
+        starts.append(spans[-1][2])
     index = np.concatenate(parts)
     owner = np.repeat(np.arange(len(grids)), np.diff(starts))[:-1]
     joins = np.array(starts[1:-1], dtype=np.intp) - 1
@@ -95,14 +85,14 @@ def _crossing_layout(fine: GridSpec, grids: tuple):
 
 def crossing_sums(values: np.ndarray, fine: GridSpec, a: float, grids,
                   weights: np.ndarray | None = None) -> np.ndarray:
-    """sum_k w_k |B_{(k+1)/n ^ t} - a| over the steps of a grid whose
-    endpoints lie on opposite sides of level a (sgn(0) = -1), per row of
-    ``values`` (shape (..., nodes) on ``fine``, which must refine every
+    """sum_k w_k |B_{t_{k+1}} - a| over the steps [t_k, t_{k+1}] of a grid
+    whose endpoints lie on opposite sides of level a (sgn(0) = -1), per row
+    of ``values`` (shape (..., nodes) on ``fine``, which must refine every
     grid); w = 1 without ``weights``.  ``grids`` is one ``GridSpec``, for a
     result of shape (...), or a sequence of them, for one row of sums per
     grid, shape (len(grids), ...); ``weights``, one per step, need one grid.
 
-    n^{2H-1} times the unweighted sum is the closed form of S_n for
+    (n/t)^{2H-1} times the unweighted sum is the closed form of S_n for
     f = 1_{x > a} and equal components.  One call compares the fine values
     with a once, lays out the sides of every grid's nodes in one row per
     path (``_crossing_layout``, cached), finds the crossings of all grids in
@@ -121,10 +111,8 @@ def crossing_sums(values: np.ndarray, fine: GridSpec, a: float, grids,
     above = values > a
     # strided copies: np.take through the index runs about 3x slower
     sides = np.empty((count, len(index)), dtype=bool)
-    for nodes, start, stop, partial in spans:
+    for nodes, start, stop in spans:
         sides[:, start:stop] = above[:, nodes]
-        if partial:
-            sides[:, stop] = above[:, -1]
     del above  # so the fine mask and the crossings are not held together
     crossed = sides[:, 1:] != sides[:, :-1]
     crossed[:, joins] = False

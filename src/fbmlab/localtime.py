@@ -3,8 +3,9 @@
 Two estimators of the local time L_t(a):
 
 * occupation binning: time spent within eps of the level, over 2*eps;
-* sign-change sum: 2 n^{2H-1} sum w_k |B_{(k+1)/n ^ t} - a| over level
-  crossings, which converges to L_t(a) at rate n^{-(1-H)/2} for H > 1/2.
+* sign-change sum: 2 (n/t)^{2H-1} sum w_k |B_{t_{k+1}} - a| over the level
+  crossings of n equal steps [t_k, t_{k+1}] of [0, t], which converges to
+  L_t(a) at rate n^{-(1-H)/2} for H > 1/2.
   The weights w_k -> 1 undo the mean bias of order n^{-(1-H)} that the
   first steps leave at a = 0, where the path starts, so the estimate is
   exact in the mean at a = 0 for every n; see ``sign_change_estimates``.
@@ -41,9 +42,11 @@ class ResolutionWarning(UserWarning):
     """Bin width below the grid's typical increment magnitude."""
 
 
-def default_bin_width(h, n: int) -> float:
-    """Default eps = 4 n^{-H}: a few grid points per crossing excursion."""
-    return 4.0 * n ** (-as_hurst(h).value)
+def default_bin_width(h, grid: GridSpec) -> float:
+    """Default eps = 4 (t/n)^H, four typical step increments of ``grid``: a
+    few grid points per crossing excursion."""
+    hv = as_hurst(h).value
+    return 4.0 * grid.steps ** (-hv) * grid.t_end**hv
 
 
 def binning_estimates(h, values: np.ndarray, grid: GridSpec, a: float,
@@ -52,61 +55,55 @@ def binning_estimates(h, values: np.ndarray, grid: GridSpec, a: float,
     each row of ``values`` (shape (..., nodes) on ``grid``); shape (...).
 
     The time integral uses the left-point piecewise-constant rule on the
-    path grid: the full steps inside are counted and the count divided by
-    n, and the terminal partial step adds its length t - k/n when it is
-    inside, so a row's estimate does not depend on the batch it is in.
+    path grid: the steps whose left node is inside are counted and the
+    count times the mesh t/n is the occupation time, so a row's estimate
+    does not depend on the batch it is in.  Warns (``ResolutionWarning``)
+    when eps is below ``default_bin_width``.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    dt_typ = grid.points_per_unit ** (-as_hurst(h).value)
-    if eps < 4 * dt_typ:
+    floor = default_bin_width(h, grid)
+    if eps < floor:
         warnings.warn(
-            f"bin width {eps:.3g} below 4*dt^H = {4 * dt_typ:.3g}; "
+            f"bin width {eps:.3g} below 4 (t/n)^H = {floor:.3g}; "
             "estimate may be grid-resolution limited",
             ResolutionWarning,
         )
-    n, k = grid.points_per_unit, grid.full_steps
     inside = np.abs(values[..., :-1] - a) <= eps
-    occupation = np.count_nonzero(inside[..., :k], axis=-1) / n
-    if grid.has_partial_step:
-        occupation = occupation + inside[..., k] * (grid.t_end - k / n)
+    occupation = np.count_nonzero(inside, axis=-1) / grid.steps * grid.t_end
     return occupation / (2 * eps)
 
 
 @functools.lru_cache(maxsize=16)
-def _crossing_weights(hv: float, steps: int, last_end: float | None) -> np.ndarray:
+def _crossing_weights(hv: float, steps: int) -> np.ndarray:
     """Read-only weights w_k of the grid steps [k, k+1], k < ``steps``, in
-    units of 1/n, followed by the partial step [steps, last_end] if given.
+    units of the mesh.
 
-    With s, e the ends of a step and rho the correlation of (B_s, B_e),
-    w = (e^{1-H} - s^{1-H}) / (2 (1-H) (1-rho) e^H), evaluated through
-    2 s^H e^H (1-rho) = (e-s)^{2H} - (e^H - s^H)^2 so that no difference
-    of nearly equal powers is formed at large s.
+    With s, e = s + 1 the ends of a step and rho the correlation of
+    (B_s, B_e), w = (e^{1-H} - s^{1-H}) / (2 (1-H) (1-rho) e^H), evaluated
+    through 2 s^H e^H (1-rho) = 1 - (e^H - s^H)^2 so that no difference of
+    nearly equal powers is formed at large s.
     """
-    starts = np.arange(steps + (last_end is not None), dtype=float)
-    ends = starts + 1.0
-    if last_end is not None:
-        ends[-1] = last_end
     one_mh = 1.0 - hv
-    w = np.empty_like(starts)
+    w = np.empty(steps)
     # first step: B_0 = 0, so rho = 0
-    w[0] = ends[0] ** (1.0 - 2.0 * hv) / (2.0 * one_mh)
-    s = starts[1:]
-    d = ends[1:] - s
-    log_ratio = np.log1p(d / s)
+    w[0] = 1.0 / (2.0 * one_mh)
+    s = np.arange(1, steps, dtype=float)
+    log_ratio = np.log1p(1.0 / s)
     share = s**one_mh * np.expm1(one_mh * log_ratio)  # e^{1-H} - s^{1-H}
     gap = s**hv * np.expm1(hv * log_ratio)  # e^H - s^H
-    w[1:] = share * s**hv / (one_mh * (d ** (2.0 * hv) - gap * gap))
+    w[1:] = share * s**hv / (one_mh * (1.0 - gap * gap))
     w.setflags(write=False)
     return w
 
 
 def sign_change_estimates(h, values: np.ndarray, fine: GridSpec, a: float,
                           grid: GridSpec) -> np.ndarray:
-    """Level-crossing local-time estimate 2 n^{2H-1} sum_k w_k |B - a| over
-    the steps [k/n, (k+1)/n ^ t] of ``grid`` that cross a, for each row of
-    ``values`` (shape (..., nodes) on ``fine``, which must refine
-    ``grid``); shape (...).  Consistent for H > 1/2 only.
+    """Level-crossing local-time estimate 2 (n/t)^{2H-1} sum_k w_k
+    |B_{t_{k+1}} - a| over the steps [t_k, t_{k+1}] of ``grid`` (n equal
+    steps of [0, t]) that cross a, for each row of ``values`` (shape (...,
+    nodes) on ``fine``, which must refine ``grid``); shape (...).
+    Consistent for H > 1/2 only.
 
     For standard fBm on the integers, E|B_{k+1}| 1{crossing 0} =
     (1 - rho_k)(k+1)^H / sqrt(2 pi), with rho_k the correlation of
@@ -116,10 +113,10 @@ def sign_change_estimates(h, values: np.ndarray, fine: GridSpec, a: float,
 
         w_k = ((k+1)^{1-H} - k^{1-H}) / (2 (1-H) (1 - rho_k) (k+1)^H),
 
-    with w_0 = 1/(2(1-H)) and w_k -> 1 as k grows; a partial last step
-    gets the same ratio for its own ends.  They depend only on H and the
-    grid, are positive (so the estimate is never negative), and make the
-    estimate exactly unbiased in the mean at a = 0 for every n, which the
+    with w_0 = 1/(2(1-H)) and w_k -> 1 as k grows.  By self-similarity
+    they hold on every [0, t]: they depend only on H and n, are positive
+    (so the estimate is never negative), and make the estimate exactly
+    unbiased in the mean at a = 0 for every n and t, which the
     unweighted sum is not: the singular density u^{-H} near u = 0 leaves
     it a mean bias of order n^{-(1-H)} (about -10% at H = 0.75, n = 4096).
 
@@ -132,10 +129,9 @@ def sign_change_estimates(h, values: np.ndarray, fine: GridSpec, a: float,
     """
     h = as_hurst(h)
     h.require_rough_regime()
-    n = grid.points_per_unit
-    last_end = n * grid.t_end if grid.has_partial_step else None
-    w = _crossing_weights(h.value, grid.full_steps, last_end)
-    return 2.0 * n ** (2 * h.value - 1) * crossing_sums(values, fine, a, grid, w)
+    w = _crossing_weights(h.value, grid.steps)
+    return (2.0 * grid.mesh_power(2 * h.value - 1)
+            * crossing_sums(values, fine, a, grid, w))
 
 
 def moment_oracle(h, t: float, a: float, p: int = 1) -> float:

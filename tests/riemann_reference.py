@@ -8,13 +8,8 @@ import numpy as np
 
 
 def coarse_values(values, fine, grid):
-    """``values[..., nodes]`` (on ``fine``) at the nodes of ``grid``, the
-    terminal node appended when ``grid`` ends on a partial step."""
-    r = fine.refinement_of(grid)
-    idx = np.arange(grid.full_steps + 1) * r
-    if grid.has_partial_step:
-        idx = np.append(idx, fine.num_nodes - 1)
-    return values[..., idx]
+    """``values[..., nodes]`` (on ``fine``) at the nodes of ``grid``."""
+    return values[..., np.arange(grid.steps + 1) * fine.refinement_of(grid)]
 
 
 def integrand(f, x):
@@ -25,7 +20,7 @@ def integrand(f, x):
 
 def riemann_sums(bi, bj, fine, f, grid):
     """sum_k f(B^i_{t_k}) (B^j_{t_{k+1}} - B^j_{t_k}) over the steps of
-    ``grid``, the last one clamped at t_end, per row of ``bi`` and ``bj``
+    ``grid``, per row of ``bi`` and ``bj``
     (broadcast; shape (..., nodes) on ``fine``)."""
     xi = coarse_values(bi, fine, grid)
     xj = coarse_values(bj, fine, grid)

@@ -59,7 +59,7 @@ def test_simulate_output_dir_and_manifest(tmp_path):
 
 
 def test_simulate_csv_roundtrip(capsys):
-    # the nodes and both components at full double precision, off-grid too
+    # the nodes and both components at full double precision, at t != 1 too
     grid = GridSpec(0.83, 4)
     values = sample_fft_batch(0.6, grid, 3, 1, components=2)[0]
     assert run(["simulate", "--H", "0.6", "--n", "4", "--t", "0.83",
@@ -126,7 +126,7 @@ def test_localtime_matches_per_path_loop(tmp_path, estimator):
     got = np.array([[float(x) for x in row.split(",")[:3]] for row in rows])
     grid = GridSpec(t, n)
     batch = sample_fft_batch(h, grid, seed, reps)
-    eps = default_bin_width(h, n)
+    eps = default_bin_width(h, grid)
     want = []
     for a in levels:
         vals = np.empty(reps)
@@ -161,42 +161,12 @@ def test_localtime_rejects_zero_replicates(capsys):
 
 
 def test_simulate_rejects_zero_t(capsys):
-    for flag in ("--t", "--T"):
-        rc = run(["simulate", "--H", "0.75", "--n", "8", flag, "0"])
-        assert rc == 1, flag
-        captured = capsys.readouterr()
-        assert captured.err.startswith(
-            f"error: {flag} must be positive and finite, got 0.0"), flag
-        assert captured.out == ""
-
-
-@pytest.mark.parametrize("cmd", [
-    ["simulate", "--H", "0.7", "--n", "1", "--t", "1e-12"],
-    ["localtime", "--H", "0.7", "--n", "1", "--t", "1e-12", "--levels", "0"]])
-def test_one_node_horizon_is_an_error_line(capsys, cmd):
-    assert run(cmd) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: --t: t_end = 1e-12 is within")
-    assert "n = 1: one node" in captured.err and "Traceback" not in captured.err
-    assert captured.out == ""
-
-
-def test_simulate_rejects_t_beyond_T(capsys):
-    rc = run(["simulate", "--H", "0.75", "--n", "8", "--T", "0.5", "--t", "0.8"])
+    rc = run(["simulate", "--H", "0.75", "--n", "8", "--t", "0"])
     assert rc == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: --t (0.8) must not exceed --T (0.5)")
+    assert captured.err.startswith(
+        "error: --t must be positive and finite, got 0.0")
     assert captured.out == ""
-
-
-def test_simulate_path_does_not_depend_on_T(capsys):
-    # the grid ends at t; --T only bounds it
-    outs = []
-    for extra in (["--T", "2", "--t", "0.5"], ["--T", "0.5"]):
-        assert run(["simulate", "--H", "0.75", "--n", "8", "--seed", "1",
-                    *extra]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
 
 
 def test_rate_subcommand(tmp_path, capsys):
@@ -261,12 +231,15 @@ def test_rate_rejects_bad_config_values(tmp_path, capsys, extra):
 
 
 def test_rate_reference_key_confirms_the_pair(tmp_path):
-    # the pair decides the reference; a key that names it is accepted
-    cfg = _rate_cfg(tmp_path, "reference = fine_riemann\n")
+    # the pair decides the reference; a key that names it is accepted.  The
+    # manifest records the horizon and the resolved fine factor, the pair's
+    # default here
+    cfg = _rate_cfg(tmp_path, "reference = fine_riemann\nt = 0.83\n")
     assert run(["--output-dir", str(tmp_path), "--quiet", "rate", "--config",
                 cfg, "--pair", "12"]) == 0
     man = json.loads((tmp_path / "rate.csv.manifest.json").read_text())
     assert man["config"]["reference"] == "fine_riemann"
+    assert (man["config"]["t"], man["config"]["fine_factor"]) == (0.83, 256)
 
 
 def test_localtime_rejects_nonfinite_level(capsys):
@@ -292,7 +265,7 @@ def test_rate_determinism_across_threads(tmp_path):
 
 @pytest.mark.parametrize("estimator", ["sign", "bin"])
 def test_localtime_determinism_across_threads(tmp_path, estimator):
-    # 7 replicates on an off-grid t: ranges of 7, and of 2, 2 and 3
+    # 7 replicates at t = 0.83: ranges of 7, and of 2, 2 and 3
     outs = []
     for threads in ("1", "3"):
         d = tmp_path / threads
@@ -434,6 +407,8 @@ def test_oracle_unconverged_exits_1(capsys):
 def test_invalid_arguments_exit_code(capsys):
     assert run(["simulate", "--H", "1.5", "--n", "8"]) == 1
     assert run(["nonsense"]) == 1
+    # one horizon flag: --t
+    assert run(["simulate", "--H", "0.75", "--n", "8", "--T", "2"]) == 1
     # each names the argument it rejects
     moments = ["oracle", "--lemma", "moments"]
     for argv, name in ((["simulate", "--H", "0.75", "--n", "0"], "--n"),
@@ -449,8 +424,6 @@ def test_invalid_arguments_exit_code(capsys):
                          "abc"], "--levels"),
                        (["verify-bounds", "--suite", "cov", "--h-grid", "abc"],
                         "--h-grid"),
-                       (["simulate", "--H", "0.75", "--n", "8", "--T", "nan"],
-                        "--T"),
                        (["simulate", "--H", "0.75", "--n", "8", "--t", "inf"],
                         "--t"),
                        *((["localtime", "--H", "0.75", "--n", "8", "--t", t,
@@ -478,16 +451,24 @@ def test_invalid_arguments_exit_code(capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {name} "), (argv, captured.err)
         assert captured.out == ""
-    # a finite horizon whose node count overflows a float
-    for argv in (["simulate", "--H", "0.75", "--n", "64", "--T", "1e308",
-                  "--t", "1e308"],
+    # the largest finite horizon: finite values only, or an error line that
+    # names --t
+    for argv in (*(["simulate", "--method", method, "--H", "0.75", "--n", "8",
+                    "--t", "1e308"] for method in ("fft", "exact")),
                  ["localtime", "--H", "0.75", "--n", "64", "--t", "1e308",
                   "--levels", "0"]):
         capsys.readouterr()
-        assert run(argv) == 1, argv
+        rc = run(argv)
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: "), (argv, captured.err)
-        assert captured.out == ""
+        if rc == 0:
+            rows = [ln.split(",") for ln in captured.out.strip().split("\n")[1:]]
+            values = [float(x) for row in rows for x in row
+                      if x not in ("sign", "bin")]
+            assert rows and np.isfinite(values).all(), argv
+        else:
+            assert rc == 1, argv
+            assert captured.err.startswith("error: --t "), (argv, captured.err)
+            assert captured.out == ""
 
 
 SUBCOMMANDS = ("simulate", "localtime", "rate", "verify-bounds", "oracle")

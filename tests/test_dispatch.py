@@ -106,8 +106,8 @@ def test_cross_component_runs_draw_only_component_i(monkeypatch, pair):
     monkeypatch.setattr(harness, "fft_paths", spy)
     # sub-blocks of one row under two workers, so the ranges of two
     # replicates are handed over in two sub-blocks
-    m = 2 * (fbm._embedding_amplitude(plan.hurst, fine.full_steps,
-                                      fine.points_per_unit).shape[0] - 1)
+    m = 2 * (fbm._embedding_amplitude(plan.hurst, fine.steps,
+                                      fine.t_end).shape[0] - 1)
     monkeypatch.setattr(fbm, "BLOCK_VALUES", 2 * m)
     harness.run_rate_experiment(plan, threads=2)
     i = pair[0]

@@ -8,7 +8,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import solve_toeplitz
 
 from fbmlab import fbm
 from fbmlab.fbm import (
@@ -20,7 +19,6 @@ from fbmlab.fbm import (
     _fgn_from_normals,
     _four_step_shape,
     _keyed_streams,
-    _partial_step_weights,
     GridSpec,
     GridSizeError,
     HurstIndex,
@@ -107,24 +105,12 @@ def test_fgn_autocovariance_dt_scaling():
 def test_grid_nodes_uniform():
     g = GridSpec(1.0, 8)
     np.testing.assert_allclose(g.nodes(), np.arange(9) / 8)
-    assert not g.has_partial_step
     assert g.num_nodes == 9
-
-
-def test_grid_partial_terminal_node():
+    # n equal steps of [0, t], ending on t itself
     g = GridSpec(0.3, 8)
-    ts = g.nodes()
-    assert g.full_steps == 2
-    assert g.has_partial_step
-    assert ts[-1] == pytest.approx(0.3)
-    np.testing.assert_allclose(ts[:-1], [0.0, 0.125, 0.25])
-
-
-def test_grid_near_integer_product_has_no_partial_step():
-    # floating n*t slightly below an integer must not create a sliver node
-    g = GridSpec(0.7000000000000001, 10)
-    assert g.full_steps == 7
-    assert not g.has_partial_step
+    assert (g.steps, g.full_steps, g.num_nodes) == (8, 8, 9)
+    np.testing.assert_allclose(g.nodes(), 0.3 * np.arange(9) / 8, rtol=1e-15)
+    assert g.nodes()[-1] == 0.3
 
 
 def test_refinement_factor():
@@ -145,33 +131,32 @@ def test_grid_validation():
     for t_end in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="t_end"):
             GridSpec(t_end, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="steps"):
         GridSpec(1.0, 0)
-    # a finite t_end whose node count overflows a float
-    with pytest.raises(ValueError, match="must be finite"):
-        GridSpec(1e308, 64)
+    # every finite horizon is a grid: no node count n * t is formed
+    assert np.isfinite(GridSpec(1e308, 64).nodes()).all()
+
+
+def test_mesh_power_is_the_inverse_mesh_power():
+    # bit for bit n^p at t = 1; (n/t)^p elsewhere; an overflow raises
+    for p in (0.5, -0.75, 1.0):
+        assert GridSpec(1.0, 64).mesh_power(p) == 64**p
+        assert GridSpec(2.5, 64).mesh_power(p) == pytest.approx((64 / 2.5) ** p,
+                                                                rel=1e-15)
+    with pytest.raises(ValueError, match="overflows"):
+        GridSpec(1e-320, 64).mesh_power(0.98)
 
 
 def test_grid_takes_integer_resolutions_only():
-    # n = 64.5 would give 66 nodes, the last after a partial step of 1/129;
-    # a numpy integer is the same grid, and the caches key on grids
+    # a step count is an integer, not a float truncated to one; a numpy
+    # integer is the same grid, and the caches key on grids
     for bad in (64.5, 64.0, "64"):
         with pytest.raises(TypeError):
             GridSpec(1.0, bad)
     grid = GridSpec(1.0, np.int64(64))
-    assert type(grid.points_per_unit) is int
+    assert type(grid.steps) is int
     assert grid == GridSpec(1.0, 64)
     assert hash(grid) == hash(GridSpec(1.0, 64))
-
-
-def test_grid_rejects_one_node_horizon():
-    # a horizon within the node tolerance of 0 leaves node 0 alone, which no
-    # sampler can fill: refused with the horizon and n named
-    for n in (1, 64):
-        with pytest.raises(ValueError, match=f"t_end = 1e-12 .* n = {n}: one node"):
-            GridSpec(1e-12, n)
-    assert GridSpec(1e-12, 10**12).num_nodes == 2
-    assert GridSpec(2e-9, 1).num_nodes == 2
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +222,7 @@ def test_samplers_reject_two_word_replicate_ids():
 def test_batch_equals_concatenated_singles():
     # the second grid embeds in m = 2^16, so a synthesis block of one worker
     # holds two rows: three replicates span a two-row and a one-row block,
-    # and the partial step (t = 0.83) is drawn in both
+    # at t = 1 and at t = 0.83
     assert BLOCK_VALUES // 2**16 == 2
     for grid, components in ((GridSpec(1.0, 16), 1),
                              (GridSpec(0.83, 2**15), 2)):
@@ -250,9 +235,9 @@ def test_batch_equals_concatenated_singles():
 
 @pytest.mark.parametrize("grid, components, count", [
     (GridSpec(1.0, 64), 1, 9),
-    (GridSpec(0.83, 64), 2, 9),   # off-grid t: the partial step's weights
+    (GridSpec(0.83, 64), 2, 9),   # t != 1: the amplitude scaled by t^H
     (GridSpec(0.83, 64), 2, 2),   # fewer replicates than workers
-    (GridSpec(0.01, 64), 2, 5),   # t < 1/n: no synthesis
+    (GridSpec(0.01, 64), 2, 5),   # a short horizon
 ])
 def test_fft_batch_does_not_depend_on_threads(grid, components, count):
     ref = sample_fft_batch(0.7, grid, 3, count, components, first_replicate=4,
@@ -263,82 +248,15 @@ def test_fft_batch_does_not_depend_on_threads(grid, components, count):
         assert got.tobytes() == ref.tobytes(), threads
 
 
-def test_partial_step_solved_once_under_two_workers():
-    # the dispatch fills the cache before its workers start, so they never
-    # both miss it
-    grid = GridSpec(0.83, 4096)
-    _partial_step_weights.cache_clear()
-    sample_fft_batch(0.7, grid, 1, 4, threads=2)
-    assert _partial_step_weights.cache_info().misses == 1
-
-
-_ORDERS = [GridSpec(1.5, 1), GridSpec(1.3, 2), GridSpec(0.83, 64),
-           GridSpec(0.83, 4096)]  # k = 1, 2, 53, 3399
-
-
-@pytest.mark.parametrize("h, grid", [
-    *[(h, grid) for h in (0.1, 0.55, 0.75, 0.9, 0.99) for grid in _ORDERS],
-    (0.9, GridSpec(1 + 2**-16, 2**15)),  # k = 2^15
-])
-def test_toeplitz_solve_matches_scipy(h, grid):
-    # scipy's Levinson solve is the independent reference for the weights
-    # and the conditional variance
-    h, n, k = as_hurst(h), grid.points_per_unit, grid.full_steps
-    gamma = fgn_autocovariance(h, np.arange(k), dt=1.0 / n)
-    ks = np.arange(1, k + 1) / n
-    c = (fbm_covariance(h, grid.t_end, ks) - fbm_covariance(h, grid.t_end, ks - 1 / n)
-         - fbm_covariance(h, k / n, ks) + fbm_covariance(h, k / n, ks - 1 / n))
-    want = solve_toeplitz(gamma, c)
-    want_var = (grid.t_end - k / n) ** (2 * h.value) - (c * want).sum()
-    w, cond_std = _partial_step_weights(h, grid)
-    _assert_close_rel(w, want, rel=1e-12)
-    assert cond_std**2 == pytest.approx(want_var, rel=1e-12)
-
-
-@pytest.mark.parametrize("gamma, c", [
-    ([1.0, 2.0], [1.0, 0.0]),            # eigenvalues 3 and -1
-    ([1.0, 0.0, 1.5], [1.0, 0.0, -1.0]),  # c is T's eigenvector for -0.5
-])
-def test_toeplitz_solve_rejects_indefinite_matrix(gamma, c):
-    with pytest.raises(RuntimeError, match="not positive definite"):
-        fbm._toeplitz_solve(np.array(gamma), np.array(c))
-
-
-def test_toeplitz_solve_raises_unless_it_converges(monkeypatch):
-    gamma = fgn_autocovariance(0.75, np.arange(53))
-    # a zero right-hand side (the partial step at H = 1/2) returns before
-    # its first update
-    monkeypatch.setattr(fbm, "_TOEPLITZ_MAX_ITER", 1)
-    assert not fbm._toeplitz_solve(gamma, np.zeros(53)).any()
-    monkeypatch.setattr(fbm, "_TOEPLITZ_MAX_ITER", 2)
-    with pytest.raises(RuntimeError, match="did not converge in 2 iterations"):
-        fbm._toeplitz_solve(gamma, gamma[::-1].copy())
-
-
-@pytest.mark.parametrize("excess, raises", [(1e-14, False), (1e-10, True)])
-def test_partial_step_negative_variance_raises_beyond_rounding(
-        monkeypatch, excess, raises):
-    # a solve whose weights explain (1 + excess) of the tail's variance
-    # leaves a conditional variance of about -excess * tail^{2H}: a
-    # rounding-size negative is clamped to 0, a larger one raises
-    h, grid = as_hurst(0.7), GridSpec(0.83, 16)
-    var = (grid.t_end - grid.full_steps / 16) ** (2 * h.value)
-    solve = fbm._toeplitz_solve
-
-    def overshoot(gamma, c):
-        w = solve(gamma, c)
-        return w * (var * (1 + excess) / float((c * w).sum()))
-
-    monkeypatch.setattr(fbm, "_toeplitz_solve", overshoot)
-    _partial_step_weights.cache_clear()
-    try:
-        if raises:
-            with pytest.raises(RuntimeError, match="negative beyond rounding"):
-                _partial_step_weights(h, grid)
-        else:
-            assert _partial_step_weights(h, grid)[1] == 0.0
-    finally:
-        _partial_step_weights.cache_clear()
+@pytest.mark.parametrize("t", [0.83, 2.5])
+@pytest.mark.parametrize("sampler", [sample_fft_batch, sample_exact_batch])
+def test_batch_on_0_t_is_the_unit_batch_times_t_power_h(sampler, t):
+    # self-similarity: n equal steps of [0, t] are t^H times n equal steps of
+    # [0, 1], drawn from the same streams
+    unit = sampler(0.7, GridSpec(1.0, 64), 9, 3, 2)
+    got = sampler(0.7, GridSpec(t, 64), 9, 3, 2)
+    assert (got[..., 0] == 0.0).all()
+    _assert_close_rel(got, t**0.7 * unit, rel=1e-12)
 
 
 @pytest.mark.parametrize("stall_caller", [True, False],
@@ -475,7 +393,7 @@ def test_fft_paths_draw_components_from_first_component(grid):
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1.0, 64), GridSpec(0.83, 64),
-                                  GridSpec(0.01, 64)])  # the last has k = 0
+                                  GridSpec(0.01, 64)])
 def test_two_thread_takes_cover_the_replicates_once(grid):
     # the workers' takes start at disjoint offsets that tile [0, count), and
     # the rows are those of a one-thread call, bit for bit
@@ -499,10 +417,8 @@ def test_two_thread_takes_cover_the_replicates_once(grid):
 def test_fft_paths_hold_two_sub_block_buffers():
     # the normals, whose transform and paths are written in place, and their
     # half spectrum: no third buffer for the transform output or the paths,
-    # no scaled copy of the amplitude, and off the grid one reused row of
-    # weighted increments for the partial step (2.00 and 2.21 buffers here;
-    # 2.25 and 2.67 with a (rows, k) product per sub-block and the amplitude
-    # scaled per call)
+    # and no scaled copy of the amplitude, at t = 1 or elsewhere (2.00
+    # buffers here; 2.25 with the amplitude scaled per call)
     m = 2**16  # the embedding of 2^15 steps
     rows = max(1, BLOCK_VALUES // m)
     assert rows == 2
@@ -529,12 +445,11 @@ def test_fft_paths_hold_two_sub_block_buffers():
 def test_long_row_fft_paths_hold_two_row_buffers():
     # m = 2^18 exceeds BLOCK_VALUES, so each sub-block is one row, drawn by
     # the four-step transform: the normals row and a spectrum of M1 (M2/2 +
-    # 1) complex values, m + M1, with no scratch row of a whole-row FFT;
-    # off the grid also one row of weighted increments.  The 0.25 row of
-    # slack covers numpy's iterator buffers in the strided spectrum fill
-    # (2.10 rows traced on the grid).  The one-call irfft traced 2.00 rows,
-    # but pocketfft's scratch row, which it allocates per call, is not
-    # traced
+    # 1) complex values, m + M1, with no scratch row of a whole-row FFT.
+    # The 0.25 row of slack covers numpy's iterator buffers in the strided
+    # spectrum fill (2.10 rows traced at t = 1).  The one-call irfft traced
+    # 2.00 rows, but pocketfft's scratch row, which it allocates per call,
+    # is not traced
     m = 2**18
     assert m > BLOCK_VALUES
     sizes = []
@@ -551,17 +466,16 @@ def test_long_row_fft_paths_hold_two_row_buffers():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        weighted = grid.full_steps * 8 if grid.has_partial_step else 0
-        assert peak < 2.25 * m * 8 + weighted, (t, (peak - weighted) / (m * 8))
+        assert peak < 2.25 * m * 8, (t, peak / (m * 8))
     assert sizes == [1] * 12
 
 
 @pytest.mark.parametrize("t", [1.0, 0.83])
 def test_long_rows_do_not_depend_on_threads(t):
     # fine_n 2^17 embeds in m = 2^18 > BLOCK_VALUES: the four-step transform,
-    # one row per sub-block, on and off the grid
+    # one row per sub-block, at t = 1 and t = 0.83
     grid = GridSpec(t, 2**17)
-    assert 2 * (_embedding_amplitude(0.75, grid.full_steps, 2**17).shape[0]
+    assert 2 * (_embedding_amplitude(0.75, grid.steps, t).shape[0]
                 - 1) == 2**18 > BLOCK_VALUES
     ref = sample_fft_batch(0.75, grid, 5, 3, threads=1)
     for threads in (2, 4):
@@ -619,10 +533,16 @@ def _assert_close_rel(got, want, rel=1e-13):
     assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
+def _unit_amplitude(h, n_incr):
+    """The embedding amplitude at unit steps: the sampler's, for n_incr
+    steps of [0, 1], with its n_incr^{-H} taken out."""
+    return np.array(_embedding_amplitude(h, n_incr, 1.0)) * n_incr**h
+
+
 @pytest.mark.parametrize("n_incr, m", [(1, 2), (5, 16), (1024, 2048)])
 @pytest.mark.parametrize("h", [0.3, 0.75])
 def test_half_spectrum_synthesis_matches_complex_ifft(h, n_incr, m):
-    amp = _embedding_amplitude(h, n_incr, 1)
+    amp = _unit_amplitude(h, n_incr)
     assert amp.shape == (m // 2 + 1,)
     zeta = substream(11, m).standard_normal((4, m))
     want = _reference_fgn(h, zeta, n_incr)
@@ -636,7 +556,7 @@ def test_half_spectrum_synthesis_matches_complex_ifft(h, n_incr, m):
 @pytest.mark.parametrize("m", [16, 64, 2048, 2**18])
 @pytest.mark.parametrize("h", [0.3, 0.75])
 def test_four_step_synthesis_matches_complex_ifft(h, m):
-    amp = _embedding_amplitude(h, m // 2, 1)
+    amp = _unit_amplitude(h, m // 2)
     rows = 3 if m < 2**18 else 1
     # the normals as the sampler holds them: rows of a buffer with a spare
     # column before each and another component between them
@@ -654,7 +574,7 @@ def test_four_step_synthesis_matches_complex_ifft(h, m):
 def _eigenvalues(h, m):
     """The circulant's eigenvalues 0 .. m/2 that _embedding_amplitude's
     amplitude holds, at unit steps."""
-    amp = np.array(_embedding_amplitude(h, m // 2, 1))
+    amp = _unit_amplitude(h, m // 2)
     amp[1:-1] *= np.sqrt(2.0)
     return amp**2 / m
 
@@ -686,25 +606,22 @@ def test_negative_embedding_mass_counts_every_mode(monkeypatch):
     _embedding_amplitude.cache_clear()
     try:
         with pytest.raises(fbm.EmbeddingError, match="mass 2.000e"):
-            _embedding_amplitude(0.7, 2, 1)
+            _embedding_amplitude(0.7, 2, 1.0)
     finally:
         _embedding_amplitude.cache_clear()
 
 
-def test_fft_batch_matches_complex_ifft_on_partial_grid():
-    h, n, seed = 0.7, 16, 8
-    grid = GridSpec(0.83, n)
-    k = grid.full_steps
-    m = 32  # smallest power of two >= 2k for k = 13
-    w, cond_std = _partial_step_weights(as_hurst(h), grid)
-    assert not w.flags.writeable  # cached and shared between calls
+def test_fft_batch_matches_complex_ifft():
+    # the paths are the summed unit-lag fGn of the reference mapping, scaled
+    # to steps of t/n by (t/n)^H
+    h, n, t, seed = 0.7, 16, 0.83, 8
+    grid = GridSpec(t, n)
+    m = 32  # smallest power of two >= 2n
     want = np.zeros((3, 2, grid.num_nodes))
     for r in range(3):
         for c in range(2):
-            rng = substream(seed, 2 + r, c)
-            incr = _reference_fgn(h, rng.standard_normal(m), k) * n ** (-h)
-            want[r, c, 1 : k + 1] = np.cumsum(incr)
-            want[r, c, k + 1] = want[r, c, k] + incr @ w + cond_std * rng.standard_normal()
+            zeta = substream(seed, 2 + r, c).standard_normal(m)
+            want[r, c, 1:] = np.cumsum(_reference_fgn(h, zeta, n)) * (t / n) ** h
     got = sample_fft_batch(h, grid, seed, 3, components=2, first_replicate=2)
     _assert_close_rel(got, want)
 
@@ -741,21 +658,6 @@ def test_fft_sampler_matches_covariance(h):
     tol = 5 * np.sqrt(2.0 / 4000) * np.sqrt(
         np.outer(np.diag(cov), np.diag(cov)))
     assert np.all(np.abs(emp - cov) < tol)
-
-
-def test_fft_partial_node_marginal_variance():
-    # terminal node at t = 0.3 on an n = 8 grid exercises the conditional draw
-    grid = GridSpec(0.3, 8)
-    batch = sample_fft_batch(0.7, grid, 17, 8000)
-    last = batch[:, 0, -1]
-    var = last.var()
-    target = 0.3 ** 1.4
-    assert abs(var - target) < 5 * target * np.sqrt(2.0 / 8000)
-    # covariance with the last uniform node
-    prev = batch[:, 0, -2]
-    cov = np.mean(last * prev)
-    want = fbm_covariance(0.7, 0.25, 0.3)
-    assert abs(cov - want) < 5 * np.sqrt(2.0 / 8000)
 
 
 def test_fft_sampler_memory_is_output_plus_block_buffers():

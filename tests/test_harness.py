@@ -94,11 +94,6 @@ def test_plan_takes_nonnegative_integer_seeds_only():
     assert (got.l2_error, got.stderr) == (want.l2_error, want.stderr)
 
 
-def test_plan_rejects_a_one_node_horizon():
-    with pytest.raises(PlanError, match="t_end = 1e-12 .* n = 16: one node"):
-        make_plan(t=1e-12)
-
-
 def test_plan_samples_the_highest_named_component():
     assert [make_plan(component_pair=p).components
             for p in ((1, 1), (1, 2), (2, 1), (2, 2))] == [1, 2, 2, 2]
@@ -167,7 +162,7 @@ def _embedding_size(plan):
     sub-block of ``fbm.BLOCK_VALUES`` = s m holds s rows for one worker."""
     fine = GridSpec(plan.t, plan.fine_n)
     return 2 * (fmod._embedding_amplitude(
-        plan.hurst, fine.full_steps, fine.points_per_unit).shape[0] - 1)
+        plan.hurst, fine.steps, fine.t_end).shape[0] - 1)
 
 
 def test_rate_experiment_chunking_invariance(monkeypatch):
@@ -364,8 +359,8 @@ def test_auto_scaled_run_extends_the_pilot():
 
 
 def _dense_cross_moments(plan, fine, bi):
-    """E[S_n^2 | B^i] at i != j as the dense form n^{4H-2} g'Dg, per row of
-    ``bi``: g_m = f(B^i_m) - f(B^i at the left node of step m's coarse
+    """E[S_n^2 | B^i] at i != j as the dense form (n/t)^{4H-2} g'Dg, per row
+    of ``bi``: g_m = f(B^i_m) - f(B^i at the left node of step m's coarse
     step) and D the covariance of the fine increments of B^j."""
     times = fine.nodes()
     cov = fbm_covariance(plan.hurst, times[:, None], times[None, :])
@@ -377,7 +372,8 @@ def _dense_cross_moments(plan, fine, bi):
         for row, path in enumerate(bi):
             v = integrand(plan.integrand, path)
             g = v[:-1] - v[left]
-            out[gi, row] = n ** (4 * plan.hurst - 2) * g @ incr_cov @ g
+            out[gi, row] = ((n / plan.t) ** (4 * plan.hurst - 2)
+                            * g @ incr_cov @ g)
     return out
 
 
@@ -393,8 +389,8 @@ def _per_path_errors(plan, first, count):
     atoms = plan.integrand.atoms
 
     def sign_change(b, a, grid):
-        n = grid.points_per_unit
-        return n ** (2 * plan.hurst - 1) * crossing_sums(b, fine, a, grid)
+        return ((grid.steps / plan.t) ** (2 * plan.hurst - 1)
+                * crossing_sums(b, fine, a, grid))
 
     errs = np.empty((len(plan.n_values), count))
     for r in range(count):
@@ -425,7 +421,7 @@ def test_batch_errors_match_per_path_route(kind, pair, t):
                          ids=["indicator", "two_atoms"])
 def test_cross_moments_equal_the_dense_form(mu, t):
     # the variogram form over the support nodes is the dense quadratic form
-    # in all fine increments, a partial last step included
+    # in all fine increments, at t = 1 and t = 0.83
     plan = make_plan(n_values=(8, 16, 32), integrand=mu, t=t,
                      component_pair=(1, 2), fine_factor=16)
     fine = GridSpec(plan.t, plan.fine_n)
@@ -455,6 +451,26 @@ def test_cross_moments_are_the_mean_over_independent_bj():
             assert moments[gi, row] > 0
             z = (sq.mean() - moments[gi, row]) / (sq.std(ddof=1) / np.sqrt(len(sq)))
             assert abs(z) < 4, (row, n, z)
+
+
+@pytest.mark.parametrize("pair", [(1, 1), (1, 2)])
+def test_rate_experiment_scales_with_the_horizon(pair):
+    # S_n on n equal steps of [0, t] at level a is t^{1-H} times S_n on
+    # [0, 1] at level a t^{-H}, path by path from the same streams, at i = j
+    # through the crossing sums and at i != j through E[S_n^2 | B^i]
+    t, a = 0.83, 0.3
+
+    def l2(t, level):
+        plan = make_plan(n_values=(16, 32, 64), t=t, replicates=40,
+                         integrand=indicator_measure(level),
+                         component_pair=pair, fine_factor=32)
+        assert plan.fine_n == 2048
+        report = run_rate_experiment(plan, threads=1)
+        assert min(report.l2_error) > 0
+        return np.array(report.l2_error), np.array(report.stderr)
+
+    got, unit = l2(t, a), l2(1.0, a * t**-0.75)
+    np.testing.assert_allclose(got, t**0.25 * np.array(unit), rtol=1e-12, atol=0)
 
 
 def test_rate_report_rows():

@@ -92,10 +92,10 @@ def test_unused_import_is_reported():
     assert unused_imports(source) == ["as_hurst (line 1)"]
 
 
-# Runs in a fresh interpreter: imports the package and runs an on-grid and
-# an off-grid rate experiment, the exact sampler, the first-moment oracle at
+# Runs in a fresh interpreter: imports the package and runs rate experiments
+# at t = 1 and t = 0.83, the exact sampler, the first-moment oracle at
 # a != 0, the second-moment oracle at a = 0 and a != 0 and four CLI commands,
-# one of them an off-grid simulate; no scipy module may load.
+# one of them a simulate at t = 0.83; no scipy module may load.
 _NUMPY_ONLY_SCRIPT = """
 import contextlib, io, sys
 import fbmlab, fbmlab.bounds, fbmlab.cli

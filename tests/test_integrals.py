@@ -1,10 +1,5 @@
 """Signed derivative measures and the crossing closed form of S_n."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -26,8 +21,8 @@ def _path(h, grid, seed):
 
 
 def _scaled_crossings(h, values, fine, a, grid):
-    """n^{2H-1} crossing_sums: the closed-form S_n of 1_{x > a}."""
-    return grid.points_per_unit ** (2 * h - 1) * crossing_sums(values, fine, a, grid)
+    """(n/t)^{2H-1} crossing_sums: the closed-form S_n of 1_{x > a}."""
+    return grid.mesh_power(2 * h - 1) * crossing_sums(values, fine, a, grid)
 
 
 def test_total_variation_and_growth():
@@ -46,9 +41,8 @@ def test_sign_change_initial_step_counts():
 
 def test_sign_change_matches_riemann_identity():
     # exact algebraic identity: the crossing sums of 1_{x > a} on two grids
-    # differ by the difference of their Riemann sums, the definition of S_n;
-    # at t = 0.83 every grid ends on a partial step, on n = 8 one that spans
-    # 40 fine steps and the fine partial step
+    # differ by the difference of their Riemann sums, the definition of S_n,
+    # on equal steps of [0, 1] and of [0, 0.83]
     for t in (1.0, 0.83):
         fine = GridSpec(t, 512)
         b = sample_fft_batch(0.7, fine, 23, 64)[:, 0]
@@ -72,14 +66,14 @@ def test_sign_change_nonzero_level_shift_invariance():
         crossing_sums(b - a, fine, 0.0, grid))
 
 
-def test_clamped_terminal_step():
-    # t = 0.3 on an n = 4 grid: one full step then the partial one
+def test_crossings_on_equal_steps_of_a_short_horizon():
+    # four steps of 0.075 on [0, 0.3], so the normaliser is (4 / 0.3)^{2H-1}
     grid = GridSpec(0.3, 4)
-    b = np.array([0.0, -0.5, 0.2])
+    b = np.array([0.0, -0.5, 0.2, 0.1, -0.3])
     # crossings: step 1 (0 -> -0.5) no (both "negative" under sgn(0) = -1),
-    # step 2 (-0.5 -> 0.2) yes
+    # step 2 (-0.5 -> 0.2) and step 4 (0.1 -> -0.3) yes
     assert _scaled_crossings(0.75, b, grid, 0.0, grid) == pytest.approx(
-        4 ** 0.5 * 0.2)
+        (4 / 0.3) ** 0.5 * (0.2 + 0.3), rel=1e-14)
 
 
 BATCH_FUNCTIONS = {
@@ -106,8 +100,7 @@ def test_single_path_is_a_batch_row(name, t):
         np.testing.assert_allclose(row, whole[r], rtol=1e-12, atol=0)
     if name == "binning_estimates":
         # n = 1000: the step lengths are not powers of two, so a row's
-        # estimate must not come from a sum whose order depends on the batch;
-        # n = 256 at t = 0.83 ends on a partial step
+        # estimate must not come from a sum whose order depends on the batch
         for fine in (GridSpec(t, 1000), GridSpec(t, 256)):
             batch = sample_fft_batch(0.75, fine, 9, 200)[:, 0]
             whole = fn(batch, fine, fine)
@@ -115,10 +108,7 @@ def test_single_path_is_a_batch_row(name, t):
                 [fn(row, fine, fine) for row in batch], whole)
 
 
-# t = 207.5/256: the fine grid's terminal node has index 208 = 13 * 16, so a
-# plain ::16 stride already ends on it; t = 207/256: only the coarse grid has
-# a partial step
-@pytest.mark.parametrize("t", [1.0, 0.83, 207.5 / 256, 207 / 256])
+@pytest.mark.parametrize("t", [1.0, 0.83])
 def test_coarse_view_matches_fancy_index(t):
     # the crossing kernel's layout picks the nodes of every grid that the
     # fancy index of the reference picks
@@ -159,13 +149,12 @@ def _paths_touching_levels(t, rows):
 @pytest.mark.parametrize("t", [1.0, 0.83])
 @pytest.mark.parametrize("rows", [1, 2, 63])
 def test_multi_grid_crossings_equal_per_grid_calls(rows, t):
-    # one row of sums per grid, bit for bit those of the one-grid kernel;
-    # at t = 0.83 every grid ends on a partial step.  The walk touches the
-    # levels, where sgn(0) = -1 puts a node at a below it
+    # one row of sums per grid, bit for bit those of the one-grid kernel,
+    # at t = 1 and t = 0.83.  The walk touches the levels, where
+    # sgn(0) = -1 puts a node at a below it
     fine, batches = _paths_touching_levels(t, rows)
     grids = [GridSpec(t, n) for n in (16, 64, 256)] + [fine]
-    weights = np.random.default_rng(2).uniform(0.5, 2.0, grids[1].full_steps
-                                               + grids[1].has_partial_step)
+    weights = np.random.default_rng(2).uniform(0.5, 2.0, grids[1].steps)
     for values in batches:
         for a in (0.0, 0.25, -0.125):
             got = crossing_sums(values, fine, a, grids)
@@ -192,8 +181,8 @@ def _path_errors_per_grid(plan, fine, bi):
     hv = plan.hurst
 
     def sign_change(a, grid):
-        n = grid.points_per_unit
-        return n ** (2 * hv - 1) * _crossing_sums_per_grid(bi, fine, a, grid)
+        return (grid.mesh_power(2 * hv - 1)
+                * _crossing_sums_per_grid(bi, fine, a, grid))
 
     errs = np.empty((len(plan.n_values), bi.shape[0]))
     fine_sc = {a: sign_change(a, fine) for a, _ in plan.integrand.atoms}
@@ -215,32 +204,7 @@ def test_harness_crossing_errors_equal_per_grid_route(rows, t):
     for mu in measures:
         plan = ExperimentPlan(0.75, (16, 64, 256), mu, t=t, replicates=2,
                               fine_factor=4)
-        assert plan.fine_n == fine.points_per_unit
+        assert plan.fine_n == fine.steps
         for bi in batches:
             got = _path_errors(plan, fine, bi)
             assert got.tobytes() == _path_errors_per_grid(plan, fine, bi).tobytes()
-
-
-# the partial step's conditional mean is a dot product over rows of 2^15
-# values and more, which a multi-threaded BLAS dot splits across its threads
-# and so rounds differently; at H = 0.1 it is large enough to show in the
-# path's last node
-_ROW_DOTS_SCRIPT = """
-import hashlib
-from fbmlab.fbm import GridSpec, sample_fft_batch
-
-paths = sample_fft_batch(0.1, GridSpec(1 + 2**-16, 2**15), 3, 3)
-print(hashlib.sha256(paths.tobytes()).hexdigest())
-"""
-
-
-def test_row_dot_products_do_not_depend_on_blas_threads():
-    src = Path(__file__).resolve().parents[1] / "src"
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", _ROW_DOTS_SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.split())
-    assert digests[0] == digests[1]

@@ -427,8 +427,8 @@ def _single_crossing_weight(h, grid, step):
     """w_step read off the estimator on a path that crosses 0 only on that
     step and lands at distance 1 from it."""
     b = np.where(np.arange(grid.num_nodes) > step, 1.0, -1.0)
-    n = grid.points_per_unit
-    return sign_change_estimates(h, b, grid, 0.0, grid) / (2 * n ** (2 * h - 1))
+    return (sign_change_estimates(h, b, grid, 0.0, grid)
+            / (2 * grid.steps ** (2 * h - 1)))
 
 
 @pytest.mark.parametrize("h", [0.6, 0.75, 0.9])
@@ -446,13 +446,24 @@ def test_crossing_weight_makes_step_mean_exact(h, k):
     assert 2 * w * mean == pytest.approx(share, rel=1e-8)
 
 
-def test_partial_step_weight_makes_step_mean_exact():
-    # t = 0.7 on n = 16: full steps end at 11, the partial step is [11, 11.2]
-    h, grid = 0.75, GridSpec(0.7, 16)
-    s, e = grid.full_steps, grid.points_per_unit * grid.t_end
-    w = _single_crossing_weight(h, grid, s)
-    share = (e ** (1 - h) - s ** (1 - h)) / ((1 - h) * np.sqrt(2 * np.pi))
-    assert 2 * w * _crossing_mean_quad(h, s, e) == pytest.approx(share, rel=1e-8)
+@pytest.mark.parametrize("a", [0.0, 0.3])
+@pytest.mark.parametrize("t", [0.83, 2.5])
+def test_estimates_scale_with_the_horizon(t, a):
+    # L_t(a) of B = t^H W is t^{1-H} L_1^W(a t^{-H}); on n equal steps of
+    # [0, t] both estimators obey the same identity, path by path from the
+    # same streams, with the bin width scaled like the level
+    h, c = 0.75, t**-0.75
+    fine_t, fine_1 = GridSpec(t, 1024), GridSpec(1.0, 1024)
+    paths_t = sample_fft_batch(h, fine_t, 41, 50)[:, 0]
+    paths_1 = sample_fft_batch(h, fine_1, 41, 50)[:, 0]
+    got = sign_change_estimates(h, paths_t, fine_t, a, GridSpec(t, 256))
+    want = sign_change_estimates(h, paths_1, fine_1, a * c, GridSpec(1.0, 256))
+    assert (got > 0).sum() >= 10
+    np.testing.assert_allclose(got, t ** (1 - h) * want, rtol=1e-12, atol=0)
+    got = binning_estimates(h, paths_t, fine_t, a, 0.3)
+    want = binning_estimates(h, paths_1, fine_1, a * c, 0.3 * c)
+    assert (got > 0).sum() >= 10
+    np.testing.assert_allclose(got, t ** (1 - h) * want, rtol=1e-12, atol=0)
 
 
 def test_sign_change_estimator_is_nonnegative():
@@ -474,10 +485,14 @@ def test_estimators_agree_in_the_mean():
     grid = GridSpec(1.0, n)
     batch = sample_fft_batch(h, grid, 77, reps)[:, 0]
     sign_vals = sign_change_estimates(h, batch, grid, 0.0, grid)
-    bin_vals = binning_estimates(h, batch, grid, 0.0, default_bin_width(h, n))
+    eps = default_bin_width(h, grid)
+    bin_vals = binning_estimates(h, batch, grid, 0.0, eps)
     se = np.sqrt(sign_vals.var() / reps + bin_vals.var() / reps)
     assert abs(sign_vals.mean() - bin_vals.mean()) < 3 * se + 0.1
 
 
 def test_default_bin_width_scaling():
-    assert default_bin_width(0.75, 256) == pytest.approx(4 * 256 ** -0.75)
+    # four typical step increments (t/n)^H
+    assert default_bin_width(0.75, GridSpec(1.0, 256)) == 4 * 256 ** -0.75
+    assert default_bin_width(0.75, GridSpec(2.5, 256)) == pytest.approx(
+        4 * (2.5 / 256) ** 0.75, rel=1e-15)
