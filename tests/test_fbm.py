@@ -106,7 +106,11 @@ def test_grid_nodes_uniform():
     g = GridSpec(1.0, 8)
     np.testing.assert_allclose(g.nodes(), np.arange(9) / 8)
     assert g.num_nodes == 9
-    # n equal steps of [0, t], ending on t itself
+
+
+def test_grid_partial_terminal_node():
+    # a horizon with n*t off the integers is still n equal steps of [0, t]:
+    # no partial step, and the terminal node is t itself
     g = GridSpec(0.3, 8)
     assert (g.steps, g.full_steps, g.num_nodes) == (8, 8, 9)
     np.testing.assert_allclose(g.nodes(), 0.3 * np.arange(9) / 8, rtol=1e-15)
