@@ -147,6 +147,11 @@ def _cmd_localtime(args):
     if args.n < 1:
         raise CliError(f"--n must be >= 1, got {args.n}")
     grid = GridSpec(_positive_finite("--t", args.t), args.n)
+    if args.estimator == "sign":
+        try:  # the estimator's normaliser (n/t)^{2H-1}, before any path
+            grid.mesh_power(2 * args.H - 1)
+        except ValueError as exc:
+            raise CliError(f"--t {args.t} is too small: {exc}") from None
     eps = default_bin_width(args.H, grid) if args.eps is None else args.eps
     _positive_finite("--eps", eps)
     if args.replicates < 1:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -133,6 +133,10 @@ class ExperimentPlan:
         if bad:
             raise PlanError(f"n_values {bad} do not divide the reference grid "
                             f"fine_n = {self.fine_n}")
+        try:  # the kernels' normalisers, before any path is drawn
+            self.levels
+        except ValueError as exc:
+            raise PlanError(f"t is too small: {exc}") from None
 
     @property
     def reference_kind(self) -> str:
@@ -148,6 +152,20 @@ class ExperimentPlan:
     @property
     def components(self) -> int:
         return max(self.component_pair)
+
+    @cached_property
+    def levels(self):
+        """The kernels' grids and the column of their normalisers, built once
+        for every sub-block: at i = j the coarse grids and, last, the fine
+        grid, with (n/t)^{2H-1}; at i != j the coarse grids, with (n/t)^{4H-2}."""
+        hv = as_hurst(self.hurst).value
+        same = self.component_pair[0] == self.component_pair[1]
+        steps = self.n_values + ((self.fine_n,) if same else ())
+        grids = tuple(GridSpec(self.t, n) for n in steps)
+        p = 2 * hv - 1 if same else 4 * hv - 2
+        scale = np.array([g.mesh_power(p) for g in grids])[:, None]
+        scale.flags.writeable = False
+        return grids, scale
 
     def check_budget(self, replicates: int) -> None:
         if replicates * (self.fine_n + 1) > BUDGET_VALUES:
@@ -233,8 +251,8 @@ def _cross_moments(plan: ExperimentPlan, fine: GridSpec,
     """
     hv = as_hurst(plan.hurst).value
     last = fine.steps
-    levels = [(grid.mesh_power(4 * hv - 2), fine.refinement_of(grid))
-              for grid in (GridSpec(plan.t, n) for n in plan.n_values)]
+    grids, scale = plan.levels
+    levels = [(s, fine.refinement_of(g)) for g, s in zip(grids, scale[:, 0])]
     out = np.zeros((len(levels), bi.shape[0]))
     # the fine steps (m - 1, m) across which f(B^i) jumps, atom by atom; a
     # flat index search, as np.nonzero of a 2-D mask is about 20x slower
@@ -274,25 +292,12 @@ def _path_errors(plan: ExperimentPlan, fine: GridSpec,
         return _cross_moments(plan, fine, bi)
     # closed-form route: S_n per atom on every coarse grid and, last, the
     # fine grid, whose S_n gives the limit, in one kernel call
-    grids, scale = _crossing_grids(plan.t, plan.n_values, fine,
-                                   as_hurst(plan.hurst).value)
+    grids, scale = plan.levels
     errs = np.zeros((len(plan.n_values), bi.shape[0]))
     for a, c in plan.integrand.atoms:
         sign_change = scale * crossing_sums(bi, fine, a, grids)
         errs += 2 * c * (sign_change[:-1] - sign_change[-1])
     return errs**2
-
-
-@lru_cache(maxsize=32)
-def _crossing_grids(t: float, n_values: tuple, fine: GridSpec, hv: float):
-    """The coarse grids of ``n_values`` and, last, ``fine``, with the column
-    of their factors (n/t)^{2H-1} (``GridSpec.mesh_power``).  Cached, as
-    the kernels run on every synthesis sub-block and building the grids
-    costs a third of a two-row call."""
-    grids = tuple(GridSpec(t, n) for n in n_values) + (fine,)
-    scale = np.array([g.mesh_power(2 * hv - 1) for g in grids])[:, None]
-    scale.flags.writeable = False
-    return grids, scale
 
 
 def _collect(plan: ExperimentPlan, first: int, total: int, threads) -> np.ndarray:

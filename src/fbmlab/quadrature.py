@@ -4,9 +4,8 @@ Every quadrature rule of fbmlab is built here: ``_panel_rule`` puts the
 same Gauss-Legendre nodes on each panel of a partition, and
 ``_graded_rule`` on panels shrinking geometrically toward the singular
 end(s) of [0, 1].  ``_iterated_integral`` applies a rule over inner
-intervals that depend on an outer variable (none for a 1-D integral),
-with the integrand evaluated in parts of a block of outer nodes and summed
-one block at a time.
+intervals that depend on an outer variable, with the integrand evaluated
+in parts of a block of outer nodes and summed one block at a time.
 """
 
 from __future__ import annotations

@@ -12,10 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fbmlab.harness as harness
 from fbmlab.bounds import lemma_a1_mc
 from fbmlab.cli import CliError, parse_and_dispatch, parse_config
 from fbmlab.fbm import GridSpec, sample_fft_batch
-from fbmlab.localtime import binning_estimates, default_bin_width, sign_change_estimates
+from fbmlab.localtime import (binning_estimates, default_bin_width,
+                              moment_oracle, sign_change_estimates)
 
 
 def run(args, capsys=None):
@@ -230,6 +232,21 @@ def test_rate_rejects_bad_config_values(tmp_path, capsys, extra):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("extra", ["H = 0.9\nt = 1e-300\npair = 12\n",
+                                   "H = 0.99\nt = 1e-320\n"])
+def test_rate_refuses_an_overflowing_normaliser_before_sampling(
+        tmp_path, capsys, monkeypatch, extra):
+    # (n/t)^{4H-2} at pair 12, or (n/t)^{2H-1} at pair 11, overflows
+    def no_paths(*args, **kwargs):
+        raise AssertionError("drew paths")
+
+    monkeypatch.setattr(harness, "fft_paths", no_paths)
+    assert run(["rate", "--config", _rate_cfg(tmp_path, extra)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: t is too small"), captured.err
+    assert captured.out == ""
+
+
 def test_rate_reference_key_confirms_the_pair(tmp_path):
     # the pair decides the reference; a key that names it is accepted.  The
     # manifest records the horizon and the resolved fine factor, the pair's
@@ -367,11 +384,16 @@ def test_oracle_values(capsys):
     assert rc == 0
     want = 1.0 / (0.4 * np.sqrt(2 * np.pi))
     assert float(capsys.readouterr().out) == pytest.approx(want)
-    # near H = 1, where the p = 1 integrand's inner power underflows
+    # near H = 1
     rc = run(["oracle", "--lemma", "moments", "--H", "0.99", "--a", "0.5"])
     assert rc == 0
     assert float(capsys.readouterr().out) == pytest.approx(0.3252454394294698,
                                                           rel=1e-10)
+    # below H = 1/2, where the first-moment quadrature declined a = 1
+    rc = run(["oracle", "--lemma", "moments", "--H", "0.3", "--a", "1",
+              "--p", "1"])
+    assert rc == 0
+    assert float(capsys.readouterr().out) == moment_oracle(0.3, 1.0, 1.0, 1)
 
 
 @pytest.mark.parametrize("module", ["fbmlab", "fbmlab.cli"])
@@ -416,6 +438,7 @@ def test_invalid_arguments_exit_code(capsys):
                        (moments + ["--t", "nan"], "t"),
                        (moments + ["--a", "nan"], "a"),
                        (moments + ["--a", "inf", "--p", "2"], "a"),
+                       (moments + ["--a", "1e-300"], "a"),
                        *((["oracle", "--lemma", "a1", "--theta", theta],
                           "theta") for theta in ("nan", "inf", "-1")),
                        (["localtime", "--H", "0.75", "--n", "0", "--levels",
@@ -428,6 +451,9 @@ def test_invalid_arguments_exit_code(capsys):
                         "--t"),
                        *((["localtime", "--H", "0.75", "--n", "8", "--t", t,
                            "--levels", "0"], "--t") for t in ("0", "nan", "inf")),
+                       # (n/t)^{2H-1} overflows
+                       (["localtime", "--H", "0.99", "--n", "64", "--t",
+                         "1e-320", "--levels", "0"], "--t"),
                        *((["--threads", k, "simulate", "--H", "0.75", "--n",
                            "8"], "--threads") for k in ("0", "-3")),
                        *((["verify-bounds", "--suite", suite, "--H", h], "--H")

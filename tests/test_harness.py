@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fbmlab.fbm as fmod
+import fbmlab.harness as harness
 from fbmlab.fbm import GridSpec, fbm_covariance, resolve_threads, sample_fft_batch
 from fbmlab.harness import (
     ExperimentPlan,
@@ -72,6 +73,32 @@ def test_plan_validation():
     assert [type(v) for v in (*plan.n_values, plan.replicates, plan.fine_factor,
                               *plan.component_pair)] == [int] * 7
     assert plan.component_pair == (1, 2)
+
+
+@pytest.mark.parametrize("pair, hurst, t", [((1, 2), 0.9, 1e-300),
+                                            ((1, 1), 0.99, 1e-320)])
+def test_plan_refuses_a_horizon_whose_normaliser_overflows(pair, hurst, t):
+    # (n/t)^{4H-2} at i != j and (n/t)^{2H-1} at i = j, built with the plan
+    with pytest.raises(PlanError, match="^t is too small"):
+        make_plan(component_pair=pair, hurst=hurst, t=t)
+    make_plan(component_pair=pair, hurst=hurst, t=1e-100)
+
+
+@pytest.mark.parametrize("pair", [(1, 1), (1, 2)])
+def test_kernels_build_no_grid_per_sub_block(monkeypatch, pair):
+    # the plan built its route's grids and normalisers; each sub-block's
+    # kernels reuse them
+    plan = make_plan(n_values=(8, 16, 32), integrand=TWO_ATOMS,
+                     component_pair=pair, fine_factor=16, t=0.83)
+    fine = GridSpec(plan.t, plan.fine_n)
+    bi = sample_fft_batch(plan.hurst, fine, 23, 4)[:, 0]
+    want = _path_errors(plan, fine, bi)
+
+    def no_grid(*args):
+        raise AssertionError("built a GridSpec")
+
+    monkeypatch.setattr(harness, "GridSpec", no_grid)
+    np.testing.assert_array_equal(_path_errors(plan, fine, bi), want)
 
 
 def test_plan_rejects_n_values_off_the_reference_grid():

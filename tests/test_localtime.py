@@ -13,7 +13,7 @@ from scipy.integrate import dblquad, quad
 from scipy.special import gamma, gammaincc
 from scipy.stats import norm
 
-from fbmlab import localtime
+from fbmlab import localtime, quadrature
 from fbmlab.fbm import GridSpec, sample_fft_batch
 from fbmlab.localtime import (
     ResolutionWarning,
@@ -43,14 +43,14 @@ def test_first_moment_time_scaling_at_zero():
     # E[L_t(0)] = t^{1-H} E[L_1(0)]
     for t in (0.25, 2.0):
         assert moment_oracle(0.7, t, 0.0) == pytest.approx(
-            t ** 0.3 * moment_oracle(0.7, 1.0, 0.0), rel=1e-10)
+            t ** 0.3 * moment_oracle(0.7, 1.0, 0.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("key", sorted(FIRST_MOMENT_REFERENCE))
 def test_first_moment_nonzero_level(key):
     h, a = key
     assert moment_oracle(h, 1.0, a, p=1) == pytest.approx(
-        FIRST_MOMENT_REFERENCE[key], rel=1e-8)
+        FIRST_MOMENT_REFERENCE[key], rel=1e-12)
 
 
 def _first_moment_closed_form(h, t, a):
@@ -63,23 +63,74 @@ def _first_moment_closed_form(h, t, a):
     return c * (gamma(s + 1) * gammaincc(s + 1, x) - x**s * np.exp(-x)) / s
 
 
-# near H = 1 the integrand's inner power r^{2H/(1-H)} underflows to 0 at small
-# r, where its limit is exp(-inf) = 0
+# near H = 1, where b = (1-H)/(2H) is small and E_{1+b}(x) is steep at small x
 @pytest.mark.parametrize("a", [0.5, 1.0, -2.0])
 @pytest.mark.parametrize("t", [1.0, 0.83])
 @pytest.mark.parametrize("h", [0.98, 0.99])
 def test_first_moment_near_one_matches_incomplete_gamma(h, t, a):
     assert moment_oracle(h, t, a, p=1) == pytest.approx(
-        _first_moment_closed_form(h, t, a), rel=1e-10)
+        _first_moment_closed_form(h, t, a), rel=1e-12)
 
 
-# at small |a| the integrand rises from 0 to 1 within r < |a|^{(1-H)/H} << 1
+# at small |a|, where x = a^2 / (2 t^{2H}) takes the power series of E_{1+b}
 @pytest.mark.parametrize("a", [1e-6, -1e-6, 1e-3])
 @pytest.mark.parametrize("t", [0.1, 1.0, 2.0, 10.0])
 @pytest.mark.parametrize("h", [0.51, 0.55, 0.6, 0.75])
 def test_first_moment_small_level_matches_incomplete_gamma(h, t, a):
     assert moment_oracle(h, t, a, p=1) == pytest.approx(
-        _first_moment_closed_form(h, t, a), rel=1e-8)
+        _first_moment_closed_form(h, t, a), rel=1e-12)
+
+
+def _first_moment_mpmath(mp, h, t, a):
+    """E[L_t(a)] = t^{1-H} E_{1+b}(x) / (2H sqrt(2 pi)), b = (1-H)/(2H) and
+    x = a^2 / (2 t^{2H}), at 40 digits from the exact values of the
+    float arguments."""
+    with mp.workdps(40):
+        h, t, a = mp.mpf(h), mp.mpf(t), mp.mpf(a)
+        x = a * a / (2 * t ** (2 * h))
+        return float(t ** (1 - h) * mp.expint(1 + (1 - h) / (2 * h), x)
+                     / (2 * h * mp.sqrt(2 * mp.pi)))
+
+
+@pytest.mark.parametrize("a", [1e-6, -1e-6, 0.5, 2.0, 8.0])
+@pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("h", [0.1, 0.3, 0.5, 0.75, 0.99])
+def test_first_moment_matches_mpmath(h, t, a):
+    mp = pytest.importorskip("mpmath")
+    assert moment_oracle(h, t, a, p=1) == pytest.approx(
+        _first_moment_mpmath(mp, h, t, a), rel=1e-12, abs=0)
+
+
+def test_first_moment_refuses_a_level_below_the_normal_floats():
+    # at a = 1e-300, x = a^2 / 2 underflows to 0, where E_{1+b}(x) differs
+    # from its a = 0 value 1/b by about x^b (3% at H = 0.995): the oracle
+    # names a rather than return E[L_1(0)]
+    for h in (0.3, 0.75, 0.995):
+        for a in (1e-300, -1e-300):
+            with pytest.raises(ValueError, match=f"^a = {a} "):
+                moment_oracle(h, 1.0, a, p=1)
+    # at the least normal x the value is still resolved
+    mp = pytest.importorskip("mpmath")
+    a = 2.2e-154  # x = 2.42e-308
+    for h in (0.99, 0.995):
+        want = _first_moment_mpmath(mp, h, 1.0, a)
+        assert moment_oracle(h, 1.0, a, p=1) == pytest.approx(want, rel=1e-12,
+                                                              abs=0)
+        assert want < 0.999 * moment_oracle(h, 1.0, 0.0, p=1)
+
+
+def test_first_moment_builds_no_quadrature_rule(monkeypatch):
+    def no_rule(*args, **kwargs):
+        raise AssertionError("built a quadrature rule")
+
+    for name in ("_graded_rule", "_panel_rule", "_iterated_integral"):
+        monkeypatch.setattr(quadrature, name, no_rule)
+    monkeypatch.setattr(localtime, "_graded_rule", no_rule)
+    for h, a in ((0.75, 0.0), (0.75, 1e-6), (0.3, 0.5), (0.99, -2.0)):
+        assert moment_oracle(h, 1.0, a, p=1) > 0
+    # the spy is in place: the second moment is a quadrature
+    with pytest.raises(AssertionError, match="quadrature rule"):
+        moment_oracle(0.75, 1.0, 0.5, p=2)
 
 
 def test_second_moment_brownian_unit():
