@@ -10,6 +10,7 @@ whose statistical verdict is inconclusive (distinct from failure).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -313,7 +314,9 @@ def _cmd_oracle(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
     ap = argparse.ArgumentParser(
         prog="fbmlab",
         description="fractional Brownian motion simulation, pathwise "

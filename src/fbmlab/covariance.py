@@ -46,17 +46,23 @@ def _increasing(times) -> np.ndarray:
 
 def increment_cov(h, times) -> np.ndarray:
     """Covariance matrix of the consecutive increments of ``times``."""
-    h = as_hurst(h)
-    ts = _increasing(times)
-    a1, a2 = ts[:-1], ts[1:]
+    return _increment_covs(as_hurst(h), _increasing(times))
+
+
+def _increment_covs(h, ts) -> np.ndarray:
+    """Covariance matrices of the consecutive increments of each time vector
+    ts[..., :], stacked like ts[..., 0]."""
+    a1, a2 = ts[..., :-1], ts[..., 1:]
+    r1, c1 = a1[..., :, None], a1[..., None, :]
+    r2, c2 = a2[..., :, None], a2[..., None, :]
     # E[(B_u - B_v)(B_x - B_y)] expanded through R(s, t)
     mat = (
-        fbm_covariance(h, a1[:, None], a1[None, :])
-        - fbm_covariance(h, a1[:, None], a2[None, :])
-        - fbm_covariance(h, a2[:, None], a1[None, :])
-        + fbm_covariance(h, a2[:, None], a2[None, :])
+        fbm_covariance(h, r1, c1)
+        - fbm_covariance(h, r1, c2)
+        - fbm_covariance(h, r2, c1)
+        + fbm_covariance(h, r2, c2)
     )
-    return 0.5 * (mat + mat.T)
+    return 0.5 * (mat + np.swapaxes(mat, -1, -2))
 
 
 def determinant_sandwich(h, times):
@@ -105,22 +111,40 @@ def factorisation_error(hurst, h) -> float:
     vanishes like h^{2-2H} for H > 1/2; at H = 1/2 only the O(h) term of
     that absorption is left, theta1 = -h / (1+h).
     """
+    return _factorisation_errors(hurst, [h])[0]
+
+
+def _factorisation_errors(hurst, levels) -> list[float]:
+    """``factorisation_error`` at each h of ``levels``, with Sigma and
+    Sigma' stacked over the levels: one condition number and one
+    determinant call for each stack.  ValueError naming the matrix and h
+    when one is ill-conditioned or has a non-positive determinant."""
     hu = as_hurst(hurst)
-    if not 0 < h < 1:
-        raise ValueError(f"h must lie in (0, 1), got {h}")
-    ts = np.array([0.0, 1.0, 1.0 + h, 2.0 + h])
-    sigma = increment_cov(hu, ts)
-    sigma_prime = increment_cov(hu, ts[[0, 1, 3]])
-    for label, mat in (("Sigma", sigma), ("Sigma'", sigma_prime)):
-        cond = np.linalg.cond(mat)
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise ValueError(f"{label} condition number {cond:.3e} exceeds limit")
-    sign, logdet = np.linalg.slogdet(sigma)
-    signp, logdetp = np.linalg.slogdet(sigma_prime)
-    if sign <= 0 or signp <= 0:
-        raise ValueError("non-positive determinant")
-    small = np.diff(ts)[1] ** (2 * hu.value)
-    return float(np.exp(logdet - logdetp - np.log(small))) - 1.0
+    for h in levels:
+        if not 0 < h < 1:
+            raise ValueError(f"h must lie in (0, 1), got {h}")
+    hs = np.array(levels, dtype=float)
+    ts = np.stack([np.zeros_like(hs), np.ones_like(hs), 1.0 + hs, 2.0 + hs],
+                  axis=-1)
+    logdets = []
+    for label, mats in (("Sigma", _increment_covs(hu, ts)),
+                        ("Sigma'", _increment_covs(hu, ts[:, [0, 1, 3]]))):
+        cond = np.linalg.cond(mats)
+        for h, c in zip(hs, cond):
+            if not np.isfinite(c) or c > CONDITION_LIMIT:
+                raise ValueError(f"{label} condition number {c:.3e} exceeds "
+                                 f"limit at h = {h}")
+        sign, logdet = np.linalg.slogdet(mats)
+        for h, sg in zip(hs, sign):
+            if sg <= 0:
+                raise ValueError(f"{label} has a non-positive determinant at "
+                                 f"h = {h}")
+        logdets.append(logdet)
+    # level by level: a numpy scalar's power is libm's, which the SIMD power
+    # of an array need not match to the last bit
+    two_h = 2 * hu.value
+    return [float(np.exp(ld - ldp - np.log(small ** two_h))) - 1.0
+            for ld, ldp, small in zip(*logdets, np.diff(ts)[:, 1])]
 
 
 def increment_level_bound_constant(h) -> float:

@@ -144,9 +144,11 @@ def moment_oracle(h, t: float, a: float, p: int = 1) -> float:
     [1e-150, 20].  At a != 0, an x below the normal floats cannot resolve
     E_{1+b}(x) - 1/b ~ x^b (3% of the value at H = 0.995): ValueError naming a.
     E[L_t(a)^2] is ``_second_moment`` by graded Gauss-Legendre rules at
-    (panels, order) = (24, 8) and (40, 10), whose gap is the error estimate:
-    RuntimeError when that exceeds 1e-6 relative (at some levels from
-    H = 0.995, and at a = 1e-6 from H = 0.95) or the value is not finite.
+    (panels, order) = (24, 8) and (40, 10), both evaluated in one pass, whose
+    gap is the error estimate: RuntimeError when that exceeds 1e-6 relative
+    (at some levels from H = 0.995, and at a = 1e-6 from H = 0.95) or the
+    value is not finite, and ValueError naming t when t^(2H) or t^(2-2H)
+    overflows.
     """
     hv = as_hurst(h).value
     if p not in (1, 2):
@@ -164,9 +166,13 @@ def moment_oracle(h, t: float, a: float, p: int = 1) -> float:
             raise ValueError(f"a = {a} at t = {t}: a^2 / (2 t^(2H)) underflows")
         e = _expint(1.0 + 0.5 * (1.0 - hv) / hv, np.array([x]))[0]
         return float(t ** (1.0 - hv) * e / (2 * hv * np.sqrt(2 * np.pi)))
-    coarse, val = (
-        _second_moment(hv, t, a, _graded_rule(panels, order, 1e-5, True))
-        for panels, order in ((24, 8), (40, 10)))
+    try:
+        coarse, val = _second_moment(hv, t, a, [
+            _graded_rule(panels, order, 1e-5, True)
+            for panels, order in ((24, 8), (40, 10))])
+    except OverflowError:  # from a Python float power of t
+        raise ValueError(f"t = {t}: t^(2H) or t^(2-2H) overflows at "
+                         f"H = {hv}") from None
     err = abs(val - coarse)
     if not np.isfinite(val):
         raise RuntimeError(f"quadrature value is not finite ({val}) at H={hv}, "
@@ -193,8 +199,9 @@ def _correlation_gap(hv: float, x):
     return np.where(x > 0, (1.0 - kappa) * (1.0 + kappa), 1.0)
 
 
-def _second_moment(hv: float, t: float, a: float, rule) -> float:
-    """E[L_t(a)^2] by ``rule``, from one 1-D integral.
+def _second_moment(hv: float, t: float, a: float, rules) -> list[float]:
+    """E[L_t(a)^2] by each of ``rules``, from one 1-D integral whose
+    integrand is evaluated at the nodes of all the rules in one pass.
 
     E[L^2] = 2 * integral over 0 < u, 0 < w, u + w < t of the density of
     (B_u, B_{u+w}) at (a, a), exp(-a^2 / (2 u^{2H} rho)) / (2 pi (u w)^H
@@ -218,7 +225,7 @@ def _second_moment(hv: float, t: float, a: float, rule) -> float:
     there and I(c2) its limit 0, so the integrand stays finite.
     """
     one_mh = 1.0 - hv
-    r, weights = rule
+    r = np.concatenate([nodes for nodes, _ in rules])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = 0.5 * r ** (1.0 / one_mh)
         rho = _correlation_gap(hv, x / (1.0 - x))
@@ -228,8 +235,14 @@ def _second_moment(hv: float, t: float, a: float, rule) -> float:
             level = 0.5 * a * a / (t ** (2 * hv) * rho)
             pair = _expint(1.0 / hv, level / np.stack(
                 [(1.0 - x) ** (2 * hv), x ** (2 * hv)])).sum(axis=0)
-        total = weights @ (pair / ((1.0 - x) ** hv * np.sqrt(rho)))
-    return t ** (2 * one_mh) * 2**hv * total / (4 * np.pi * hv * one_mh)
+        vals = pair / ((1.0 - x) ** hv * np.sqrt(rho))
+    scale = t ** (2 * one_mh) * 2**hv
+    moments, i = [], 0
+    for nodes, weights in rules:  # each rule on its own slice of vals
+        total = weights @ vals[i:i + len(nodes)]
+        moments.append(scale * total / (4 * np.pi * hv * one_mh))
+        i += len(nodes)
+    return moments
 
 
 _EULER_GAMMA = 0.5772156649015329

@@ -5,7 +5,8 @@ same Gauss-Legendre nodes on each panel of a partition, and
 ``_graded_rule`` on panels shrinking geometrically toward the singular
 end(s) of [0, 1].  ``_iterated_integral`` applies a rule over inner
 intervals that depend on an outer variable, with the integrand evaluated
-in parts of a block of outer nodes and summed one block at a time.
+in parts of a block of outer nodes, in arrays allocated once per call,
+and summed one block at a time.
 """
 
 from __future__ import annotations
@@ -16,19 +17,31 @@ import numpy as np
 
 # elements per summed block of outer nodes: sets the order of the sum
 _BLOCK_ELEMENTS = 1 << 15
-# elements per evaluated part of a block, 56 kB a temporary.  glibc's
-# malloc maps a chunk of 128 kB or more on its own and unmaps it when
-# freed, and a free of 64 kB or more trims the heap top, unless earlier,
-# larger frees in the process raised those thresholds; larger temporaries
-# are then faulted in afresh for each block, 6400 page faults (about
-# 10 ms) per density_shift_integral(0.75, 256)
-_PART_ELEMENTS = 7 << 10
+# elements per evaluated part of a block, 128 kB an array.  The integrand
+# writes a part's values into the block with out= ufuncs, through
+# ``_WORK_ARRAYS`` arrays of the part's shape allocated once per call, so
+# no temporary is made per part and the arrays stay in the core's cache;
+# larger parts ran no faster.  (Fresh temporaries of 128 kB or more were
+# mapped and faulted in afresh for each block by glibc's malloc: 6400 page
+# faults, about 10 ms, per density_shift_integral(0.75, 256).)
+_PART_ELEMENTS = 1 << 14
+# arrays of a part's shape an integrand works in, the inner nodes included
+_WORK_ARRAYS = 5
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(order: int):
+    """Read-only ``order``-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _panel_rule(edges, order: int):
     """Nodes and weights of an ``order``-point Gauss-Legendre rule on each
     panel [edges[k], edges[k+1]], panel after panel."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss_legendre(order)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * np.diff(edges)[:, None]
     return (mid + half * x).ravel(), (half * w).ravel()
@@ -56,14 +69,17 @@ def _iterated_integral(f, rows, row_weights, start, end, rule):
 
     ``rule`` is a (nodes, weights) pair on [0, 1] from ``_graded_rule``,
     mapped to start + (end - start) * node, so a one-ended rule is graded
-    toward ``start`` (which may exceed ``end``).  ``f(*cols, y)`` receives
-    each column of ``rows`` as a (block, 1) array and the inner nodes as a
-    (block, len(nodes)) array, and returns the integrand there.
+    toward ``start`` (which may exceed ``end``).  ``f(*cols, work, out)``
+    receives each column of ``rows`` as a (part, 1) array and ``work``, a
+    stack of ``_WORK_ARRAYS`` (part, len(nodes)) arrays whose first holds
+    the inner nodes, and writes the integrand there into ``out``, the
+    part's rows of the block; it may overwrite all of ``work``.
     """
     y, wy = rule
     block = max(1, _BLOCK_ELEMENTS // len(y))
     part = max(1, _PART_ELEMENTS // len(y))
     buf = np.empty((min(block, len(row_weights)), len(y)))
+    work = np.empty((_WORK_ARRAYS, min(part, len(buf)), len(y)))
     total = 0.0
     for i in range(0, len(row_weights), block):
         sl = slice(i, i + block)
@@ -72,7 +88,8 @@ def _iterated_integral(f, rows, row_weights, start, end, rule):
         vals = buf[:len(lo)]
         for j in range(0, len(lo), part):
             ps = slice(j, j + part)
-            vals[ps] = f(*(col[sl][ps, None] for col in rows),
-                         lo[ps] + span[ps] * y)
+            w = work[:, :len(lo[ps])]
+            np.add(lo[ps], np.multiply(span[ps], y, out=w[0]), out=w[0])
+            f(*(col[sl][ps, None] for col in rows), w, vals[ps])
         total += float(row_weights[sl] * np.abs(span[:, 0]) @ (vals @ wy))
     return total

@@ -169,10 +169,62 @@ def test_density_shift_integral_positive_and_level_damped():
     assert v2 < v0  # exp(-a^2/...) damping
 
 
+def _phi_pair(hv: float, u, v, a: float, s22=None):
+    # the density of (B_u, B_v) at (a, a) that density_shift_integral
+    # evaluated before its out= buffers: s22 = v^{2H} shared by the caller,
+    # and at a = 0 the exponential skipped
+    two_h = 2 * hv
+    s11 = u**two_h
+    if s22 is None:
+        s22 = v**two_h
+    s12 = 0.5 * (s11 + s22 - np.abs(v - u) ** two_h)
+    det = s11 * s22 - s12**2
+    norm = 2 * np.pi * np.sqrt(det)
+    if a == 0:
+        return 1.0 / norm
+    qf = a * a * (s11 + s22 - 2 * s12) / det
+    return np.exp(-0.5 * qf) / norm
+
+
+def _density_shift_temporaries(h, n, a, phi_pair=_phi_pair,
+                               part_elements=7 << 10):
+    # density_shift_integral as it was before its out= buffers: the
+    # integrand from phi_pair in fresh temporaries, evaluated in parts of
+    # part_elements elements of each summed block
+    from fbmlab.quadrature import _BLOCK_ELEMENTS, _graded_rule, _panel_rule
+
+    edges = np.arange(2, n + 1) / n
+    u, wu = _panel_rule(edges, 6)
+    un = np.repeat(edges[:-1], 6)
+    y, wy = _graded_rule(24, 6, 1e-4)
+    block = max(1, _BLOCK_ELEMENTS // len(y))
+    part = max(1, part_elements // len(y))
+    total = 0.0
+    gap = 2.0 / n
+    for start, end, sign in ((u - gap, np.full_like(u, gap), -1.0),
+                             (u + gap, np.ones_like(u), 1.0)):
+        m = sign * (end - start) > 0
+        cu, cun, rw, st, en = u[m], un[m], wu[m], start[m], end[m]
+        buf = np.empty((min(block, len(rw)), len(y)))
+        side = 0.0
+        for i in range(0, len(rw), block):
+            sl = slice(i, i + block)
+            lo = st[sl, None]
+            span = en[sl, None] - lo
+            vals = buf[:len(lo)]
+            for j in range(0, len(lo), part):
+                ps = slice(j, j + part)
+                v = lo[ps] + span[ps] * y
+                s22 = v ** (2 * h)
+                vals[ps] = np.abs(phi_pair(h, cu[sl][ps, None], v, a, s22)
+                                  - phi_pair(h, cun[sl][ps, None], v, a, s22))
+            side += float(rw[sl] * np.abs(span[:, 0]) @ (vals @ wy))
+        total += side
+    return total
+
+
 def _density_shift_loop(hv, n, a):
     # the per-strip loop density_shift_integral replaced, kept as reference
-    from fbmlab.bounds import _phi_pair
-
     def graded_nodes(lo, hi, singular_end):
         if hi <= lo:
             return np.empty(0), np.empty(0)
@@ -211,27 +263,73 @@ def _phi_pair_both_powers(hv, u, v, a, s22=None):
     return np.exp(-0.5 * qf) / (2 * np.pi * np.sqrt(det))
 
 
+def _density_shift_integrands(monkeypatch, h, n, a):
+    # (integrand, u, un, v) of each side of density_shift_integral(h, n, a),
+    # v the inner nodes of every row; the total's last bits average out 1-ulp
+    # changes of single values, so the bit tests compare values too
+    from fbmlab import bounds, quadrature
+
+    sides = []
+
+    def spy(f, rows, row_weights, start, end, rule):
+        v = start[:, None] + (end - start)[:, None] * rule[0]
+        sides.append((f, rows[0][:, None], rows[1][:, None], v))
+        return quadrature._iterated_integral(f, rows, row_weights, start, end,
+                                             rule)
+
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "_iterated_integral", spy)
+        return density_shift_integral(h, n, a), sides
+
+
+def _integrand_values(f, u, un, v, rows=None):
+    # the integrand at v, evaluated in parts of ``rows`` rows (all at once
+    # by default), as the engine calls it
+    from fbmlab.quadrature import _WORK_ARRAYS
+
+    rows = rows or len(v)
+    out = np.empty_like(v)
+    for i in range(0, len(v), rows):
+        sl = slice(i, i + rows)
+        work = np.empty((_WORK_ARRAYS,) + v[sl].shape)
+        work[0] = v[sl]
+        f(u[sl], un[sl], work, out[sl])
+    return out
+
+
 @pytest.mark.parametrize("h, n, a", [
     (0.55, 16, 0.0), (0.6, 64, -0.0), (0.75, 64, 0.3), (0.9, 256, -1.0)])
 def test_density_shift_integral_is_bit_identical_to_unshared_powers(
         monkeypatch, h, n, a):
-    from fbmlab import bounds
-
-    got = density_shift_integral(h, n, a)
-    monkeypatch.setattr(bounds, "_phi_pair", _phi_pair_both_powers)
-    assert got.hex() == density_shift_integral(h, n, a).hex()
+    total, sides = _density_shift_integrands(monkeypatch, h, n, a)
+    assert total.hex() == _density_shift_temporaries(h, n, a).hex()
+    assert total.hex() == _density_shift_temporaries(
+        h, n, a, phi_pair=_phi_pair_both_powers).hex()
+    for f, u, un, v in sides:
+        got = _integrand_values(f, u, un, v)
+        for phi_pair in (_phi_pair, _phi_pair_both_powers):
+            s22 = v ** (2 * h)
+            want = np.abs(phi_pair(h, u, v, a, s22) - phi_pair(h, un, v, a, s22))
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("h, n, a", [
     (0.55, 16, 0.0), (0.75, 256, 0.0), (0.75, 256, 0.5), (0.9, 1024, -1.0)])
 def test_density_shift_integral_is_bit_identical_in_parts(monkeypatch, h, n, a):
     # the integrand is evaluated in parts of each summed block; one part
-    # per block must give the same bits
+    # per block, or parts of any size, must give the same bits, in the work
+    # arrays as in temporaries
     from fbmlab import quadrature
 
-    got = density_shift_integral(h, n, a)
+    total, sides = _density_shift_integrands(monkeypatch, h, n, a)
+    assert total.hex() == _density_shift_temporaries(
+        h, n, a, part_elements=quadrature._BLOCK_ELEMENTS).hex()
+    for f, u, un, v in sides:
+        whole = _integrand_values(f, u, un, v).tobytes()
+        for rows in (1, 7, quadrature._PART_ELEMENTS // v.shape[1]):
+            assert _integrand_values(f, u, un, v, rows).tobytes() == whole
     monkeypatch.setattr(quadrature, "_PART_ELEMENTS", quadrature._BLOCK_ELEMENTS)
-    assert got.hex() == density_shift_integral(h, n, a).hex()
+    assert total.hex() == density_shift_integral(h, n, a).hex()
 
 
 _DENSITY_SHIFT_FAULTS_SCRIPT = """
@@ -262,6 +360,8 @@ def test_density_shift_integral_reuses_its_memory():
 
 @pytest.mark.parametrize("a", [0.0, 2.0])
 def test_density_shift_integral_matches_strip_loop(a):
+    # the same rule laid out strip by strip: this checks the rule, whose
+    # value differs from the integral by about 2e-5 relative
     assert density_shift_integral(0.7, 64, a=a) == pytest.approx(
         _density_shift_loop(0.7, 64, a), rel=1e-12)
 

@@ -1,5 +1,6 @@
 """CLI surface: parsing, subcommands, manifests, exit codes."""
 
+import argparse
 import importlib.metadata
 import json
 import os
@@ -424,6 +425,44 @@ def test_oracle_unconverged_exits_1(capsys):
     assert captured.out == ""
     # the two resolutions disagree at H = 0.999, and the message says so
     assert captured.err.startswith("error: quadrature achieved relative tolerance")
+
+
+def test_oracle_overflowing_horizon_exits_1(capsys):
+    rc = run(["oracle", "--lemma", "moments", "--p", "2", "--t", "1e300",
+              "--H", "0.9", "--a", "0.5"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: t = 1e+300: t^(2H) or t^(2-2H) "
+                                   "overflows at H = 0.9")
+
+
+def test_cached_parser_keeps_no_state_between_calls(monkeypatch, tmp_path,
+                                                    capsys):
+    from fbmlab import cli
+
+    seen = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        ns = parse_args(self, *args, **kwargs)
+        seen.append(ns)
+        return ns
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    cli._build_parser.cache_clear()
+    path = ["simulate", "--H", "0.75", "--n", "8", "--seed", "1"]
+    assert run(["--threads", "1", "--quiet", "--output-dir", str(tmp_path)]
+               + path) == 0
+    assert run(path) == 0
+    first, second = seen
+    assert (first.threads, first.quiet, first.output_dir) == (
+        1, True, str(tmp_path))
+    assert (second.threads, second.quiet, second.output_dir) == (
+        None, False, None)
+    # the second call printed its path instead of writing it
+    assert capsys.readouterr().out == (tmp_path / "path.csv").read_text()
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_invalid_arguments_exit_code(capsys):

@@ -22,6 +22,7 @@ from fbmlab.covariance import (
     increment_cov,
     increment_level_bound_constant,
 )
+from fbmlab.bounds import factorisation_scaling
 from fbmlab.fbm import as_hurst, fbm_covariance
 
 
@@ -100,6 +101,73 @@ def test_factorisation_error_rejects_h_outside_unit_interval():
     for h in (0.0, -0.1, 1.0, 1.5, float("nan")):
         with pytest.raises(ValueError):
             factorisation_error(0.75, h)
+
+
+def _increment_cov_one_vector(h, ts):
+    # increment_cov before it was built for stacked time vectors
+    hu = as_hurst(h)
+    a1, a2 = ts[:-1], ts[1:]
+    mat = (fbm_covariance(hu, a1[:, None], a1[None, :])
+           - fbm_covariance(hu, a1[:, None], a2[None, :])
+           - fbm_covariance(hu, a2[:, None], a1[None, :])
+           + fbm_covariance(hu, a2[:, None], a2[None, :]))
+    return 0.5 * (mat + mat.T)
+
+
+def _factorisation_error_one_level(hurst, h):
+    # factorisation_error as it was before the levels were stacked: its
+    # own 3x3 and 2x2 pipeline for one h
+    hu = as_hurst(hurst)
+    ts = np.array([0.0, 1.0, 1.0 + h, 2.0 + h])
+    sign, logdet = np.linalg.slogdet(_increment_cov_one_vector(hu, ts))
+    signp, logdetp = np.linalg.slogdet(_increment_cov_one_vector(hu, ts[[0, 1, 3]]))
+    assert sign > 0 and signp > 0
+    small = np.diff(ts)[1] ** (2 * hu.value)
+    return float(np.exp(logdet - logdetp - np.log(small))) - 1.0
+
+
+@pytest.mark.parametrize("hurst", [0.55, 0.75, 0.9])
+@pytest.mark.parametrize("levels", [
+    [2.0**-k for k in range(3, 10)],  # verify-bounds' default h-grid
+    [0.3, 0.01, 0.2, 0.05, 0.001],
+])
+def test_stacked_factorisation_is_bit_identical_to_one_level(hurst, levels):
+    ts = np.array([0.0, 1.0, 1.3, 2.3, 2.5])
+    assert increment_cov(hurst, ts).tobytes() == \
+        _increment_cov_one_vector(hurst, ts).tobytes()
+    res = factorisation_scaling(hurst, levels)
+    assert res["h"] == sorted(levels)
+    want = [_factorisation_error_one_level(hurst, h) for h in res["h"]]
+    assert [v.hex() for v in res["theta1"]] == [v.hex() for v in want]
+    assert [factorisation_error(hurst, h).hex() for h in res["h"]] == \
+        [v.hex() for v in want]
+    slope = float(np.polyfit(np.log2(res["h"]), np.log2(np.abs(want)), 1)[0])
+    assert res["slope"].hex() == slope.hex()
+
+
+@pytest.mark.parametrize("size, label", [(3, "Sigma"), (2, "Sigma'")])
+def test_factorisation_errors_name_the_matrix(monkeypatch, size, label):
+    cond, slogdet = np.linalg.cond, np.linalg.slogdet
+
+    def ill_conditioned(mats):
+        c = cond(mats)
+        return c if mats.shape[-1] != size else np.where(
+            np.arange(len(c)) == 1, 1e13, c)
+
+    def indefinite(mats):
+        sign, logdet = slogdet(mats)
+        return (sign if mats.shape[-1] != size else -sign), logdet
+
+    levels = [0.25, 0.125, 0.0625]
+    monkeypatch.setattr(np.linalg, "cond", ill_conditioned)
+    with pytest.raises(ValueError, match=(f"^{label} condition number "
+                                          "1.000e.13 exceeds limit at h = 0.125$")):
+        factorisation_scaling(0.75, levels)
+    monkeypatch.setattr(np.linalg, "cond", cond)
+    monkeypatch.setattr(np.linalg, "slogdet", indefinite)
+    with pytest.raises(ValueError, match=(f"^{label} has a non-positive "
+                                          "determinant at h = 0.0625$")):
+        factorisation_scaling(0.75, levels)
 
 
 def test_increment_level_bound_small_sample():

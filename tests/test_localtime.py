@@ -407,6 +407,48 @@ def test_second_moment_converges_quickly(h):
         assert m2 >= moment_oracle(h, 1.0, a, p=1) ** 2, (h, a)
 
 
+def _second_moment_one_rule(hv, t, a, rule):
+    # localtime._second_moment as it was before the rules shared one pass:
+    # the integrand at one rule's nodes
+    one_mh = 1.0 - hv
+    r, weights = rule
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = 0.5 * r ** (1.0 / one_mh)
+        rho = localtime._correlation_gap(hv, x / (1.0 - x))
+        if a * a == 0:
+            pair = 2 * hv / one_mh
+        else:
+            level = 0.5 * a * a / (t ** (2 * hv) * rho)
+            pair = localtime._expint(1.0 / hv, level / np.stack(
+                [(1.0 - x) ** (2 * hv), x ** (2 * hv)])).sum(axis=0)
+        total = weights @ (pair / ((1.0 - x) ** hv * np.sqrt(rho)))
+    return t ** (2 * one_mh) * 2**hv * total / (4 * np.pi * hv * one_mh)
+
+
+@pytest.mark.parametrize("h", [0.5, 0.6, 0.75, 0.9, 0.95])
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
+def test_second_moment_one_pass_is_bit_identical_to_two(monkeypatch, h, a):
+    rules = [quadrature._graded_rule(panels, order, 1e-5, True)
+             for panels, order in ((24, 8), (40, 10))]
+    want = [_second_moment_one_rule(h, 1.0, a, rule) for rule in rules]
+    got = localtime._second_moment(h, 1.0, a, rules)
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+    calls = []
+    expint = localtime._expint
+    monkeypatch.setattr(localtime, "_expint",
+                        lambda *args: calls.append(args) or expint(*args))
+    assert moment_oracle(h, 1.0, a, p=2).hex() == float(want[1]).hex()
+    assert len(calls) == (a != 0)
+
+
+def test_second_moment_names_an_overflowing_horizon():
+    # t^(2H) overflows at H = 0.9, t^(2-2H) at H = 0.3 and at a = 0
+    for h, a in ((0.9, 0.5), (0.3, 0.5), (0.1, 0.0)):
+        with pytest.raises(ValueError, match=r"^t = 1e\+300: t\^\(2H\) or "
+                                             r"t\^\(2-2H\) overflows at H = "):
+            moment_oracle(h, 1e300, a, p=2)
+
+
 def test_moment_oracle_validation():
     with pytest.raises(ValueError):
         moment_oracle(0.7, 1.0, 0.0, p=3)
